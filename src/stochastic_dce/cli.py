@@ -28,7 +28,8 @@ from .ensemble import (
     derive_seed,
     run_ensemble,
 )
-from .noise import NoiseKind, synthesize
+from .dynamics import step_grid
+from .noise import eval_batch, synthesize
 from .theory import (
     cosmo_beta2,
     msa_deterministic_beta2,
@@ -37,6 +38,7 @@ from .theory import (
     msa_stochastic_beta2,
     slow_flow_rates,
     solve_occupations,
+    windowed_exposure,
 )
 
 log = logging.getLogger("sdce")
@@ -172,19 +174,11 @@ def _series_rows(cfg, label, system, stats):
 # predict
 
 
-def _grid_probes(cfg: RunConfig) -> np.ndarray:
-    """Probe times rounded to the integrator grid, as simulate reports them."""
-    nsteps = max(1, int(math.ceil(cfg.ensemble.horizon / cfg.integrator.dt - 1e-9)))
-    dt = cfg.ensemble.horizon / nsteps
-    idx = np.unique(np.clip(
-        np.round(np.asarray(cfg.ensemble.probes, dtype=float) / dt).astype(np.intp),
-        0, nsteps))
-    return idx * dt
-
-
 def cmd_predict(cfg: RunConfig, out_dir) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    t = _grid_probes(cfg)
+    # probe times rounded to the integrator grid, as simulate reports them
+    _, dt, idx = step_grid(cfg.ensemble.horizon, cfg.integrator.dt, cfg.ensemble.probes)
+    t = idx * dt
     rows = []
 
     def emit(quantity, mode, values):
@@ -219,17 +213,8 @@ def cmd_predict(cfg: RunConfig, out_dir) -> int:
     elif cfg.scenario is Scenario.COUPLED_STOCHASTIC:
         t_eval = t
         if cfg.integrator.window_ramp > 0:
-            # the on/off window scales the drive power by w(t)^2, so the
-            # slow flow sees the accumulated exposure int_0^t w^2 ds
-            from .dynamics import Window
-
-            win = Window(cfg.integrator.window_ramp, cfg.ensemble.horizon)
-            s = np.linspace(0.0, cfg.ensemble.horizon, 40001)
-            w2 = win.profile(s)[0] ** 2
-            cum = np.concatenate(
-                [[0.0], np.cumsum(0.5 * (w2[1:] + w2[:-1]) * np.diff(s))]
-            )
-            t_eval = np.interp(t, s, cum)
+            t_eval = windowed_exposure(cfg.integrator.window_ramp,
+                                       cfg.ensemble.horizon, t)
         rates = slow_flow_rates(cfg.cavity, cfg.noise)
         sol = solve_occupations(rates, cfg.cavity, ModeIndex(cfg.ensemble.in_mode),
                                 t_eval)
@@ -273,10 +258,12 @@ def cmd_compare(cfg: RunConfig, simulated, predicted, out_dir) -> int:
     tol = cfg.compare
     theory = {(float(r[0]), r[1], int(r[2])): float(r[3]) for r in pre_rows}
     points = []
+    matched = set()
     for r in sim_rows:
         key = (float(r[0]), r[1], int(r[2]))
         if key not in theory:
-            continue
+            continue  # simulated-only quantity (e.g. q_im) or time
+        matched.add(key)
         mean = float(r[3])
         stderr = float(r[4]) if r[4] else math.nan
         ref = theory[key]
@@ -292,14 +279,22 @@ def cmd_compare(cfg: RunConfig, simulated, predicted, out_dir) -> int:
     if not points:
         raise ConfigError("no joinable (t, quantity, mode) points between inputs")
 
+    # a predicted point without a simulated row fails the comparison
+    unmatched = sorted(theory.keys() - matched)
+    if unmatched:
+        t, quantity, mode = unmatched[0]
+        log.error("%d predicted point(s) have no simulated row; first: "
+                  "t=%s quantity=%s mode=%d", len(unmatched), _fmt(t), quantity, mode)
+
     points.sort(key=lambda p: (p["quantity"], p["mode"], p["t"]))
     n_pass = sum(p["pass"] for p in points)
     frac = n_pass / len(points)
     runs_z = _runs_test([p["diff"] for p in points])
-    ok = frac >= 0.95 and (runs_z is None or abs(runs_z) <= 4.0)
+    ok = frac >= 0.95 and (runs_z is None or abs(runs_z) <= 4.0) and not unmatched
 
     report = {
         "n_points": len(points),
+        "n_unmatched_predicted": len(unmatched),
         "n_pass": n_pass,
         "pass_fraction": frac,
         "runs_test_z": runs_z,
@@ -351,11 +346,11 @@ def cmd_noise_dump(cfg: RunConfig, seed: int | None) -> int:
     if seed is None:
         seed = cfg.ensemble.master_seed
     horizon = cfg.ensemble.horizon
-    real = synthesize(cfg.noise, seed, horizon)
     step = cfg.integrator.dt * cfg.integrator.record_stride
     t = np.arange(0.0, horizon + 0.5 * step, step)
     t[-1] = min(t[-1], horizon)
-    cols = [real.eval(t, o) for o in (0, 1, 2)]
+    xi = eval_batch(synthesize(cfg.noise, seed, horizon), t, (0, 1, 2))
+    cols = [xi[o][0] for o in (0, 1, 2)]
     w = csv.writer(sys.stdout)
     w.writerow(["t", "xi", "xi_dot", "xi_ddot"])
     for i in range(t.size):

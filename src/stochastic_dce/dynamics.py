@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavityConfig
-from .noise import NoiseKind, NoiseSpec, eval_batch
+from .noise import NoiseBatch, NoiseKind, NoiseSpec, eval_batch
 
 __all__ = [
     "IntegratorConfig",
@@ -32,10 +32,10 @@ __all__ = [
     "DerivativeOrderError",
     "GeometryCollapseError",
     "ExtractionWindowError",
+    "step_grid",
     "run_batch",
     "integrate",
     "extract_bogoliubov",
-    "assemble_record",
     "particle_number",
     "wronskian",
     "sum_rule",
@@ -67,7 +67,6 @@ class ExtractionWindowError(RuntimeError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    method: str = "rk4"
     record_stride: int = 1
     path: str = "linearized"  # or "exact"
     window_ramp: float = 0.0  # C^2 on/off ramp duration at each end; 0 = none
@@ -75,8 +74,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.method != "rk4":
-            raise ValueError(f"unknown method {self.method!r}")
         if self.path not in ("linearized", "exact"):
             raise ValueError(f"unknown path {self.path!r}")
         if self.record_stride < 1:
@@ -258,10 +255,30 @@ class BatchResult:
     in_mode: int
 
 
-def _prepare(system, integrator: IntegratorConfig, horizon: float, noise_spec: NoiseSpec):
+def step_grid(horizon: float, dt: float, probe_times=()):
+    """The fixed RK4 grid of a run and the probe times rounded onto it.
+
+    The step is the largest one <= dt that divides the horizon.  Returns
+    (nsteps, step, probe_idx): probe_idx holds the sorted, distinct step
+    indices nearest the probe times, clipped to [0, nsteps].
+    """
+    nsteps = max(1, int(math.ceil(horizon / dt - 1e-9)))
+    step = horizon / nsteps
+    probe_idx = np.unique(np.clip(np.round(np.asarray(probe_times, float) / step)
+                                  .astype(np.intp), 0, nsteps))
+    return nsteps, step, probe_idx
+
+
+def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: float,
+              probe_times, noise_spec: NoiseSpec, initial: str = "vacuum",
+              in_mode: int = 1) -> BatchResult:
+    """Integrate every realization of a noise batch, snapshotting at the probes.
+
+    Probe times are rounded to the step grid; the returned times are the
+    grid-aligned values actually used.
+    """
+    nsteps, dt, probe_idx = step_grid(horizon, integrator.dt, probe_times)
     omega_max = float(np.max(system.omegas))
-    nsteps = max(1, int(math.ceil(horizon / integrator.dt - 1e-9)))
-    dt = horizon / nsteps
     if dt * omega_max > 0.1 + 1e-12:
         raise StepResolutionError(
             f"dt*omega_max = {dt * omega_max:.3g} > 0.1; refine the step"
@@ -271,19 +288,7 @@ def _prepare(system, integrator: IntegratorConfig, horizon: float, noise_spec: N
         raise DerivativeOrderError(
             "coupled runs need smooth xi', xi''; use a spectral-synthesis noise kind"
         )
-    return nsteps, dt, orders
-
-
-def run_batch(system, realizations, integrator: IntegratorConfig, horizon: float,
-              probe_times, noise_spec: NoiseSpec, initial: str = "vacuum",
-              in_mode: int = 1) -> BatchResult:
-    """Integrate a batch of realizations, snapshotting at the probe times.
-
-    Probe times are rounded to the step grid; the returned times are the
-    grid-aligned values actually used.
-    """
-    nsteps, dt, orders = _prepare(system, integrator, horizon, noise_spec)
-    batch = len(realizations)
+    batch = len(noise)
     if initial == "vacuum":
         Q, P = vacuum_state(system, batch, in_mode)
     elif initial == "position_kick":
@@ -291,8 +296,6 @@ def run_batch(system, realizations, integrator: IntegratorConfig, horizon: float
     else:
         raise ValueError(f"unknown initial data {initial!r}")
 
-    probe_idx = np.unique(np.clip(np.round(np.asarray(probe_times, float) / dt)
-                                  .astype(np.intp), 0, nsteps))
     times = probe_idx * dt
     m = system.n_modes
     snapQ = np.empty((batch, probe_idx.size, m), dtype=complex)
@@ -313,7 +316,7 @@ def run_batch(system, realizations, integrator: IntegratorConfig, horizon: float
     for start in range(0, nsteps, block):
         stop = min(nsteps, start + block)
         t_half = half * np.arange(2 * start, 2 * stop + 1)
-        raw = eval_batch(realizations, t_half, need)
+        raw = eval_batch(noise, t_half, need)
         x0a, x1a, x2a = _windowed(raw, win, t_half, orders)
         for i in range(stop - start):
             a = 2 * i
@@ -352,19 +355,21 @@ class Trajectory:
     omegas: np.ndarray
     in_mode: int
     dt: float
-    realization: object = field(default=None, repr=False)
+    realization: NoiseBatch | None = field(default=None, repr=False)
     window: Window | None = None
 
 
-def integrate(system, realization, integrator: IntegratorConfig, horizon: float,
-              noise_spec: NoiseSpec, initial: str = "vacuum",
+def integrate(system, realization: NoiseBatch, integrator: IntegratorConfig,
+              horizon: float, noise_spec: NoiseSpec, initial: str = "vacuum",
               in_mode: int = 1) -> Trajectory:
-    """Integrate one realization, recording every record_stride steps."""
-    nsteps, dt, _ = _prepare(system, integrator, horizon, noise_spec)
+    """Integrate a batch of one realization, recording every record_stride steps."""
+    if len(realization) != 1:
+        raise ValueError(f"integrate takes a batch of one, got {len(realization)} rows")
+    nsteps, dt, _ = step_grid(horizon, integrator.dt)
     rec = np.arange(0, nsteps + 1, integrator.record_stride)
     if rec[-1] != nsteps:
         rec = np.append(rec, nsteps)
-    res = run_batch(system, [realization], integrator, horizon, rec * dt,
+    res = run_batch(system, realization, integrator, horizon, rec * dt,
                     noise_spec, initial, in_mode)
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
@@ -413,7 +418,7 @@ def extract_bogoliubov(traj: Trajectory, t_stop: float, *, rest_tol: float = 1e-
         raise ValueError(f"no recorded state near t={t_stop}")
     t = traj.times[idx]
     if not allow_moving and traj.realization is not None:
-        xi = traj.realization.eval(t, 0)
+        xi = float(eval_batch(traj.realization, np.array([t]), (0,))[0][0, 0])
         if traj.window is not None:
             xi *= traj.window.profile(np.asarray([t]))[0][0]
         if abs(xi) > rest_tol:
@@ -423,19 +428,6 @@ def extract_bogoliubov(traj: Trajectory, t_stop: float, *, rest_tol: float = 1e-
             )
     alpha, beta = decompose(traj.Q[idx], traj.P[idx], traj.omegas, t)
     return BogoliubovRecord(alpha[None, :], beta[None, :], [traj.in_mode], t)
-
-
-def assemble_record(rows: list[BogoliubovRecord]) -> BogoliubovRecord:
-    """Stack per-in-mode rows (same extraction time) into one record."""
-    t0 = rows[0].t_stop
-    if any(abs(r.t_stop - t0) > 1e-12 * max(1.0, abs(t0)) for r in rows):
-        raise ValueError("rows were extracted at different times")
-    return BogoliubovRecord(
-        np.vstack([r.alpha for r in rows]),
-        np.vstack([r.beta for r in rows]),
-        [m for r in rows for m in r.in_modes],
-        t0,
-    )
 
 
 def particle_number(record: BogoliubovRecord):

@@ -179,10 +179,10 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     aborted = []
     while True:
         keep = [i for i in range(len(idx)) if idx[i] not in aborted]
-        reals = synthesize_many(noise_spec, [seeds[i] for i in keep],
+        noise = synthesize_many(noise_spec, [seeds[i] for i in keep],
                                 ensemble.horizon)
         try:
-            res = run_batch(system, reals, integrator, ensemble.horizon,
+            res = run_batch(system, noise, integrator, ensemble.horizon,
                             ensemble.probes, noise_spec,
                             ensemble.initial, ensemble.in_mode)
             break

@@ -4,8 +4,9 @@ A process is described by its correlation R(u) = <xi(t) xi(t+u)> and the
 one-sided spectrum S(nu) = int_0^inf R(u) e^{i nu u} du.  Re S sets the
 stochastic resonance rates, Im S the frequency shifts.
 
-Realizations are smooth (at least C^2) functions of time so that xi, xi'
-and xi'' can all be fed to the mode equations:
+Realizations are drawn in batches (NoiseBatch, one row per seed) and
+are smooth (at least C^2) functions of time so that xi, xi' and xi'' can
+all be fed to the mode equations:
 
 * spectral kinds (band-limited, spectral lines, deterministic sinusoid)
   are finite cosine sums, differentiated term by term;
@@ -32,8 +33,7 @@ __all__ = [
     "synthesize",
     "synthesize_many",
     "eval_batch",
-    "SpectralRealization",
-    "OUPathRealization",
+    "NoiseBatch",
 ]
 
 # Exact marginals on a grid of t_c/50, interpolation error is bounded by
@@ -174,16 +174,14 @@ def bspline_coefficients(samples: np.ndarray) -> np.ndarray:
         raise ValueError("need at least two samples")
     z = _POLE
     horizon = int(math.ceil(math.log(1e-17) / math.log(abs(z))))
-    if horizon <= n:
-        powers = z ** np.arange(horizon)
-        init = x[..., :horizon] @ powers
-    else:
-        # short arrays: sum over the mirror-periodized sequence so the
-        # causal-filter state is exact rather than truncated
-        period = 2 * (n - 1) if n > 1 else 1
-        idx = _mirror(np.arange(horizon) % period, n)
-        powers = z ** np.arange(horizon)
-        init = x[..., idx] @ powers
+    # causal-filter state sum_k z^k x_k over the mirror-periodized
+    # sequence (exact for short arrays too), by Horner's rule one tap at
+    # a time: elementwise, so a row rounds the same alone or in a batch
+    # (a matrix-vector product does not)
+    taps = _mirror(np.arange(horizon) % (2 * (n - 1)), n)
+    init = x[..., taps[-1]]
+    for tap in taps[-2::-1]:
+        init = init * z + x[..., tap]
     zi = (init - x[..., 0])[..., None]
     cplus = lfilter([1.0], [1.0, -z], x, axis=-1, zi=zi)[0]
     # backward pass on the reversed forward output
@@ -242,104 +240,35 @@ def bspline_evaluate(coeffs: np.ndarray, u: np.ndarray, order: int = 0) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# realizations
+# batches of realizations
 
 
 @dataclass(frozen=True)
-class SpectralRealization:
-    """xi(t) = sum_j a_j cos(nu_j t + phi_j); derivatives are analytic."""
+class NoiseBatch:
+    """Realizations of one noise spec on [0, horizon], one row per seed.
 
-    spec: NoiseSpec
-    seed: int
-    horizon: float
-    amplitudes: np.ndarray
-    frequencies: np.ndarray
-    phases: np.ndarray
-
-    def eval(self, t, order: int = 0):
-        t = np.asarray(t, dtype=float)
-        _check_range(t, self.horizon)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        out = np.zeros(tt.shape, dtype=float)
-        # block the outer product to bound memory on long time arrays
-        block = max(1, int(4_000_000 / max(1, self.frequencies.size)))
-        if order == 0:
-            weights = self.amplitudes
-        elif order == 1:
-            weights = -self.amplitudes * self.frequencies
-        elif order == 2:
-            weights = -self.amplitudes * self.frequencies**2
-        else:
-            raise ValueError(f"order must be 0, 1 or 2, got {order}")
-        trig = np.sin if order == 1 else np.cos
-        for s in range(0, tt.size, block):
-            sl = slice(s, s + block)
-            phase = np.multiply.outer(tt[sl], self.frequencies) + self.phases
-            out[sl] = trig(phase) @ weights
-        return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class OUPathRealization:
-    """Exactly-discretized OU path with a C^2 spline interpolant.
-
-    Paths produced together by synthesize_many keep their spline
-    coefficients as rows of one shared 2-d array (stack/stack_row), so
-    batch evaluation needs no per-call restacking.
+    Spectral kinds: row b is xi_b(t) = sum_j a_j cos(nu_bj t + phi_bj),
+    with the amplitudes a (n,) shared by every row and frequencies and
+    phases of shape (B, n).  OU: row b is the cubic B-spline with
+    coefficients coeffs[b] on the knots t = k * grid_step.  Derivatives
+    are analytic in both cases.
     """
 
-    spec: NoiseSpec
-    seed: int
     horizon: float
-    grid_step: float
-    samples: np.ndarray
-    coeffs: np.ndarray = field(repr=False, default=None)
-    stack: np.ndarray = field(repr=False, default=None)
-    stack_row: int = -1
+    amplitudes: np.ndarray | None = None
+    frequencies: np.ndarray | None = None
+    phases: np.ndarray | None = None
+    grid_step: float | None = None
+    coeffs: np.ndarray | None = field(default=None, repr=False)
 
-    def eval(self, t, order: int = 0):
-        t = np.asarray(t, dtype=float)
-        _check_range(t, self.horizon)
-        scalar = t.ndim == 0
-        u = np.atleast_1d(t) / self.grid_step
-        out = bspline_evaluate(self.coeffs, u, order) / self.grid_step**order
-        return float(out[0]) if scalar else out
+    def __len__(self) -> int:
+        rows = self.coeffs if self.coeffs is not None else self.phases
+        return rows.shape[0]
 
 
-def _check_range(t: np.ndarray, horizon: float):
-    tiny = 1e-9 * max(1.0, horizon)
-    if np.any(t < -tiny) or np.any(t > horizon + tiny):
-        raise ValueError(f"time outside [0, {horizon}]")
-
-
-def synthesize(spec: NoiseSpec, seed: int, horizon: float):
-    """Draw one realization; pure in (spec, seed, horizon)."""
-    if horizon <= 0:
-        raise NoiseConfigError(f"horizon must be > 0, got {horizon}")
-    if spec.kind is NoiseKind.DETERMINISTIC_SINUSOID:
-        # xi(t) = sin(omega_drive t), independent of the seed
-        return SpectralRealization(
-            spec,
-            seed,
-            horizon,
-            amplitudes=np.array([1.0]),
-            frequencies=np.array([spec.omega_drive]),
-            phases=np.array([-0.5 * np.pi]),
-        )
-    rng = np.random.default_rng(np.uint64(seed))
-    if spec.kind is NoiseKind.ORNSTEIN_UHLENBECK:
-        return _synthesize_ou(spec, seed, horizon, rng)
-    n = spec.n_components
-    if spec.kind is NoiseKind.BAND_LIMITED:
-        # stratified frequency sampling over the flat band
-        strata = (np.arange(n) + rng.random(n)) / n
-        freqs = spec.nu_min + strata * (spec.nu_max - spec.nu_min)
-    else:
-        freqs = spec.line_frequencies()
-    phases = rng.uniform(0.0, 2.0 * np.pi, n)
-    amps = np.full(n, spec.sigma * math.sqrt(2.0 / n))
-    return SpectralRealization(spec, seed, horizon, amps, freqs, phases)
+def synthesize(spec: NoiseSpec, seed: int, horizon: float) -> NoiseBatch:
+    """Draw one realization: a batch of one row."""
+    return synthesize_many(spec, [seed], horizon)
 
 
 def _ou_grid(spec: NoiseSpec, horizon: float):
@@ -357,95 +286,72 @@ def _ou_samples(spec: NoiseSpec, seed: int, n_grid: int, step: float) -> np.ndar
     return lfilter([1.0], [1.0, -a], drive)
 
 
-def _synthesize_ou(spec: NoiseSpec, seed: int, horizon: float, rng) -> OUPathRealization:
-    n_grid, step = _ou_grid(spec, horizon)
-    samples = _ou_samples(spec, seed, n_grid, step)
-    coeffs = bspline_coefficients(samples)
-    return OUPathRealization(spec, seed, horizon, step, samples, coeffs)
+def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
+    """Draw one realization per seed.
 
-
-def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> list:
-    """Draw one realization per seed, same law as synthesize(spec, seed, horizon).
-
-    The same seed gives the same path up to floating-point roundoff
-    (~1e-15); bitwise output is reproducible within either entry point.
-
-    OU paths land in one shared coefficient stack (rows processed in
-    small batches to bound transient memory); other kinds just loop.
+    Each row is a pure function of (spec, seed, horizon): bitwise the
+    same whether the seed is drawn alone or at any place in a batch.
     """
-    seeds = list(seeds)
-    if spec.kind is not NoiseKind.ORNSTEIN_UHLENBECK:
-        return [synthesize(spec, s, horizon) for s in seeds]
     if horizon <= 0:
         raise NoiseConfigError(f"horizon must be > 0, got {horizon}")
-    n_grid, step = _ou_grid(spec, horizon)
-    stack = np.empty((len(seeds), n_grid))
-    row_block = 128
-    for s in range(0, len(seeds), row_block):
-        rows = np.stack([_ou_samples(spec, sd, n_grid, step)
-                         for sd in seeds[s:s + row_block]])
-        stack[s:s + row_block] = bspline_coefficients(rows)
-    return [
-        OUPathRealization(spec, sd, horizon, step, None, stack[i],
-                          stack=stack, stack_row=i)
-        for i, sd in enumerate(seeds)
-    ]
+    seeds = list(seeds)
+    if spec.kind is NoiseKind.ORNSTEIN_UHLENBECK:
+        n_grid, step = _ou_grid(spec, horizon)
+        coeffs = np.empty((len(seeds), n_grid))
+        row_block = 128  # bounds the transient sample memory
+        for s in range(0, len(seeds), row_block):
+            rows = np.stack([_ou_samples(spec, sd, n_grid, step)
+                             for sd in seeds[s:s + row_block]])
+            coeffs[s:s + row_block] = bspline_coefficients(rows)
+        return NoiseBatch(horizon, grid_step=step, coeffs=coeffs)
+    if spec.kind is NoiseKind.DETERMINISTIC_SINUSOID:
+        # xi(t) = sin(omega_drive t), independent of the seed
+        return NoiseBatch(horizon, amplitudes=np.array([1.0]),
+                          frequencies=np.full((len(seeds), 1), spec.omega_drive),
+                          phases=np.full((len(seeds), 1), -0.5 * np.pi))
+    n = spec.n_components
+    freqs = np.empty((len(seeds), n))
+    phases = np.empty((len(seeds), n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(np.uint64(seed))
+        if spec.kind is NoiseKind.BAND_LIMITED:
+            # stratified frequency sampling over the flat band
+            strata = (np.arange(n) + rng.random(n)) / n
+            freqs[i] = spec.nu_min + strata * (spec.nu_max - spec.nu_min)
+        else:
+            freqs[i] = spec.line_frequencies()
+        phases[i] = rng.uniform(0.0, 2.0 * np.pi, n)
+    amps = np.full(n, spec.sigma * math.sqrt(2.0 / n))
+    return NoiseBatch(horizon, amps, freqs, phases)
 
 
-def eval_batch(realizations, times: np.ndarray, orders) -> dict[int, np.ndarray]:
-    """Evaluate many realizations on one shared time grid.
+def eval_batch(batch: NoiseBatch, times, orders) -> dict[int, np.ndarray]:
+    """Evaluate every row of the batch on one shared 1-d time grid.
 
-    Returns {order: array (n_realizations, n_times)}.  OU paths sharing a
-    grid are evaluated together (one gather for the whole stack).
+    Returns {order: array (len(batch), len(times))} for each requested
+    derivative order (0, 1 or 2).  Times must lie in [0, horizon].
     """
     times = np.asarray(times, dtype=float)
-    out = {o: np.empty((len(realizations), times.size)) for o in orders}
-    ou = [
-        i
-        for i, r in enumerate(realizations)
-        if isinstance(r, OUPathRealization)
-    ]
-    if ou and all(
-        realizations[i].grid_step == realizations[ou[0]].grid_step for i in ou
-    ):
-        first = realizations[ou[0]]
-        shared = first.stack
-        if shared is not None and all(
-            realizations[i].stack is shared for i in ou
-        ):
-            rows = [realizations[i].stack_row for i in ou]
-            if rows == list(range(rows[0], rows[0] + len(rows))):
-                stack = shared[rows[0]:rows[0] + len(rows)]
-            else:
-                stack = shared[rows]
-        else:
-            stack = np.stack([realizations[i].coeffs for i in ou])
-        step = first.grid_step
+    tiny = 1e-9 * max(1.0, batch.horizon)
+    if np.any(times < -tiny) or np.any(times > batch.horizon + tiny):
+        raise ValueError(f"time outside [0, {batch.horizon}]")
+    if not set(orders) <= {0, 1, 2}:
+        raise ValueError(f"orders must be among 0, 1, 2, got {orders}")
+    if batch.coeffs is not None:
+        step = batch.grid_step
         u = times / step
-        for o in orders:
-            out_o = bspline_evaluate(stack, u, o) / step**o
-            out[o][ou] = out_o
-        rest = [i for i in range(len(realizations)) if i not in set(ou)]
-    else:
-        rest = range(len(realizations))
-    for i in rest:
-        r = realizations[i]
-        if isinstance(r, SpectralRealization) and len(orders) > 1:
-            # share the phase/trig evaluation between derivative orders
-            block = max(1, int(4_000_000 / max(1, r.frequencies.size)))
-            for s in range(0, times.size, block):
-                sl = slice(s, min(times.size, s + block))
-                phase = np.multiply.outer(times[sl], r.frequencies) + r.phases
-                cos = np.cos(phase)
-                sin = np.sin(phase) if 1 in orders else None
-                for o in orders:
-                    if o == 0:
-                        out[o][i, sl] = cos @ r.amplitudes
-                    elif o == 1:
-                        out[o][i, sl] = sin @ (-r.amplitudes * r.frequencies)
-                    else:
-                        out[o][i, sl] = cos @ (-r.amplitudes * r.frequencies**2)
-        else:
+        return {o: bspline_evaluate(batch.coeffs, u, o) / step**o for o in orders}
+    out = {o: np.empty((len(batch), times.size)) for o in orders}
+    amps = batch.amplitudes
+    # block the (times, components) phase array to bound memory on long grids
+    block = max(1, int(4_000_000 / max(1, amps.size)))
+    for i, (nu, phi) in enumerate(zip(batch.frequencies, batch.phases)):
+        weights = {0: amps, 1: -amps * nu, 2: -amps * nu**2}
+        for s in range(0, times.size, block):
+            sl = slice(s, s + block)
+            phase = np.multiply.outer(times[sl], nu) + phi
+            cos = np.cos(phase)
+            sin = np.sin(phase) if 1 in orders else None
             for o in orders:
-                out[o][i] = r.eval(times, o)
+                out[o][i, sl] = (sin if o == 1 else cos) @ weights[o]
     return out

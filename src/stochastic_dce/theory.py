@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityConfig, ModeIndex, omega as mode_omega, omega_z as mode_omega_z, v as coupling_v
+from .dynamics import Window
 from .noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "msa_stochastic_beta2",
     "slow_flow_rates",
     "solve_occupations",
+    "windowed_exposure",
     "cosmo_beta2",
 ]
 
@@ -225,6 +227,19 @@ def slow_flow_rates(cavity: CavityConfig, noise: NoiseSpec,
     )
     rho[np.eye(m, dtype=bool)] = 0.0
     return SlowFlowRates(lam, gam, rho, cavity.epsilon)
+
+
+def windowed_exposure(ramp: float, horizon: float, t) -> np.ndarray:
+    """Accumulated drive exposure int_0^t w(s)^2 ds of the on/off window.
+
+    The window scales the noise power by w(t)^2, so the slow flow of a
+    windowed run is evaluated at this exposure instead of at t.
+    Trapezoid rule on 40000 intervals, interpolated to t.
+    """
+    s = np.linspace(0.0, horizon, 40001)
+    w2 = Window(ramp, horizon).profile(s)[0] ** 2
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w2[1:] + w2[:-1]) * np.diff(s))])
+    return np.interp(t, s, cum)
 
 
 @dataclass(frozen=True)

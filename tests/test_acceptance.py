@@ -17,7 +17,6 @@ from stochastic_dce.dynamics import (
     CavityModes,
     IntegratorConfig,
     PlainOscillator,
-    Window,
     decompose,
     extract_bogoliubov,
     integrate,
@@ -41,6 +40,7 @@ from stochastic_dce.theory import (
     msa_stochastic_beta2,
     slow_flow_rates,
     solve_occupations,
+    windowed_exposure,
 )
 
 OU_HALF = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
@@ -156,11 +156,7 @@ def coupled_run():
 
     # the on/off window scales the noise power by w(t)^2, so theory is
     # evaluated at the accumulated exposure int_0^t w^2 ds
-    win = Window(ramp, horizon)
-    s = np.linspace(0.0, horizon, 40001)
-    w2 = win.profile(s)[0] ** 2
-    cum = np.concatenate([[0.0], np.cumsum((w2[1:] + w2[:-1]) * 0.5 * np.diff(s))])
-    t_eff = np.interp(np.array(stats.times), s, cum)
+    t_eff = windowed_exposure(ramp, horizon, np.array(stats.times))
     sol = solve_occupations(slow_flow_rates(cav, noise), cav, ModeIndex(1), t_eff)
     return cav, noise, icfg, stats, sol
 

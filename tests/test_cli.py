@@ -224,6 +224,26 @@ def test_compare_flags_systematic_offset(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_compare_fails_on_predicted_point_without_simulated_row(tmp_path, capsys):
+    cfg = write_yaml(tmp_path, single_mode_data())
+    out = tmp_path / "out"
+    main(["predict", "--config", cfg, "--out", str(out), "--quiet"])
+    _, pre_rows = read_csv(out / "predictions.csv")
+    with open(out / "series.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(SERIES_HEADER)
+        w.writerows([r + [""] for r in pre_rows[1:]])
+        # a simulated-only quantity stays allowed
+        w.writerow([pre_rows[0][0], "q2_im", "0", "0.0", ""])
+    code = main(["compare", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+    report = json.loads((out / "compare.json").read_text())
+    assert report["n_unmatched_predicted"] == 1
+    assert report["n_points"] == len(pre_rows) - 1
+    assert report["pass_fraction"] == 1.0
+
+
 def test_simulate_then_compare_end_to_end(tmp_path):
     # MC with loose tolerances should agree with its own closed form
     data = single_mode_data()

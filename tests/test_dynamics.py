@@ -32,7 +32,7 @@ from stochastic_dce.dynamics import (
     wronskian,
     write_trajectory_csv,
 )
-from stochastic_dce.noise import NoiseKind, NoiseSpec, synthesize, synthesize_many
+from stochastic_dce.noise import NoiseKind, NoiseSpec, eval_batch, synthesize, synthesize_many
 
 OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
 BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=1.5, nu_max=2.5,
@@ -176,7 +176,7 @@ def test_geometry_collapse_detected():
     horizon = 30.0
     t = np.linspace(0.0, horizon, 2000)
     seed = next(s for s in range(100)
-                if np.min(synthesize(noisy, s, horizon).eval(t, 0)) < -2.2)
+                if np.min(eval_batch(synthesize(noisy, s, horizon), t, (0,))[0]) < -2.2)
     real = synthesize(noisy, seed, horizon)
     with pytest.raises(GeometryCollapseError) as err:
         integrate(sys_, real, IntegratorConfig(dt=0.02, path="exact"),
@@ -355,10 +355,10 @@ def test_run_batch_matches_single_integrations():
     probes = (10.0, 25.0, 40.0)
     cfg = IntegratorConfig(dt=0.01)
     sys_ = PlainOscillator(omega=w, epsilon=0.05)
-    reals = synthesize_many(OU, [11, 12, 13], horizon)
-    res = run_batch(sys_, reals, cfg, horizon, probes, OU)
-    for i, real in enumerate(reals):
-        traj = integrate(sys_, real, cfg, horizon, OU)
+    seeds = [11, 12, 13]
+    res = run_batch(sys_, synthesize_many(OU, seeds, horizon), cfg, horizon, probes, OU)
+    for i, seed in enumerate(seeds):
+        traj = integrate(sys_, synthesize(OU, seed, horizon), cfg, horizon, OU)
         for p, tp in enumerate(res.times):
             j = int(np.argmin(np.abs(traj.times - tp)))
             np.testing.assert_allclose(res.Q[i, p], traj.Q[j], rtol=1e-10)

@@ -12,9 +12,8 @@ from stochastic_dce.noise import (
     NoiseConfigError,
     NoiseKind,
     NoiseSpec,
+    NoiseBatch,
     NotAStochasticProcessError,
-    OUPathRealization,
-    SpectralRealization,
     bspline_coefficients,
     bspline_evaluate,
     correlation,
@@ -28,6 +27,11 @@ OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
 BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=1.5, nu_max=2.5)
 LINES = NoiseSpec(kind=NoiseKind.SPECTRAL_LINES, sigma=1.0, nu_min=1.5, nu_max=2.5)
 SINUSOID = NoiseSpec(kind=NoiseKind.DETERMINISTIC_SINUSOID, omega_drive=2.0)
+
+
+def ev(batch, t, order):
+    """Values of the first row of a batch at times t, one derivative order."""
+    return eval_batch(batch, t, (order,))[order][0]
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +198,33 @@ def test_zero_noise_gives_zero_path():
                      nu_max=2.5)
     r = synthesize(spec, 3, 10.0)
     t = np.linspace(0.0, 10.0, 17)
+    out = eval_batch(r, t, (0, 1, 2))
     for order in (0, 1, 2):
-        assert np.all(r.eval(t, order) == 0.0)
+        assert np.all(out[order] == 0.0)
 
 
 def test_sinusoid_path_is_seed_independent_sine():
     t = np.linspace(0.0, 9.0, 50)
     for seed in (0, 1, 99):
-        r = synthesize(SINUSOID, seed, 10.0)
-        np.testing.assert_allclose(r.eval(t, 0), np.sin(2.0 * t), atol=1e-14)
-        np.testing.assert_allclose(r.eval(t, 1), 2.0 * np.cos(2.0 * t),
+        out = eval_batch(synthesize(SINUSOID, seed, 10.0), t, (0, 1, 2))
+        np.testing.assert_allclose(out[0][0], np.sin(2.0 * t), atol=1e-14)
+        np.testing.assert_allclose(out[1][0], 2.0 * np.cos(2.0 * t),
                                    atol=1e-13)
-        np.testing.assert_allclose(r.eval(t, 2), -4.0 * np.sin(2.0 * t),
+        np.testing.assert_allclose(out[2][0], -4.0 * np.sin(2.0 * t),
                                    atol=1e-13)
 
 
 def test_sinusoid_derivative_hand_value():
     r = synthesize(NoiseSpec(kind=NoiseKind.DETERMINISTIC_SINUSOID,
                              omega_drive=2.0), 0, 10.0)
-    assert r.eval(math.pi / 4.0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert ev(r, [math.pi / 4.0], 1)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_line_second_derivative_hand_value():
     # xi = cos(3t): xi''(0) = -9
-    r = SpectralRealization(LINES, 0, 10.0, amplitudes=np.array([1.0]),
-                            frequencies=np.array([3.0]),
-                            phases=np.array([0.0]))
-    assert r.eval(0.0, 2) == pytest.approx(-9.0, rel=1e-12)
+    r = NoiseBatch(10.0, amplitudes=np.array([1.0]),
+                   frequencies=np.array([[3.0]]), phases=np.array([[0.0]]))
+    assert ev(r, [0.0], 2)[0] == pytest.approx(-9.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [OU, BAND, LINES], ids=["ou", "band", "lines"])
@@ -228,22 +232,24 @@ def test_synthesis_is_deterministic(spec, rng):
     a = synthesize(spec, 42, 20.0)
     b = synthesize(spec, 42, 20.0)
     t = rng.uniform(0.0, 20.0, 100)
-    np.testing.assert_array_equal(a.eval(t, 0), b.eval(t, 0))
+    np.testing.assert_array_equal(ev(a, t, 0), ev(b, t, 0))
 
 
 def test_different_seeds_give_different_paths():
     a = synthesize(BAND, 1, 20.0)
     b = synthesize(BAND, 2, 20.0)
     t = np.linspace(0.0, 20.0, 50)
-    assert np.max(np.abs(a.eval(t, 0) - b.eval(t, 0))) > 1e-3
+    assert np.max(np.abs(ev(a, t, 0) - ev(b, t, 0))) > 1e-3
 
 
 def test_eval_rejects_out_of_range_times():
-    r = synthesize(BAND, 0, 5.0)
-    with pytest.raises(ValueError):
-        r.eval(5.5, 0)
-    with pytest.raises(ValueError):
-        r.eval(-0.5, 0)
+    for spec in (BAND, OU):
+        r = synthesize(spec, 0, 5.0)
+        for orders in ((0,), (0, 1, 2)):
+            with pytest.raises(ValueError):
+                eval_batch(r, [5.5], orders)
+            with pytest.raises(ValueError):
+                eval_batch(r, [-0.5], orders)
 
 
 def test_band_realization_variance_budget():
@@ -256,8 +262,8 @@ def test_band_frequencies_stratified_over_band():
     r = synthesize(BAND, 7, 10.0)
     n = BAND.n_components
     edges = np.linspace(1.5, 2.5, n + 1)
-    assert np.all(r.frequencies >= edges[:-1])
-    assert np.all(r.frequencies <= edges[1:])
+    assert np.all(r.frequencies[0] >= edges[:-1])
+    assert np.all(r.frequencies[0] <= edges[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +273,12 @@ def test_band_frequencies_stratified_over_band():
 @pytest.mark.parametrize("spec", [BAND, LINES], ids=["band", "lines"])
 def test_spectral_derivatives_match_finite_differences(spec, rng):
     r = synthesize(spec, 5, 20.0)
+
     h = 1e-5
     t = rng.uniform(1.0, 19.0, 200)
     for lo, hi in ((0, 1), (1, 2)):
-        fd = (r.eval(t + h, lo) - r.eval(t - h, lo)) / (2.0 * h)
-        exact = r.eval(t, hi)
+        fd = (ev(r, t + h, lo) - ev(r, t - h, lo)) / (2.0 * h)
+        exact = ev(r, t, hi)
         scale = np.maximum(np.abs(exact), 1e-3)
         assert np.max(np.abs(fd - exact) / scale) < 1e-6
 
@@ -283,15 +290,16 @@ def test_ou_derivatives_match_finite_differences(rng):
     # 0 -> 1 is checked at 1e-3; order 1 -> 2 is piecewise-polynomial
     # exact away from knots and holds to near roundoff.
     r = synthesize(OU, 5, 20.0)
+
     h = 1e-5
     t = rng.uniform(1.0, 19.0, 200)
     t = (np.round(t / r.grid_step) + 0.5) * r.grid_step  # mid-interval
-    fd1 = (r.eval(t + h, 0) - r.eval(t - h, 0)) / (2.0 * h)
-    scale = np.maximum(np.abs(r.eval(t, 1)), 1e-3)
-    assert np.max(np.abs(fd1 - r.eval(t, 1)) / scale) < 1e-3
-    fd2 = (r.eval(t + h, 1) - r.eval(t - h, 1)) / (2.0 * h)
-    scale = np.maximum(np.abs(r.eval(t, 2)), 1e-3)
-    assert np.max(np.abs(fd2 - r.eval(t, 2)) / scale) < 1e-6
+    fd1 = (ev(r, t + h, 0) - ev(r, t - h, 0)) / (2.0 * h)
+    scale = np.maximum(np.abs(ev(r, t, 1)), 1e-3)
+    assert np.max(np.abs(fd1 - ev(r, t, 1)) / scale) < 1e-3
+    fd2 = (ev(r, t + h, 1) - ev(r, t - h, 1)) / (2.0 * h)
+    scale = np.maximum(np.abs(ev(r, t, 2)), 1e-3)
+    assert np.max(np.abs(fd2 - ev(r, t, 2)) / scale) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +344,32 @@ def test_ou_statistics_are_stationary():
 
 
 def test_synthesize_many_matches_synthesize():
+    # every row is bitwise the seed drawn alone, wherever it sits in a
+    # batch wider than the 128-row synthesis block
     t = np.linspace(0.5, 9.5, 40)
-    many = synthesize_many(OU, [3, 4], 10.0)
-    for seed, r in zip([3, 4], many):
-        single = synthesize(OU, seed, 10.0)
-        np.testing.assert_allclose(r.eval(t, 0), single.eval(t, 0),
-                                   rtol=0, atol=1e-13)
+    seeds = list(range(3, 303))
+    for spec in (OU, BAND):
+        many = synthesize_many(spec, seeds, 10.0)
+        out = eval_batch(many, t, (0,))[0]
+        for i in (0, 1, 5, 127, 128, 200, 299):
+            single = synthesize(spec, seeds[i], 10.0)
+            if spec is OU:
+                np.testing.assert_array_equal(many.coeffs[i], single.coeffs[0])
+            else:
+                np.testing.assert_array_equal(many.frequencies[i],
+                                              single.frequencies[0])
+                np.testing.assert_array_equal(many.phases[i], single.phases[0])
+            np.testing.assert_array_equal(out[i], ev(single, t, 0))
 
 
 def test_eval_batch_matches_individual_eval(rng):
     t = np.sort(rng.uniform(0.0, 10.0, 25))
     for spec in (OU, BAND):
-        reals = synthesize_many(spec, range(6), 10.0)
-        out = eval_batch(reals, t, (0, 1, 2))
-        for i, r in enumerate(reals):
+        out = eval_batch(synthesize_many(spec, range(6), 10.0), t, (0, 1, 2))
+        for i in range(6):
+            single = synthesize(spec, i, 10.0)
             for o in (0, 1, 2):
-                np.testing.assert_allclose(out[o][i], r.eval(t, o),
+                np.testing.assert_allclose(out[o][i], ev(single, t, o),
                                            rtol=1e-12, atol=1e-12)
 
 
