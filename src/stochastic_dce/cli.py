@@ -118,8 +118,12 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         "seeds": seed_info,
         "n_effective": {},
         "aborted": {},
+        "dt": {},
+        "nsteps": {},
+        "max_wronskian_drift": {},
         "violations": [],
     }
+    nsteps, dt, _ = step_grid(cfg.ensemble.horizon, cfg.integrator.dt)
     started = time.time()
     code = 0
     try:
@@ -128,6 +132,8 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             ens = dataclasses.replace(cfg.ensemble, master_seed=sub)
             log.info("simulating system %d/%d (%d realizations)",
                      label, len(systems), ens.n_realizations)
+            summary["dt"][str(label)] = dt
+            summary["nsteps"][str(label)] = nsteps
             stats = run_ensemble(system, cfg.noise, cfg.integrator, ens)
             seed_info["per_system"][str(label)] = {
                 "sub_master": sub,
@@ -136,6 +142,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             }
             summary["n_effective"][str(label)] = stats.n_effective
             summary["aborted"][str(label)] = stats.aborted
+            summary["max_wronskian_drift"][str(label)] = stats.max_wronskian_drift
             rows.extend(_series_rows(cfg, label, system, stats))
     except InvariantViolationError as err:
         summary["violations"] = err.entries
@@ -346,7 +353,7 @@ def cmd_noise_dump(cfg: RunConfig, seed: int | None) -> int:
     if seed is None:
         seed = cfg.ensemble.master_seed
     horizon = cfg.ensemble.horizon
-    step = cfg.integrator.dt * cfg.integrator.record_stride
+    step = cfg.integrator.dt
     t = np.arange(0.0, horizon + 0.5 * step, step)
     t[-1] = min(t[-1], horizon)
     xi = eval_batch(synthesize(cfg.noise, seed, horizon), t, (0, 1, 2))

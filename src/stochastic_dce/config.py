@@ -243,7 +243,6 @@ def _parse_integrator(sec, omega_max, horizon) -> IntegratorConfig:
         dt = suggest_dt(omega_max, horizon)
     kwargs = dict(
         dt=dt,
-        record_stride=_take(sec, "integrator", "record_stride", int, default=1),
         path=_take(sec, "integrator", "path", str, default="linearized"),
         window_ramp=_take(sec, "integrator", "window_ramp_time", float, default=0.0),
     )

@@ -5,20 +5,21 @@ analytically at the substeps, so halving the step keeps the realization
 identical and the scheme shows clean 4th-order convergence.
 
 The integrator runs a whole batch of realizations at once on (batch,
-n_modes) complex arrays; a single trajectory is just a batch of one.
-Noise values for all substeps are produced block-by-block to bound
-memory on long horizons.
+n_modes) complex arrays and snapshots (Q, Q', Pi) at the probe times,
+where Pi is the system's canonical momentum; a single trajectory is a
+batch of one probed at every step.  Noise values for all substeps are
+produced block-by-block to bound memory on long horizons.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cavity import CavityConfig
-from .noise import NoiseBatch, NoiseKind, NoiseSpec, eval_batch
+from .noise import NoiseBatch, eval_batch
 
 __all__ = [
     "IntegratorConfig",
@@ -26,21 +27,13 @@ __all__ = [
     "Window",
     "PlainOscillator",
     "CavityModes",
-    "Trajectory",
-    "BogoliubovRecord",
     "StepResolutionError",
     "DerivativeOrderError",
     "GeometryCollapseError",
-    "ExtractionWindowError",
     "step_grid",
     "run_batch",
-    "integrate",
-    "extract_bogoliubov",
-    "particle_number",
+    "decompose",
     "wronskian",
-    "sum_rule",
-    "write_trajectory_csv",
-    "record_to_json",
 ]
 
 
@@ -60,14 +53,9 @@ class GeometryCollapseError(RuntimeError):
         super().__init__(f"cavity length collapsed for realizations {self.batch_indices}")
 
 
-class ExtractionWindowError(RuntimeError):
-    """Bogoliubov extraction requested while the wall is still displaced."""
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    record_stride: int = 1
     path: str = "linearized"  # or "exact"
     window_ramp: float = 0.0  # C^2 on/off ramp duration at each end; 0 = none
 
@@ -76,8 +64,6 @@ class IntegratorConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.path not in ("linearized", "exact"):
             raise ValueError(f"unknown path {self.path!r}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
         if self.window_ramp < 0:
             raise ValueError("window_ramp must be >= 0")
 
@@ -168,6 +154,9 @@ class PlainOscillator:
     def accel(self, Q, P, x0, x1, x2):
         return -(self.omega**2) * (1.0 + self.epsilon * x0[:, None]) * Q
 
+    def canonical_momentum(self, Q, P, x0, x1):
+        return P
+
 
 class CavityModes:
     """Coupled cavity mode equations for one transverse family.
@@ -201,6 +190,19 @@ class CavityModes:
             a += (2.0 * eps) * x1[:, None] * (P @ self.gT)
             a += eps * x2[:, None] * (Q @ self.gT)
         return a
+
+    def canonical_momentum(self, Q, P, x0, x1):
+        """Pi = Q' - lam G Q with lam = eps xi' (over 1 + eps xi on the exact path).
+
+        Both paths derive from a Lagrangian with this canonical momentum,
+        so the Wronskian built on Pi is conserved while the Q' one is not.
+        """
+        if self.n_modes == 1:
+            return P
+        lam = self.epsilon * x1
+        if self.path == "exact":
+            lam = lam / (1.0 + self.epsilon * x0)
+        return P - lam[:, None] * (Q @ self.gT)
 
     def _accel_exact(self, Q, P, x0, x1, x2):
         eps = self.epsilon
@@ -250,9 +252,8 @@ def position_kick_state(system, batch: int, in_mode: int = 1):
 class BatchResult:
     times: np.ndarray           # (n_probes,) actual grid-aligned probe times
     Q: np.ndarray               # (batch, n_probes, n_modes) complex
-    P: np.ndarray
-    dt: float
-    in_mode: int
+    P: np.ndarray               # Q'
+    Pi: np.ndarray              # canonical momentum
 
 
 def step_grid(horizon: float, dt: float, probe_times=()):
@@ -270,12 +271,12 @@ def step_grid(horizon: float, dt: float, probe_times=()):
 
 
 def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: float,
-              probe_times, noise_spec: NoiseSpec, initial: str = "vacuum",
-              in_mode: int = 1) -> BatchResult:
+              probe_times, initial: str = "vacuum", in_mode: int = 1) -> BatchResult:
     """Integrate every realization of a noise batch, snapshotting at the probes.
 
     Probe times are rounded to the step grid; the returned times are the
-    grid-aligned values actually used.
+    grid-aligned values actually used.  Spline (OU) noise has no smooth
+    derivatives, so it is refused for systems that need them.
     """
     nsteps, dt, probe_idx = step_grid(horizon, integrator.dt, probe_times)
     omega_max = float(np.max(system.omegas))
@@ -284,7 +285,7 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
             f"dt*omega_max = {dt * omega_max:.3g} > 0.1; refine the step"
         )
     orders = system.noise_orders
-    if max(orders) > 0 and noise_spec.kind is NoiseKind.ORNSTEIN_UHLENBECK:
+    if max(orders) > 0 and noise.coeffs is not None:
         raise DerivativeOrderError(
             "coupled runs need smooth xi', xi''; use a spectral-synthesis noise kind"
         )
@@ -297,13 +298,15 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         raise ValueError(f"unknown initial data {initial!r}")
 
     times = probe_idx * dt
-    m = system.n_modes
-    snapQ = np.empty((batch, probe_idx.size, m), dtype=complex)
+    snapQ = np.empty((batch, probe_idx.size, system.n_modes), dtype=complex)
     snapP = np.empty_like(snapQ)
+    snapPi = np.empty_like(snapQ)
     probe_pos = {int(i): k for k, i in enumerate(probe_idx)}
-    if 0 in probe_pos:
-        snapQ[:, probe_pos[0]] = Q
-        snapP[:, probe_pos[0]] = P
+
+    def snap(pos, Q, P, x0, x1):
+        snapQ[:, pos] = Q
+        snapP[:, pos] = P
+        snapPi[:, pos] = system.canonical_momentum(Q, P, x0, x1)
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
@@ -318,6 +321,8 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         t_half = half * np.arange(2 * start, 2 * stop + 1)
         raw = eval_batch(noise, t_half, need)
         x0a, x1a, x2a = _windowed(raw, win, t_half, orders)
+        if start == 0 and 0 in probe_pos:
+            snap(probe_pos[0], Q, P, x0a[:, 0], None if x1a is None else x1a[:, 0])
         for i in range(stop - start):
             a = 2 * i
             xA = (x0a[:, a], None if x1a is None else x1a[:, a],
@@ -340,55 +345,12 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
             P = P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
             pos = probe_pos.get(start + i + 1)
             if pos is not None:
-                snapQ[:, pos] = Q
-                snapP[:, pos] = P
-    return BatchResult(times, snapQ, snapP, dt, in_mode)
-
-
-@dataclass
-class Trajectory:
-    """Recorded single-realization evolution."""
-
-    times: np.ndarray          # (nt,)
-    Q: np.ndarray              # (nt, n_modes) complex
-    P: np.ndarray
-    omegas: np.ndarray
-    in_mode: int
-    dt: float
-    realization: NoiseBatch | None = field(default=None, repr=False)
-    window: Window | None = None
-
-
-def integrate(system, realization: NoiseBatch, integrator: IntegratorConfig,
-              horizon: float, noise_spec: NoiseSpec, initial: str = "vacuum",
-              in_mode: int = 1) -> Trajectory:
-    """Integrate a batch of one realization, recording every record_stride steps."""
-    if len(realization) != 1:
-        raise ValueError(f"integrate takes a batch of one, got {len(realization)} rows")
-    nsteps, dt, _ = step_grid(horizon, integrator.dt)
-    rec = np.arange(0, nsteps + 1, integrator.record_stride)
-    if rec[-1] != nsteps:
-        rec = np.append(rec, nsteps)
-    res = run_batch(system, realization, integrator, horizon, rec * dt,
-                    noise_spec, initial, in_mode)
-    win = (Window(integrator.window_ramp, horizon)
-           if integrator.window_ramp > 0 else None)
-    return Trajectory(res.times, res.Q[0], res.P[0], system.omegas, in_mode,
-                      res.dt, realization, win)
+                snap(pos, Q, P, *xC[:2])
+    return BatchResult(times, snapQ, snapP, snapPi)
 
 
 # ---------------------------------------------------------------------------
-# Bogoliubov coefficients
-
-
-@dataclass
-class BogoliubovRecord:
-    """alpha/beta rows for the simulated in-modes at one extraction time."""
-
-    alpha: np.ndarray          # (n_in, n_modes) complex
-    beta: np.ndarray
-    in_modes: list[int]
-    t_stop: float
+# Bogoliubov coefficients and the Wronskian
 
 
 def decompose(Q, P, omegas, t):
@@ -404,83 +366,10 @@ def decompose(Q, P, omegas, t):
     return alpha, beta
 
 
-def extract_bogoliubov(traj: Trajectory, t_stop: float, *, rest_tol: float = 1e-8,
-                       allow_moving: bool = False) -> BogoliubovRecord:
-    """Bogoliubov row from the recorded state nearest t_stop.
-
-    Unless allow_moving is set, requires the (windowed) wall displacement
-    to vanish at the extraction time, which is what makes the frequency
-    decomposition exact.
-    """
-    idx = int(np.argmin(np.abs(traj.times - t_stop)))
-    spacing = traj.dt if len(traj.times) < 2 else float(np.max(np.diff(traj.times)))
-    if abs(traj.times[idx] - t_stop) > 0.51 * spacing:
-        raise ValueError(f"no recorded state near t={t_stop}")
-    t = traj.times[idx]
-    if not allow_moving and traj.realization is not None:
-        xi = float(eval_batch(traj.realization, np.array([t]), (0,))[0][0, 0])
-        if traj.window is not None:
-            xi *= traj.window.profile(np.asarray([t]))[0][0]
-        if abs(xi) > rest_tol:
-            raise ExtractionWindowError(
-                f"wall displaced (xi={xi:.3g}) at t={t}; window the motion or "
-                "pass allow_moving=True"
-            )
-    alpha, beta = decompose(traj.Q[idx], traj.P[idx], traj.omegas, t)
-    return BogoliubovRecord(alpha[None, :], beta[None, :], [traj.in_mode], t)
-
-
-def particle_number(record: BogoliubovRecord):
-    """N_k = sum_n |beta_nk|^2 over the simulated in-modes, plus the total."""
-    per_mode = np.sum(np.abs(record.beta) ** 2, axis=0)
-    return per_mode, float(np.sum(per_mode))
-
-
-def sum_rule(record: BogoliubovRecord) -> np.ndarray:
-    """sum_k (|alpha_nk|^2 - |beta_nk|^2) per row; 1 for exact evolution."""
-    return np.sum(np.abs(record.alpha) ** 2 - np.abs(record.beta) ** 2, axis=1)
-
-
 def wronskian(Q, P):
-    """Q Q'* - Q* Q' summed over modes (i for vacuum initial data)."""
+    """Q P* - Q* P summed over modes.
+
+    Conserved when P is the canonical momentum: i for vacuum initial
+    data, 0 for a position kick.
+    """
     return np.sum(Q * np.conj(P) - np.conj(Q) * P, axis=-1)
-
-
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """Dump the recorded states as CSV: t, then re/im of Q_k and Q'_k."""
-    import csv
-
-    m = traj.Q.shape[1]
-    header = ["t"]
-    for k in range(1, m + 1):
-        header += [f"re_q_{k}", f"im_q_{k}", f"re_p_{k}", f"im_p_{k}"]
-    w = csv.writer(fh)
-    w.writerow(header)
-    for i, t in enumerate(traj.times):
-        row = [f"{t:.17g}"]
-        for k in range(m):
-            row += [f"{traj.Q[i, k].real:.17g}", f"{traj.Q[i, k].imag:.17g}",
-                    f"{traj.P[i, k].real:.17g}", f"{traj.P[i, k].imag:.17g}"]
-        w.writerow(row)
-
-
-def record_to_json(record: BogoliubovRecord, *, seed: int | None = None,
-                   master_seed: int | None = None) -> str:
-    """Serialize a Bogoliubov record (with its seed provenance) to JSON."""
-    import json
-
-    def _c(arr):
-        return [[[z.real, z.imag] for z in row] for row in arr]
-
-    per_mode, total = particle_number(record)
-    return json.dumps({
-        "t_stop": record.t_stop,
-        "in_modes": list(record.in_modes),
-        "alpha_re_im": _c(record.alpha),
-        "beta_re_im": _c(record.beta),
-        "particle_number_per_mode": per_mode.tolist(),
-        "particle_number_total": total,
-        "sum_rule": sum_rule(record).tolist(),
-        "seed": seed,
-        "master_seed": master_seed,
-    }, indent=2)

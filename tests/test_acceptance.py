@@ -11,15 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import bogoliubov_at, record_criterion, run_every_step
 from stochastic_dce.cavity import CavityConfig, ModeIndex
 from stochastic_dce.dynamics import (
     CavityModes,
     IntegratorConfig,
     PlainOscillator,
     decompose,
-    extract_bogoliubov,
-    integrate,
     run_batch,
     suggest_dt,
     wronskian,
@@ -203,13 +201,14 @@ def test_a3_deterministic_msa():
     stations = [round(100.0 * k / (math.pi / 2)) * math.pi / 2
                 for k in range(1, 7)]          # up to w*eps*t/4 = 1.5
     horizon = stations[-1]
-    traj = integrate(PlainOscillator(w, eps), synthesize(SINUSOID, 0, horizon),
-                     IntegratorConfig(dt=dt), horizon, SINUSOID)
+    system = PlainOscillator(w, eps)
+    noise = synthesize(SINUSOID, 0, horizon)
+    res = run_every_step(system, noise, IntegratorConfig(dt=dt), horizon)
     rels = []
     for t_star in stations:
-        rec = extract_bogoliubov(traj, t_star, rest_tol=1e-6)
-        th = math.sinh(0.25 * w * eps * rec.t_stop) ** 2
-        rels.append(abs(abs(rec.beta[0, 0]) ** 2 / th - 1.0))
+        t, _, beta = bogoliubov_at(res, noise, system.omegas, t_star, rest_tol=1e-6)
+        th = math.sinh(0.25 * w * eps * t) ** 2
+        rels.append(abs(abs(beta[0]) ** 2 / th - 1.0))
     ok = max(rels) <= 0.02
     detail = (f"6 extraction points up to w*eps*t/4=1.5; worst relative "
               f"error {max(rels):.4f} (tolerance 0.02)")
@@ -223,9 +222,10 @@ def test_a4_scaling_contrast(short_time_runs):
     dt = math.pi / 240.0
     stations = [m * math.pi / 2 for m in (8, 16, 24, 32)]   # w*eps*T/4 <= 0.16
     horizon = stations[-1]
-    traj = integrate(PlainOscillator(w, eps), synthesize(SINUSOID, 0, horizon),
-                     IntegratorConfig(dt=dt), horizon, SINUSOID)
-    b2 = [abs(extract_bogoliubov(traj, t, rest_tol=1e-6).beta[0, 0]) ** 2
+    system = PlainOscillator(w, eps)
+    noise = synthesize(SINUSOID, 0, horizon)
+    res = run_every_step(system, noise, IntegratorConfig(dt=dt), horizon)
+    b2 = [abs(bogoliubov_at(res, noise, system.omegas, t, rest_tol=1e-6)[2][0]) ** 2
           for t in stations]
     det_exp = np.polyfit(np.log(stations), np.log(b2), 1)[0]
     det_ok = 1.9 <= det_exp <= 2.1
@@ -317,14 +317,13 @@ def test_a8_invariants(growth_run, mean_field_run, coupled_run):
 
     reals = synthesize_many(OU_HALF, range(50), 2000.0)
     icfg = IntegratorConfig(dt=suggest_dt(W, 2000.0))
-    res = run_batch(PlainOscillator(W, EPS), reals, icfg, 2000.0, (2000.0,),
-                    OU_HALF)
+    res = run_batch(PlainOscillator(W, EPS), reals, icfg, 2000.0, (2000.0,))
     drift = float(np.max(np.abs(
         wronskian(res.Q[:, -1, :], res.P[:, -1, :]) - 1j)))
 
     cav, noise, icfg7, _, _ = coupled_run
     reals7 = synthesize_many(noise, range(32), 40.0)
-    res7 = run_batch(CavityModes(cav), reals7, icfg7, 40.0, (40.0,), noise)
+    res7 = run_batch(CavityModes(cav), reals7, icfg7, 40.0, (40.0,))
     alpha, beta = decompose(res7.Q[:, -1, :], res7.P[:, -1, :],
                             cav.omegas(), res7.times[-1])
     sum_rule = float(np.max(np.abs(
@@ -334,11 +333,11 @@ def test_a8_invariants(growth_run, mean_field_run, coupled_run):
     t_star = round(50.0 / (math.pi / 2)) * math.pi / 2
     vals = []
     for dt in (0.025, 0.0125, 0.00625, 0.003125):
-        traj = integrate(PlainOscillator(1.0, 0.02),
-                         synthesize(SINUSOID, 0, t_star),
-                         IntegratorConfig(dt=dt), t_star, SINUSOID)
-        rec = extract_bogoliubov(traj, t_star, rest_tol=0.02)
-        vals.append(abs(rec.beta[0, 0]) ** 2)
+        system = PlainOscillator(1.0, 0.02)
+        noise = synthesize(SINUSOID, 0, t_star)
+        res = run_every_step(system, noise, IntegratorConfig(dt=dt), t_star)
+        _, _, beta = bogoliubov_at(res, noise, system.omegas, t_star, rest_tol=0.02)
+        vals.append(abs(beta[0]) ** 2)
     errs = np.abs(np.diff(vals))
     ratio = errs[0] / errs[1]
     ratio_ok = 12.0 <= ratio <= 20.0

@@ -47,6 +47,18 @@ def coupled_data():
     }
 
 
+def assert_run_facts(summary, labels):
+    # the step actually used and the invariant margin, recorded on a pass
+    for key in ("dt", "nsteps", "max_wronskian_drift"):
+        assert set(summary[key]) == set(labels)
+    for label in labels:
+        assert math.isfinite(summary["dt"][label]) and summary["dt"][label] > 0
+        assert isinstance(summary["nsteps"][label], int)
+        assert summary["nsteps"][label] * summary["dt"][label] == pytest.approx(
+            summary["config"]["ensemble"]["horizon_time"])
+        assert 0.0 <= summary["max_wronskian_drift"][label] < 1e-8
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -165,6 +177,7 @@ def test_simulate_writes_series_and_summary(tmp_path):
     seeds = summary["seeds"]["per_system"]["1"]["realization_seeds"]
     assert seeds == [derive_seed(11, i) for i in range(6)]
     assert summary["config"]["ensemble"]["master_seed"] == 11
+    assert_run_facts(summary, ["1"])
 
 
 def test_simulate_seed_override(tmp_path):
@@ -271,6 +284,7 @@ def test_coupled_truncation_warning(tmp_path, caplog):
         assert main(["simulate", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 0
     assert any("highest retained mode" in rec.message for rec in caplog.records)
+    assert_run_facts(json.loads((out / "summary.json").read_text()), ["1"])
 
 
 def test_cosmology_simulate_labels_modes_by_k(tmp_path):

@@ -1,36 +1,27 @@
 """Mode-equation integration, Bogoliubov extraction, and the conserved
 quantities that validate the integrator."""
 
-import io
-import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import bogoliubov_at, run_every_step
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
-    BogoliubovRecord,
     CavityModes,
     DerivativeOrderError,
-    ExtractionWindowError,
     GeometryCollapseError,
     IntegratorConfig,
     PlainOscillator,
     StepResolutionError,
     Window,
     decompose,
-    extract_bogoliubov,
-    integrate,
-    particle_number,
     position_kick_state,
-    record_to_json,
     run_batch,
     suggest_dt,
-    sum_rule,
     vacuum_state,
     wronskian,
-    write_trajectory_csv,
 )
 from stochastic_dce.noise import NoiseKind, NoiseSpec, eval_batch, synthesize, synthesize_many
 
@@ -53,15 +44,13 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.01, path="rk45")
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=0.01, record_stride=0)
 
 
 def test_step_resolution_guard():
     sys_ = PlainOscillator(omega=10.0, epsilon=0.0)
     real = synthesize(SILENT, 0, 10.0)
     with pytest.raises(StepResolutionError):
-        integrate(sys_, real, IntegratorConfig(dt=0.05), 10.0, SILENT)
+        run_every_step(sys_, real, IntegratorConfig(dt=0.05), 10.0)
 
 
 def test_suggest_dt_respects_resolution_cap():
@@ -74,7 +63,11 @@ def test_ou_noise_refused_for_coupled_runs():
     sys_ = CavityModes(cav)
     real = synthesize(OU, 0, 5.0)
     with pytest.raises(DerivativeOrderError):
-        integrate(sys_, real, IntegratorConfig(dt=0.01), 5.0, OU)
+        run_every_step(sys_, real, IntegratorConfig(dt=0.01), 5.0)
+    # the batch itself tells spline noise from cosine sums
+    with pytest.raises(DerivativeOrderError):
+        run_batch(sys_, synthesize_many(OU, [1, 2], 2.0), IntegratorConfig(dt=0.01),
+                  2.0, (2.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +172,8 @@ def test_geometry_collapse_detected():
                 if np.min(eval_batch(synthesize(noisy, s, horizon), t, (0,))[0]) < -2.2)
     real = synthesize(noisy, seed, horizon)
     with pytest.raises(GeometryCollapseError) as err:
-        integrate(sys_, real, IntegratorConfig(dt=0.02, path="exact"),
-                  horizon, noisy)
+        run_every_step(sys_, real, IntegratorConfig(dt=0.02, path="exact"),
+                       horizon)
     assert err.value.batch_indices == [0]
 
 
@@ -193,9 +186,9 @@ def test_free_evolution_matches_phase():
     sys_ = PlainOscillator(omega=w, epsilon=0.0)
     horizon = 100.0 / w
     cfg = IntegratorConfig(dt=suggest_dt(w, horizon))
-    traj = integrate(sys_, synthesize(SILENT, 0, horizon), cfg, horizon, SILENT)
-    expected = np.exp(-1j * w * traj.times) / math.sqrt(2.0 * w)
-    rel = np.max(np.abs(traj.Q[:, 0] - expected) / np.abs(expected))
+    res = run_every_step(sys_, synthesize(SILENT, 0, horizon), cfg, horizon)
+    expected = np.exp(-1j * w * res.times) / math.sqrt(2.0 * w)
+    rel = np.max(np.abs(res.Q[0, :, 0] - expected) / np.abs(expected))
     assert rel < 1e-8
 
 
@@ -204,19 +197,19 @@ def test_free_evolution_keeps_other_modes_empty():
     sys_ = CavityModes(cav)
     horizon = 20.0
     cfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), horizon))
-    traj = integrate(sys_, synthesize(SILENT, 0, horizon), cfg, horizon,
-                     SILENT, in_mode=2)
-    assert np.max(np.abs(traj.Q[:, 0])) == 0.0
-    assert np.max(np.abs(traj.Q[:, 2])) == 0.0
-    assert np.min(np.abs(traj.Q[:, 1])) > 0.0
+    res = run_every_step(sys_, synthesize(SILENT, 0, horizon), cfg, horizon,
+                         in_mode=2)
+    assert np.max(np.abs(res.Q[0, :, 0])) == 0.0
+    assert np.max(np.abs(res.Q[0, :, 2])) == 0.0
+    assert np.min(np.abs(res.Q[0, :, 1])) > 0.0
 
 
 def test_integration_is_deterministic():
     w = 1.0
     cfg = IntegratorConfig(dt=0.01)
     sys_ = PlainOscillator(omega=w, epsilon=0.05)
-    a = integrate(sys_, synthesize(OU, 7, 30.0), cfg, 30.0, OU)
-    b = integrate(sys_, synthesize(OU, 7, 30.0), cfg, 30.0, OU)
+    a = run_every_step(sys_, synthesize(OU, 7, 30.0), cfg, 30.0)
+    b = run_every_step(sys_, synthesize(OU, 7, 30.0), cfg, 30.0)
     np.testing.assert_array_equal(a.Q, b.Q)
     np.testing.assert_array_equal(a.P, b.P)
 
@@ -225,10 +218,10 @@ def _resonant_beta2(w, eps, horizon, dt):
     spec = resonant_drive(w)
     tstar = round(horizon / (0.5 * math.pi)) * 0.5 * math.pi
     sys_ = PlainOscillator(omega=w, epsilon=eps)
-    traj = integrate(sys_, synthesize(spec, 0, tstar), IntegratorConfig(dt=dt),
-                     tstar, spec)
-    rec = extract_bogoliubov(traj, tstar, rest_tol=0.05)
-    return abs(rec.beta[0, 0]) ** 2
+    noise = synthesize(spec, 0, tstar)
+    res = run_every_step(sys_, noise, IntegratorConfig(dt=dt), tstar)
+    _, _, beta = bogoliubov_at(res, noise, sys_.omegas, tstar, rest_tol=0.05)
+    return abs(beta[0]) ** 2
 
 
 def test_step_halving_changes_little_and_shows_fourth_order():
@@ -246,9 +239,29 @@ def test_wronskian_conserved_under_stochastic_drive():
     horizon = 200.0
     cfg = IntegratorConfig(dt=suggest_dt(w, horizon))
     sys_ = PlainOscillator(omega=w, epsilon=0.05)
-    traj = integrate(sys_, synthesize(OU, 3, horizon), cfg, horizon, OU)
-    drift = np.abs(wronskian(traj.Q, traj.P) - 1j)
+    res = run_every_step(sys_, synthesize(OU, 3, horizon), cfg, horizon)
+    drift = np.abs(wronskian(res.Q, res.P) - 1j)
     assert np.max(drift) < 1e-8
+
+
+def test_canonical_wronskian_conserved_for_coupled_runs():
+    # once the modes couple, the Wronskian on Q' drifts; the one on the
+    # canonical momentum Pi = Q' - lam G Q holds, windowed or not, on
+    # both paths, from the probe at t = 0 on
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
+    noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
+                      nu_max=10.0, n_components=16)
+    horizon = 12.0
+    reals = synthesize_many(noise, range(4), horizon)
+    for path in ("linearized", "exact"):
+        for ramp in (0.0, 3.0):
+            cfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), horizon),
+                                   path=path, window_ramp=ramp)
+            res = run_batch(CavityModes(cav, path), reals, cfg, horizon,
+                            np.linspace(0.0, horizon, 7))
+            assert res.times[0] == 0.0
+            assert np.max(np.abs(wronskian(res.Q, res.Pi) - 1j)) < 1e-8
+            assert np.max(np.abs(wronskian(res.Q, res.P) - 1j)) > 1e-3
 
 
 def test_linearized_and_exact_beta2_agree_beyond_second_order():
@@ -261,9 +274,10 @@ def test_linearized_and_exact_beta2_agree_beyond_second_order():
             cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=eps, nz_max=1)
             sys_ = CavityModes(cav, path)
             cfg = IntegratorConfig(dt=suggest_dt(math.pi, 30.0), path=path)
-            traj = integrate(sys_, synthesize(drive, 0, 30.0), cfg, 30.0, drive)
-            rec = extract_bogoliubov(traj, 30.0, rest_tol=1e-9)
-            vals[path] = abs(rec.beta[0, 0]) ** 2
+            noise = synthesize(drive, 0, 30.0)
+            res = run_every_step(sys_, noise, cfg, 30.0)
+            _, _, beta = bogoliubov_at(res, noise, sys_.omegas, 30.0, rest_tol=1e-9)
+            vals[path] = abs(beta[0]) ** 2
         diffs.append(abs(vals["exact"] - vals["linearized"]))
         assert diffs[-1] < 10.0 * eps**3
     assert diffs[0] / diffs[1] > 6.0  # at least cubic in epsilon
@@ -278,11 +292,13 @@ def test_free_run_extracts_identity():
     horizon = 25.0
     cfg = IntegratorConfig(dt=suggest_dt(w, horizon))
     sys_ = PlainOscillator(omega=w, epsilon=0.0)
-    traj = integrate(sys_, synthesize(SILENT, 0, horizon), cfg, horizon, SILENT)
-    rec = extract_bogoliubov(traj, horizon)
-    assert abs(rec.alpha[0, 0] - 1.0) < 1e-7
-    assert abs(rec.beta[0, 0]) < 1e-9 or abs(rec.beta[0, 0]) < 1e-7
-    np.testing.assert_allclose(sum_rule(rec), 1.0, atol=1e-9)
+    noise = synthesize(SILENT, 0, horizon)
+    res = run_every_step(sys_, noise, cfg, horizon)
+    _, alpha, beta = bogoliubov_at(res, noise, sys_.omegas, horizon, rest_tol=1e-8)
+    assert abs(alpha[0] - 1.0) < 1e-7
+    assert abs(beta[0]) < 1e-9 or abs(beta[0]) < 1e-7
+    np.testing.assert_allclose(np.sum(np.abs(alpha) ** 2 - np.abs(beta) ** 2),
+                               1.0, atol=1e-9)
 
 
 def test_resonant_drive_reaches_sinh_growth():
@@ -292,25 +308,13 @@ def test_resonant_drive_reaches_sinh_growth():
     spec = resonant_drive(w)
     sys_ = PlainOscillator(omega=w, epsilon=eps)
     cfg = IntegratorConfig(dt=suggest_dt(w, tstar))
-    traj = integrate(sys_, synthesize(spec, 0, tstar), cfg, tstar, spec)
-    rec = extract_bogoliubov(traj, tstar, rest_tol=0.02)
-    x = 0.25 * w * eps * rec.t_stop
-    assert abs(rec.beta[0, 0]) ** 2 == pytest.approx(math.sinh(x) ** 2,
-                                                     rel=0.02)
-    np.testing.assert_allclose(sum_rule(rec), 1.0, atol=1e-6)
-
-
-def test_extraction_refuses_displaced_wall():
-    w = 1.0
-    spec = resonant_drive(w)
-    sys_ = PlainOscillator(omega=w, epsilon=0.01)
-    cfg = IntegratorConfig(dt=0.01)
-    traj = integrate(sys_, synthesize(spec, 0, 20.0), cfg, 20.0, spec)
-    # sin(2t) is far from zero at t = 20.0
-    with pytest.raises(ExtractionWindowError):
-        extract_bogoliubov(traj, 20.0)
-    rec = extract_bogoliubov(traj, 20.0, allow_moving=True)
-    assert rec.t_stop == pytest.approx(20.0, abs=0.011)
+    noise = synthesize(spec, 0, tstar)
+    res = run_every_step(sys_, noise, cfg, tstar)
+    t, alpha, beta = bogoliubov_at(res, noise, sys_.omegas, tstar, rest_tol=0.02)
+    x = 0.25 * w * eps * t
+    assert abs(beta[0]) ** 2 == pytest.approx(math.sinh(x) ** 2, rel=0.02)
+    np.testing.assert_allclose(np.sum(np.abs(alpha) ** 2 - np.abs(beta) ** 2),
+                               1.0, atol=1e-6)
 
 
 def test_decompose_inverts_mode_construction():
@@ -328,25 +332,8 @@ def test_decompose_inverts_mode_construction():
     np.testing.assert_allclose(b, beta, rtol=1e-12)
 
 
-def test_particle_number_arithmetic():
-    beta = np.sqrt(np.array([[0.1, 0.2], [0.05, 0.3]]))
-    alpha = np.sqrt(1.0 + np.abs(beta) ** 2)
-    rec = BogoliubovRecord(alpha.astype(complex), beta.astype(complex),
-                           [1, 2], 10.0)
-    per_mode, total = particle_number(rec)
-    np.testing.assert_allclose(per_mode, [0.15, 0.5], rtol=1e-12)
-    assert total == pytest.approx(0.65, rel=1e-12)
-
-
-def test_zero_beta_means_zero_particles():
-    rec = BogoliubovRecord(np.eye(2, dtype=complex),
-                           np.zeros((2, 2), dtype=complex), [1, 2], 5.0)
-    per_mode, total = particle_number(rec)
-    assert np.all(per_mode == 0.0) and total == 0.0
-
-
 # ---------------------------------------------------------------------------
-# batched runs and serialization
+# batched runs
 
 
 def test_run_batch_matches_single_integrations():
@@ -356,32 +343,9 @@ def test_run_batch_matches_single_integrations():
     cfg = IntegratorConfig(dt=0.01)
     sys_ = PlainOscillator(omega=w, epsilon=0.05)
     seeds = [11, 12, 13]
-    res = run_batch(sys_, synthesize_many(OU, seeds, horizon), cfg, horizon, probes, OU)
+    res = run_batch(sys_, synthesize_many(OU, seeds, horizon), cfg, horizon, probes)
     for i, seed in enumerate(seeds):
-        traj = integrate(sys_, synthesize(OU, seed, horizon), cfg, horizon, OU)
+        one = run_every_step(sys_, synthesize(OU, seed, horizon), cfg, horizon)
         for p, tp in enumerate(res.times):
-            j = int(np.argmin(np.abs(traj.times - tp)))
-            np.testing.assert_allclose(res.Q[i, p], traj.Q[j], rtol=1e-10)
-
-
-def test_trajectory_csv_and_record_json_roundtrip(tmp_path):
-    w = 1.0
-    cfg = IntegratorConfig(dt=0.01, record_stride=100)
-    sys_ = PlainOscillator(omega=w, epsilon=0.0)
-    traj = integrate(sys_, synthesize(SILENT, 0, 5.0), cfg, 5.0, SILENT)
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,re_q_1,im_q_1,re_p_1,im_p_1"
-    assert len(lines) == len(traj.times) + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-
-    rec = extract_bogoliubov(traj, 5.0)
-    payload = json.loads(record_to_json(rec, seed=17, master_seed=3))
-    assert payload["seed"] == 17 and payload["master_seed"] == 3
-    assert payload["t_stop"] == pytest.approx(5.0)
-    assert payload["particle_number_total"] == pytest.approx(0.0, abs=1e-15)
-    assert payload["sum_rule"][0] == pytest.approx(1.0, abs=1e-9)
-    z = payload["alpha_re_im"][0][0]
-    assert complex(z[0], z[1]) == pytest.approx(rec.alpha[0, 0])
+            j = int(np.argmin(np.abs(one.times - tp)))
+            np.testing.assert_allclose(res.Q[i, p], one.Q[0, j], rtol=1e-10)

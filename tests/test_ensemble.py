@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import stochastic_dce.ensemble as ens
+from conftest import run_every_step
 from stochastic_dce.dynamics import (
     GeometryCollapseError,
     IntegratorConfig,
     PlainOscillator,
     CavityModes,
     decompose,
-    integrate,
     run_batch,
     suggest_dt,
 )
@@ -97,7 +97,7 @@ def test_mean_matches_manual_reduction():
     stats = run_ensemble(SYS, BAND, integ(), cfg)
     seeds = [derive_seed(cfg.master_seed, i) for i in range(8)]
     reals = synthesize_many(BAND, seeds, cfg.horizon)
-    res = run_batch(SYS, reals, integ(), cfg.horizon, cfg.probes, BAND)
+    res = run_batch(SYS, reals, integ(), cfg.horizon, cfg.probes)
     _, beta = decompose(res.Q[:, -1, :], res.P[:, -1, :], SYS.omegas,
                         res.times[-1])
     manual = np.mean(np.abs(beta[:, 0]) ** 2)
@@ -128,9 +128,9 @@ def test_repeated_runs_are_identical():
 def test_silent_noise_has_zero_variance():
     cfg = small_cfg(4, horizon=6.0)
     stats = run_ensemble(SYS, SILENT, integ(6.0), cfg)
-    traj = integrate(SYS, synthesize(SILENT, 0, 6.0), integ(6.0), 6.0, SILENT)
+    res = run_every_step(SYS, synthesize(SILENT, 0, 6.0), integ(6.0), 6.0)
     np.testing.assert_allclose(stats.variance[("q_re", 0)], 0.0, atol=1e-28)
-    assert stats.mean[("q_re", 0)][-1] == pytest.approx(traj.Q[-1, 0].real,
+    assert stats.mean[("q_re", 0)][-1] == pytest.approx(res.Q[0, -1, 0].real,
                                                         rel=1e-10)
 
 
@@ -181,7 +181,7 @@ def test_single_abort_is_excluded(monkeypatch):
     kept = [i for i in range(300) if i != 2]
     seeds = [derive_seed(7, i) for i in kept]
     reals = synthesize_many(BAND, seeds, 6.0)
-    res = real_run_batch(SYS, reals, integ(6.0), 6.0, (6.0,), BAND)
+    res = real_run_batch(SYS, reals, integ(6.0), 6.0, (6.0,))
     _, beta = decompose(res.Q[:, -1, :], res.P[:, -1, :], SYS.omegas,
                         res.times[-1])
     assert stats.mean[key][-1] == pytest.approx(
@@ -197,6 +197,29 @@ def test_invariant_violation_raises(monkeypatch):
     assert entry["kind"] == "wronskian"
     assert 0 <= entry["realization"] < 4
     assert entry["value"] > 1e-30
+
+
+class DropsVelocityCoupling(CavityModes):
+    """Coupled modes with the 2 lam G Q' term of the equations left out."""
+
+    def accel(self, Q, P, x0, x1, x2):
+        eps = self.epsilon
+        a = (-self.omegas**2 + (2.0 * eps) * x0[:, None] * self.omega_zs**2) * Q
+        a += eps * x2[:, None] * (Q @ self.gT)
+        return a
+
+
+@pytest.mark.parametrize("ramp", [0.0, 1.5])
+def test_broken_coupled_integrator_is_caught(ramp):
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=2)
+    noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
+                      nu_max=10.0, n_components=8)
+    icfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), 6.0),
+                            window_ramp=ramp)
+    with pytest.raises(InvariantViolationError) as err:
+        run_ensemble(DropsVelocityCoupling(cav), noise, icfg,
+                     small_cfg(2, horizon=6.0))
+    assert {e["kind"] for e in err.value.entries} == {"wronskian"}
 
 
 # ---------------------------------------------------------------------------
