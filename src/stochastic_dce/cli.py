@@ -123,7 +123,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         "max_wronskian_drift": {},
         "violations": [],
     }
-    nsteps, dt, _ = step_grid(cfg.ensemble.horizon, cfg.integrator.dt)
+    nsteps, dt, _ = step_grid(cfg.ensemble.horizon, cfg.integrator)
     started = time.time()
     code = 0
     try:
@@ -184,7 +184,7 @@ def _series_rows(cfg, label, system, stats):
 def cmd_predict(cfg: RunConfig, out_dir) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # probe times rounded to the integrator grid, as simulate reports them
-    _, dt, idx = step_grid(cfg.ensemble.horizon, cfg.integrator.dt, cfg.ensemble.probes)
+    _, dt, idx = step_grid(cfg.ensemble.horizon, cfg.integrator, cfg.ensemble.probes)
     t = idx * dt
     rows = []
 

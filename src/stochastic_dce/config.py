@@ -7,6 +7,7 @@ a config file reads unambiguously.  Unknown keys are hard errors.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -102,6 +103,8 @@ def _take(sec, secname, key, kind, default=..., positive=False):
             val = [float(x) for x in val]
     except (TypeError, ValueError):
         raise ConfigError(f"{secname}.{key}: expected {kind.__name__}, got {val!r}")
+    if kind in (float, list) and not all(map(math.isfinite, val if kind is list else [val])):
+        raise ConfigError(f"{secname}.{key} must be finite, got {val}")
     if positive and (not isinstance(val, list)) and val <= 0:
         raise ConfigError(f"{secname}.{key} must be > 0, got {val}")
     return val

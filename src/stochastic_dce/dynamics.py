@@ -154,9 +154,6 @@ class PlainOscillator:
     def accel(self, Q, P, x0, x1, x2):
         return -(self.omega**2) * (1.0 + self.epsilon * x0[:, None]) * Q
 
-    def canonical_momentum(self, Q, P, x0, x1):
-        return P
-
 
 class CavityModes:
     """Coupled cavity mode equations for one transverse family.
@@ -196,9 +193,8 @@ class CavityModes:
 
         Both paths derive from a Lagrangian with this canonical momentum,
         so the Wronskian built on Pi is conserved while the Q' one is not.
+        With one mode G = 0 and Pi = Q'; run_batch then skips the call.
         """
-        if self.n_modes == 1:
-            return P
         lam = self.epsilon * x1
         if self.path == "exact":
             lam = lam / (1.0 + self.epsilon * x0)
@@ -253,17 +249,27 @@ class BatchResult:
     times: np.ndarray           # (n_probes,) actual grid-aligned probe times
     Q: np.ndarray               # (batch, n_probes, n_modes) complex
     P: np.ndarray               # Q'
-    Pi: np.ndarray              # canonical momentum
+    Pi: np.ndarray              # canonical momentum; P itself for one mode
 
 
-def step_grid(horizon: float, dt: float, probe_times=()):
+def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
     """The fixed RK4 grid of a run and the probe times rounded onto it.
 
-    The step is the largest one <= dt that divides the horizon.  Returns
+    The step is the largest one <= integrator.dt that divides the horizon
+    and, for a windowed run, puts the ramp ends t = r and T - r on the
+    grid: the smoothstep's third derivative jumps there, and a step that
+    straddles the jump is only third-order accurate.  If no step count up
+    to twice the plain one aligns them, the plain grid is kept.  Returns
     (nsteps, step, probe_idx): probe_idx holds the sorted, distinct step
     indices nearest the probe times, clipped to [0, nsteps].
     """
-    nsteps = max(1, int(math.ceil(horizon / dt - 1e-9)))
+    nsteps = max(1, int(math.ceil(horizon / integrator.dt - 1e-9)))
+    if integrator.window_ramp > 0:
+        counts = np.arange(nsteps, 2 * nsteps + 1)
+        ramp_steps = integrator.window_ramp * counts / horizon
+        aligned = np.flatnonzero(np.abs(ramp_steps - np.rint(ramp_steps)) < 1e-6)
+        if aligned.size:
+            nsteps = int(counts[aligned[0]])
     step = horizon / nsteps
     probe_idx = np.unique(np.clip(np.round(np.asarray(probe_times, float) / step)
                                   .astype(np.intp), 0, nsteps))
@@ -278,7 +284,7 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     grid-aligned values actually used.  Spline (OU) noise has no smooth
     derivatives, so it is refused for systems that need them.
     """
-    nsteps, dt, probe_idx = step_grid(horizon, integrator.dt, probe_times)
+    nsteps, dt, probe_idx = step_grid(horizon, integrator, probe_times)
     omega_max = float(np.max(system.omegas))
     if dt * omega_max > 0.1 + 1e-12:
         raise StepResolutionError(
@@ -300,13 +306,16 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     times = probe_idx * dt
     snapQ = np.empty((batch, probe_idx.size, system.n_modes), dtype=complex)
     snapP = np.empty_like(snapQ)
-    snapPi = np.empty_like(snapQ)
+    # without mode coupling the canonical momentum is Q' itself
+    coupled = system.n_modes > 1
+    snapPi = np.empty_like(snapQ) if coupled else snapP
     probe_pos = {int(i): k for k, i in enumerate(probe_idx)}
 
     def snap(pos, Q, P, x0, x1):
         snapQ[:, pos] = Q
         snapP[:, pos] = P
-        snapPi[:, pos] = system.canonical_momentum(Q, P, x0, x1)
+        if coupled:
+            snapPi[:, pos] = system.canonical_momentum(Q, P, x0, x1)
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)

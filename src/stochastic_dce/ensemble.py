@@ -64,9 +64,10 @@ class InvariantViolationError(RuntimeError):
     def __init__(self, entries):
         self.entries = list(entries)   # dicts: realization, kind, value, time
         first = self.entries[0]
+        value = "non-finite" if first["value"] is None else f"{first['value']:.3e}"
         super().__init__(
             f"{len(self.entries)} invariant violation(s); first: "
-            f"{first['kind']}={first['value']:.3e} at t={first['time']} "
+            f"{first['kind']}={value} at t={first['time']} "
             f"(realization {first['realization']})"
         )
 
@@ -147,15 +148,17 @@ def _quantity_panel(res, system, in_mode):
 def _check_invariants(res, initial):
     """Canonical Wronskian drift of every realization at every probe.
 
-    Returns the violation entries (realization = row of the batch) and
-    the largest drift.
+    A non-finite drift is a violation too; its entry's value is None, so
+    that summary.json stays valid JSON.  Returns the violation entries
+    (realization = row of the batch) and the largest drift.
     """
     W0 = 1j if initial == "vacuum" else 0.0
     drift = np.abs(wronskian(res.Q, res.Pi) - W0)       # (batch, probes)
     entries = [
         {"realization": int(b), "kind": "wronskian",
-         "value": float(drift[b, p]), "time": float(res.times[p])}
-        for b, p in np.argwhere(drift > WRONSKIAN_TOL)
+         "value": float(drift[b, p]) if np.isfinite(drift[b, p]) else None,
+         "time": float(res.times[p])}
+        for b, p in np.argwhere(~(drift <= WRONSKIAN_TOL))
     ]
     return entries, float(np.max(drift, initial=0.0))
 

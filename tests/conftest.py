@@ -37,7 +37,7 @@ def rng():
 
 def run_every_step(system, noise, integrator, horizon, **kwargs):
     """run_batch with a probe at every step of the grid."""
-    nsteps, dt, _ = step_grid(horizon, integrator.dt)
+    nsteps, dt, _ = step_grid(horizon, integrator)
     return run_batch(system, noise, integrator, horizon,
                      np.arange(nsteps + 1) * dt, **kwargs)
 

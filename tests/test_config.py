@@ -109,6 +109,8 @@ def test_default_integrator_step_respects_fastest_mode():
                                 "Lz0_length": 1.0, "epsilon": 0.1}),
      "coupled_stochastic"),
     (lambda d: d.update(compare={"k_sigma": -1.0}), "tolerances"),
+    (lambda d: d["noise"].update(sigma=math.nan), "noise.sigma must be finite"),
+    (lambda d: d["ensemble"].update(probes_time=[5.0, math.inf]), "must be finite"),
 ])
 def test_invalid_single_mode_configs(mutate, match):
     data = single_mode_data()

@@ -19,6 +19,7 @@ from stochastic_dce.dynamics import (
     decompose,
     position_kick_state,
     run_batch,
+    step_grid,
     suggest_dt,
     vacuum_state,
     wronskian,
@@ -247,14 +248,14 @@ def test_wronskian_conserved_under_stochastic_drive():
 def test_canonical_wronskian_conserved_for_coupled_runs():
     # once the modes couple, the Wronskian on Q' drifts; the one on the
     # canonical momentum Pi = Q' - lam G Q holds, windowed or not, on
-    # both paths, from the probe at t = 0 on
+    # both paths, from the probe at t = 0 on; the short ramp ends
+    # mid-step on the plain grid, where Pi drifted by 6e-8
     cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
     noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
                       nu_max=10.0, n_components=16)
-    horizon = 12.0
-    reals = synthesize_many(noise, range(4), horizon)
-    for path in ("linearized", "exact"):
-        for ramp in (0.0, 3.0):
+    for horizon, ramp in ((12.0, 0.0), (12.0, 3.0), (2.0, 0.5)):
+        reals = synthesize_many(noise, range(4), horizon)
+        for path in ("linearized", "exact"):
             cfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), horizon),
                                    path=path, window_ramp=ramp)
             res = run_batch(CavityModes(cav, path), reals, cfg, horizon,
@@ -262,6 +263,22 @@ def test_canonical_wronskian_conserved_for_coupled_runs():
             assert res.times[0] == 0.0
             assert np.max(np.abs(wronskian(res.Q, res.Pi) - 1j)) < 1e-8
             assert np.max(np.abs(wronskian(res.Q, res.P) - 1j)) > 1e-3
+
+
+@pytest.mark.parametrize("horizon, ramp", [(2.0, 0.5), (12.0, 3.0), (40.0, 10.0),
+                                           (6.0, 1.5), (1.0, 1.0 / 3.0)])
+def test_step_grid_puts_ramp_ends_on_the_grid(horizon, ramp):
+    dt = 0.003
+    plain, _, _ = step_grid(horizon, IntegratorConfig(dt=dt))
+    nsteps, step, _ = step_grid(horizon, IntegratorConfig(dt=dt, window_ramp=ramp))
+    assert plain <= nsteps < plain + 4 and step <= dt
+    assert abs(ramp / step - round(ramp / step)) < 1e-6
+
+
+def test_step_grid_keeps_plain_grid_when_ramp_cannot_align():
+    # 0.1234567891 needs 10^10 steps to land on the grid
+    cfg = IntegratorConfig(dt=0.1, window_ramp=0.1234567891)
+    assert step_grid(1.0, cfg)[0] == step_grid(1.0, IntegratorConfig(dt=0.1))[0] == 10
 
 
 def test_linearized_and_exact_beta2_agree_beyond_second_order():

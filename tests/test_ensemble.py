@@ -1,6 +1,7 @@
 """Monte Carlo machinery: seed derivation, worker invariance, aggregation,
 abort handling, and sampling-error scaling."""
 
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,17 @@ def test_invariant_violation_raises(monkeypatch):
     assert entry["kind"] == "wronskian"
     assert 0 <= entry["realization"] < 4
     assert entry["value"] > 1e-30
+
+
+def test_nan_drift_is_a_violation():
+    nan_noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=math.nan,
+                          nu_min=1.5, nu_max=2.5, n_components=16)
+    with pytest.raises(InvariantViolationError, match="non-finite") as err:
+        run_ensemble(SYS, nan_noise, integ(6.0), small_cfg(2, horizon=6.0))
+    entries = err.value.entries
+    assert {e["kind"] for e in entries} == {"wronskian"}
+    assert all(e["value"] is None for e in entries)
+    json.dumps(entries, allow_nan=False)    # what summary.json records
 
 
 class DropsVelocityCoupling(CavityModes):
