@@ -22,9 +22,11 @@ from . import __version__
 from .cavity import ModeIndex
 from .config import ConfigError, RunConfig, Scenario, load_config
 from .ensemble import (
+    CHUNK_SIZE,
     EnsembleConfig,
     InvariantViolationError,
     TooManyAbortsError,
+    chunk_layout,
     derive_seed,
     run_ensemble,
 )
@@ -120,6 +122,9 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         "aborted": {},
         "dt": {},
         "nsteps": {},
+        "chunk_size": {},
+        "chunks": {},
+        "workers": {},
         "max_wronskian_drift": {},
         "violations": [],
     }
@@ -134,6 +139,10 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
                      label, len(systems), ens.n_realizations)
             summary["dt"][str(label)] = dt
             summary["nsteps"][str(label)] = nsteps
+            chunks, workers = chunk_layout(ens)
+            summary["chunk_size"][str(label)] = CHUNK_SIZE
+            summary["chunks"][str(label)] = len(chunks)
+            summary["workers"][str(label)] = workers
             stats = run_ensemble(system, cfg.noise, cfg.integrator, ens)
             seed_info["per_system"][str(label)] = {
                 "sub_master": sub,

@@ -8,7 +8,9 @@ The integrator runs a whole batch of realizations at once on (batch,
 n_modes) complex arrays and snapshots (Q, Q', Pi) at the probe times,
 where Pi is the system's canonical momentum; a single trajectory is a
 batch of one probed at every step.  Noise values for all substeps are
-produced block-by-block to bound memory on long horizons.
+produced in fixed blocks of 2048 steps, which bounds memory on long
+horizons; the block boundaries do not depend on the batch width, so
+neither do the bits of a noise row.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ __all__ = [
     "decompose",
     "wronskian",
 ]
+
+# RK4 steps per noise-evaluation block: a multiple of half the noise
+# module's anchor stride, so anchors sit at the same grid points in
+# every block.
+BLOCK_STEPS = 2048
 
 
 class StepResolutionError(ValueError):
@@ -321,12 +328,11 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
            if integrator.window_ramp > 0 else None)
     need = tuple(sorted(set(orders) | ({0} if win else set())))
 
-    block = max(1024, int(12_000_000 / max(1, batch)))
     half = 0.5 * dt
     sixth = dt / 6.0
     accel = system.accel
-    for start in range(0, nsteps, block):
-        stop = min(nsteps, start + block)
+    for start in range(0, nsteps, BLOCK_STEPS):
+        stop = min(nsteps, start + BLOCK_STEPS)
         t_half = half * np.arange(2 * start, 2 * stop + 1)
         raw = eval_batch(noise, t_half, need)
         x0a, x1a, x2a = _windowed(raw, win, t_half, orders)

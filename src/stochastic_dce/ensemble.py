@@ -9,6 +9,7 @@ index-ordered compensated sum) is identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ __all__ = [
     "TooManyAbortsError",
     "derive_seed",
     "splitmix64",
+    "chunk_layout",
     "run_ensemble",
     "convergence_report",
     "ConvergenceReport",
@@ -187,6 +189,18 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
             aborted, drift)
 
 
+def chunk_layout(ensemble: EnsembleConfig):
+    """The run's chunks [(start, stop), ...] and its worker count.
+
+    Chunks hold CHUNK_SIZE realizations (the last one the rest); workers
+    0 resolves to one per CPU.  More than one chunk and more than one
+    worker run the chunks in a process pool.
+    """
+    N = ensemble.n_realizations
+    chunks = [(s, min(N, s + CHUNK_SIZE)) for s in range(0, N, CHUNK_SIZE)]
+    return chunks, ensemble.workers or os.cpu_count() or 1
+
+
 def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
                  ensemble: EnsembleConfig) -> EnsembleStats:
     """Run the full ensemble and aggregate statistics.
@@ -197,12 +211,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     (failing the run if they exceed 1% of the ensemble).
     """
     N = ensemble.n_realizations
-    chunks = [(s, min(N, s + CHUNK_SIZE)) for s in range(0, N, CHUNK_SIZE)]
-    results = []
-    workers = ensemble.workers
-    if workers == 0:
-        import os
-        workers = os.cpu_count() or 1
+    chunks, workers = chunk_layout(ensemble)
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

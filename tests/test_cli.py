@@ -48,10 +48,17 @@ def coupled_data():
 
 
 def assert_run_facts(summary, labels):
-    # the step actually used and the invariant margin, recorded on a pass
-    for key in ("dt", "nsteps", "max_wronskian_drift"):
+    # the step actually used, the chunk and worker layout and the
+    # invariant margin, recorded on a pass
+    for key in ("dt", "nsteps", "chunk_size", "chunks", "workers",
+                "max_wronskian_drift"):
         assert set(summary[key]) == set(labels)
+    n = summary["config"]["ensemble"]["n_realizations"]
     for label in labels:
+        size = summary["chunk_size"][label]
+        assert isinstance(size, int) and size >= 1
+        assert summary["chunks"][label] == math.ceil(n / size)
+        assert summary["workers"][label] == summary["config"]["ensemble"]["workers"]
         assert math.isfinite(summary["dt"][label]) and summary["dt"][label] > 0
         assert isinstance(summary["nsteps"][label], int)
         assert summary["nsteps"][label] * summary["dt"][label] == pytest.approx(

@@ -9,6 +9,7 @@ import pytest
 from conftest import bogoliubov_at, run_every_step
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
+    BLOCK_STEPS,
     CavityModes,
     DerivativeOrderError,
     GeometryCollapseError,
@@ -366,3 +367,29 @@ def test_run_batch_matches_single_integrations():
         for p, tp in enumerate(res.times):
             j = int(np.argmin(np.abs(one.times - tp)))
             np.testing.assert_allclose(res.Q[i, p], one.Q[0, j], rtol=1e-10)
+
+
+def test_rows_do_not_depend_on_batch_width():
+    # noise blocks have a fixed length, so a row evaluates, and a
+    # plain-oscillator row integrates, to the same bits alone or in a
+    # batch, over several blocks (a coupled system's complex G products
+    # do not have this property)
+    horizon = 7.0
+    cfg = IntegratorConfig(dt=0.001)
+    nsteps, dt, _ = step_grid(horizon, cfg)
+    assert nsteps > 3 * BLOCK_STEPS
+    sys_ = PlainOscillator(omega=2.0, epsilon=0.1)
+    seeds = [21, 22, 23, 24, 25]
+    many = synthesize_many(BAND, seeds, horizon)
+    probes = (0.0, 2.1, 4.5, 7.0)
+    res = run_batch(sys_, many, cfg, horizon, probes)
+    t_half = 0.5 * dt * np.arange(2 * BLOCK_STEPS, 4 * BLOCK_STEPS + 1)
+    xi = eval_batch(many, t_half, (0, 1, 2))
+    for i, seed in enumerate(seeds):
+        one = synthesize(BAND, seed, horizon)
+        alone = run_batch(sys_, one, cfg, horizon, probes)
+        np.testing.assert_array_equal(res.Q[i], alone.Q[0])
+        np.testing.assert_array_equal(res.P[i], alone.P[0])
+        xi_one = eval_batch(one, t_half, (0, 1, 2))
+        for o in (0, 1, 2):
+            np.testing.assert_array_equal(xi[o][i], xi_one[o][0])

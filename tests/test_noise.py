@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochastic_dce.dynamics import BLOCK_STEPS
 from stochastic_dce.noise import (
     NoiseConfigError,
     NoiseKind,
@@ -371,6 +372,52 @@ def test_eval_batch_matches_individual_eval(rng):
             for o in (0, 1, 2):
                 np.testing.assert_allclose(out[o][i], ev(single, t, o),
                                            rtol=1e-12, atol=1e-12)
+
+
+def _long_double_sums(batch, t):
+    """xi, xi', xi'' of every row as long-double cosine sums."""
+    ld = np.longdouble
+    a = batch.amplitudes.astype(ld)
+    out = {o: np.empty((len(batch), t.size)) for o in (0, 1, 2)}
+    for i, (nu, phi) in enumerate(zip(batch.frequencies.astype(ld),
+                                      batch.phases.astype(ld))):
+        phase = np.multiply.outer(t.astype(ld), nu) + phi
+        cos, sin = np.cos(phase), np.sin(phase)
+        out[0][i] = cos @ a
+        out[1][i] = sin @ (-a * nu)
+        out[2][i] = cos @ (-a * nu**2)
+    return out
+
+
+SPECTRAL_BATCHES = [
+    (NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0, nu_max=10.0,
+               n_components=64), 3),
+    (NoiseSpec(kind=NoiseKind.SPECTRAL_LINES, sigma=1.0, nu_min=1.5, nu_max=12.0,
+               n_components=48), 2),
+    (NoiseSpec(kind=NoiseKind.DETERMINISTIC_SINUSOID, omega_drive=6.0), 1),
+]
+
+
+@pytest.mark.parametrize("spec,rows", SPECTRAL_BATCHES,
+                         ids=["band", "lines", "sinusoid"])
+def test_spectral_eval_matches_long_double_sums(spec, rows, rng):
+    # (a) run_batch's half-step grid, block by block over more than three
+    # blocks and from a block start that is not a multiple of the block;
+    # (b) unsorted, unevenly spaced times, where every time is an anchor
+    horizon = 40.0
+    nsteps = 3 * BLOCK_STEPS + 1500
+    half = 0.5 * horizon / nsteps
+    batch = synthesize_many(spec, range(7, 7 + rows), horizon)
+    starts = [*range(0, nsteps, BLOCK_STEPS), 1001]
+    grids = [half * np.arange(2 * s, 2 * min(nsteps, s + BLOCK_STEPS) + 1)
+             for s in starts]
+    grids.append(rng.uniform(0.0, horizon, 3000))
+    for t in grids:
+        got = eval_batch(batch, t, (0, 1, 2))
+        ref = _long_double_sums(batch, t)
+        for o in (0, 1, 2):
+            scale = np.max(np.abs(ref[o]), axis=1, keepdims=True)
+            assert np.all(np.abs(got[o] - ref[o]) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
