@@ -126,6 +126,8 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         "chunks": {},
         "workers": {},
         "max_wronskian_drift": {},
+        "simulate_s": {},
+        "realization_steps_per_s": {},
         "violations": [],
     }
     nsteps, dt, _ = step_grid(cfg.ensemble.horizon, cfg.integrator)
@@ -143,7 +145,9 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             summary["chunk_size"][str(label)] = CHUNK_SIZE
             summary["chunks"][str(label)] = len(chunks)
             summary["workers"][str(label)] = workers
+            t0 = time.perf_counter()
             stats = run_ensemble(system, cfg.noise, cfg.integrator, ens)
+            seconds = time.perf_counter() - t0
             seed_info["per_system"][str(label)] = {
                 "sub_master": sub,
                 "realization_seeds": [derive_seed(sub, i)
@@ -152,6 +156,9 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             summary["n_effective"][str(label)] = stats.n_effective
             summary["aborted"][str(label)] = stats.aborted
             summary["max_wronskian_drift"][str(label)] = stats.max_wronskian_drift
+            summary["simulate_s"][str(label)] = seconds
+            summary["realization_steps_per_s"][str(label)] = (
+                stats.n_effective * nsteps / seconds)
             rows.extend(_series_rows(cfg, label, system, stats))
     except InvariantViolationError as err:
         summary["violations"] = err.entries

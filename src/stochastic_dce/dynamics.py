@@ -4,13 +4,21 @@ Everything integrates with fixed-step RK4; the noise is evaluated
 analytically at the substeps, so halving the step keeps the realization
 identical and the scheme shows clean 4th-order convergence.
 
-The integrator runs a whole batch of realizations at once on (batch,
-n_modes) complex arrays and snapshots (Q, Q', Pi) at the probe times,
-where Pi is the system's canonical momentum; a single trajectory is a
-batch of one probed at every step.  Noise values for all substeps are
-produced in fixed blocks of 2048 steps, which bounds memory on long
-horizons; the block boundaries do not depend on the batch width, so
-neither do the bits of a noise row.
+The mode equations are linear in (Q, Q') with real coefficients, so one
+RK4 step is a real 2m x 2m matrix.  run_batch builds these matrices for
+a whole block of steps and every realization at once, by applying the
+RK4 stage formulas, through the system's own accel, to the 2m unit
+vectors; it then multiplies the matrices of each stretch between probes
+by pairwise products and applies the product to the state.  The state
+holds the run's initial data and, for position-kick runs, the vacuum
+solution as one more column, whose canonical Wronskian every run
+checks.  Systems work mode-first: modes on axis 0, with the noise values
+broadcasting over the trailing axes, and every mode sum is an explicit
+fixed-order sum, so a row rounds the same at any batch width.
+
+Noise values for all substeps are produced in fixed blocks of 2048
+steps and the step matrices in fixed blocks of 64; neither length
+depends on the batch width, so neither do the bits of a row.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ __all__ = [
 # module's anchor stride, so anchors sit at the same grid points in
 # every block.
 BLOCK_STEPS = 2048
+# RK4 steps per block of step matrices, a divisor of BLOCK_STEPS: it
+# bounds the (2m, 2m, steps, batch) arrays of a build.
+MAP_STEPS = 64
 
 
 class StepResolutionError(ValueError):
@@ -139,6 +150,32 @@ def _windowed(xi: dict[int, np.ndarray], win: Window | None, t: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # systems
+#
+# accel(Q, P, x0, x1, x2) and canonical_momentum(Q, P, x0, x1) take Q and
+# P mode-first, shape (m, ...), and noise values x shaped like the
+# trailing axes they broadcast over: (batch,) against (m, batch) at the
+# probes, (steps, batch) against (m, 2m, steps, batch) in a build.
+
+
+def _per_mode(values, ndim):
+    """A per-mode vector shaped to broadcast along axis 0 of ndim axes."""
+    return np.reshape(values, (-1,) + (1,) * (ndim - 1))
+
+
+def _mix(mat, X):
+    """(mat X)[k] = sum_j mat[k, j] X[j] over the mode axis.
+
+    An explicit sum over the nonzero entries in a fixed order, not a BLAS
+    product, so that every element rounds the same at any batch width.
+    """
+    out = np.zeros((mat.shape[0],) + X.shape[1:], dtype=X.dtype)
+    term = np.empty_like(out[0])
+    for k, row in enumerate(mat):
+        for n, j in enumerate(np.flatnonzero(row)):
+            np.multiply(row[j], X[j], out=term if n else out[k])
+            if n:
+                out[k] += term
+    return out
 
 
 class PlainOscillator:
@@ -159,7 +196,7 @@ class PlainOscillator:
         self.omegas = np.array([self.omega])
 
     def accel(self, Q, P, x0, x1, x2):
-        return -(self.omega**2) * (1.0 + self.epsilon * x0[:, None]) * Q
+        return -(self.omega**2) * (1.0 + self.epsilon * x0) * Q
 
 
 class CavityModes:
@@ -178,7 +215,6 @@ class CavityModes:
         self.omegas = cavity.omegas()
         self.omega_zs = cavity.omega_zs()
         self.gmat = cavity.g_matrix()
-        self.gT = np.ascontiguousarray(self.gmat.T)
         self.gg = self.gmat.T @ self.gmat  # sum_l g_lk g_lj
         if path == "exact" or self.n_modes > 1:
             self.noise_orders = (0, 1, 2)
@@ -189,10 +225,11 @@ class CavityModes:
         if self.path == "exact":
             return self._accel_exact(Q, P, x0, x1, x2)
         eps = self.epsilon
-        a = (-self.omegas**2 + (2.0 * eps) * x0[:, None] * self.omega_zs**2) * Q
+        a = (_per_mode(-self.omegas**2, Q.ndim)
+             + (2.0 * eps) * x0 * _per_mode(self.omega_zs**2, Q.ndim)) * Q
         if self.n_modes > 1:
-            a += (2.0 * eps) * x1[:, None] * (P @ self.gT)
-            a += eps * x2[:, None] * (Q @ self.gT)
+            # 2 eps xi' G Q' + eps xi'' G Q, with one pass over G
+            a += _mix(self.gmat, (2.0 * eps) * x1 * P + eps * x2 * Q)
         return a
 
     def canonical_momentum(self, Q, P, x0, x1):
@@ -205,23 +242,23 @@ class CavityModes:
         lam = self.epsilon * x1
         if self.path == "exact":
             lam = lam / (1.0 + self.epsilon * x0)
-        return P - lam[:, None] * (Q @ self.gT)
+        return P - lam * _mix(self.gmat, Q)
 
     def _accel_exact(self, Q, P, x0, x1, x2):
         eps = self.epsilon
         ell = 1.0 + eps * x0
-        if np.any(ell <= 1e-12):
-            raise GeometryCollapseError(np.nonzero(ell <= 1e-12)[0])
-        ell = ell[:, None]
-        lam = eps * x1[:, None] / ell
-        lam_dot = eps * x2[:, None] / ell - lam**2
-        w2 = np.pi**2 * (self.cavity.transverse_sq
-                         + (np.arange(1, self.n_modes + 1) / (self.cavity.Lz0 * ell)) ** 2)
+        collapsed = ell <= 1e-12
+        if np.any(collapsed):
+            rows = collapsed.reshape(-1, collapsed.shape[-1]).any(axis=0)
+            raise GeometryCollapseError(np.flatnonzero(rows))
+        lam = eps * x1 / ell
+        lam_dot = eps * x2 / ell - lam**2
+        nz = _per_mode(np.arange(1, self.n_modes + 1), Q.ndim)
+        w2 = np.pi**2 * (self.cavity.transverse_sq + (nz / (self.cavity.Lz0 * ell)) ** 2)
         # pi^2 transverse part is constant; z part scales with 1/Lz(t)^2
         a = -w2 * Q
-        a += 2.0 * lam * (P @ self.gT)
-        a += lam_dot * (Q @ self.gT)
-        a += lam**2 * (Q @ self.gg.T)
+        a += _mix(self.gmat, 2.0 * lam * P + lam_dot * Q)
+        a += lam**2 * _mix(self.gg, Q)
         return a
 
 
@@ -248,7 +285,7 @@ def position_kick_state(system, batch: int, in_mode: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# batched fixed-step RK4
+# batched fixed-step RK4 in propagator form
 
 
 @dataclass
@@ -257,6 +294,8 @@ class BatchResult:
     Q: np.ndarray               # (batch, n_probes, n_modes) complex
     P: np.ndarray               # Q'
     Pi: np.ndarray              # canonical momentum; P itself for one mode
+    vacuum_Q: np.ndarray        # the vacuum solution's Q and Pi, the run's
+    vacuum_Pi: np.ndarray       # own for vacuum initial data
 
 
 def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
@@ -283,6 +322,78 @@ def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
     return nsteps, step, probe_idx
 
 
+def _matmul(A, B):
+    """C[r, c] = sum_k A[r, k] B[k, c] on axes 0 and 1, elementwise on the rest.
+
+    A fixed-order sum, like _mix, so a batch row rounds the same at any
+    batch width.
+    """
+    C = A[:, 0, None] * B[None, 0]
+    term = np.empty_like(C)
+    for k in range(1, A.shape[1]):
+        np.multiply(A[:, k, None], B[None, k], out=term)
+        C += term
+    return C
+
+
+def _chain(M):
+    """The product M[:, :, n-1] ... M[:, :, 0] of a stretch of step matrices.
+
+    Neighbours are multiplied pairwise, level by level; the tree depends
+    on the stretch's length only.
+    """
+    while M.shape[2] > 1:
+        n = M.shape[2]
+        prod = _matmul(np.ascontiguousarray(M[:, :, 1:n:2]),
+                       np.ascontiguousarray(M[:, :, 0:n - 1:2]))
+        M = prod if n % 2 == 0 else np.concatenate([prod, M[:, :, n - 1:]], axis=2)
+    return M[:, :, 0]
+
+
+def _step_maps(system, dt, xA, xB, xC):
+    """The real RK4 matrices M[r, c, s, b] of a block of steps s.
+
+    Column c is the step's image of the c-th unit vector of (Q, Q'),
+    given by the RK4 stage formulas through the system's accel; xA, xB
+    and xC hold (x0, x1, x2) at the steps' starts, midpoints and ends,
+    each (steps, batch) or None.  Stage sums accumulate in place.
+    """
+    m = system.n_modes
+    eye = np.eye(2 * m).reshape(2 * m, 2 * m, 1, 1)
+    Q, P = eye[:m], eye[m:]
+
+    def plus(X, unit):
+        # X + Q (unit 0) or X + P (unit m), in place: the unit columns
+        # are 1 on m planes and 0 elsewhere, which an add leaves alone
+        for k in range(m):
+            X[k, unit + k] += 1.0
+        return X
+
+    half = 0.5 * dt
+    accel = system.accel
+    k1 = accel(Q, P, *xA)
+    p2 = plus(half * k1, m)
+    k2 = accel(Q + half * P, p2, *xB)
+    p3 = plus(half * k2, m)
+    k3 = accel(plus(half * p2, 0), p3, *xB)
+    sum_q, sum_p = p2, k2
+    sum_q += p3
+    sum_q *= 2.0
+    sum_p += k3
+    sum_p *= 2.0
+    sum_p += k1
+    del k1
+    p4 = plus(dt * k3, m)
+    k4 = accel(plus(dt * p3, 0), p4, *xC)
+    plus(sum_q, m)
+    sum_q += p4
+    sum_p += k4
+    M = np.empty((2 * m,) + sum_q.shape[1:])
+    plus(np.multiply(dt / 6.0, sum_q, out=M[:m]), 0)
+    plus(np.multiply(dt / 6.0, sum_p, out=M[m:]), m)
+    return M
+
+
 def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: float,
               probe_times, initial: str = "vacuum", in_mode: int = 1) -> BatchResult:
     """Integrate every realization of a noise batch, snapshotting at the probes.
@@ -304,64 +415,69 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         )
     batch = len(noise)
     if initial == "vacuum":
-        Q, P = vacuum_state(system, batch, in_mode)
+        states = [vacuum_state(system, batch, in_mode)]
     elif initial == "position_kick":
-        Q, P = position_kick_state(system, batch, in_mode)
+        states = [position_kick_state(system, batch, in_mode),
+                  vacuum_state(system, batch, in_mode)]
     else:
         raise ValueError(f"unknown initial data {initial!r}")
 
-    times = probe_idx * dt
-    snapQ = np.empty((batch, probe_idx.size, system.n_modes), dtype=complex)
-    snapP = np.empty_like(snapQ)
-    # without mode coupling the canonical momentum is Q' itself
-    coupled = system.n_modes > 1
-    snapPi = np.empty_like(snapQ) if coupled else snapP
+    m = system.n_modes
+    # real state: rows Q then Q', columns Re and Im of each solution
+    Y = np.empty((2 * m, 2 * len(states), batch))
+    for c, (Q, P) in enumerate(states):
+        y = np.concatenate([Q.T, P.T])
+        Y[:, 2 * c], Y[:, 2 * c + 1] = y.real, y.imag
+    snapY = np.empty((probe_idx.size,) + Y.shape)
+    snapX = np.zeros((2, probe_idx.size, batch))   # x0, x1 at the probes
     probe_pos = {int(i): k for k, i in enumerate(probe_idx)}
 
-    def snap(pos, Q, P, x0, x1):
-        snapQ[:, pos] = Q
-        snapP[:, pos] = P
-        if coupled:
-            snapPi[:, pos] = system.canonical_momentum(Q, P, x0, x1)
+    def record(step, Y, x, start):
+        """Snapshot the state, and x0, x1 for Pi, if step is a probe."""
+        pos = probe_pos.get(step)
+        if pos is not None:
+            snapY[pos] = Y
+            for o in (0, 1):
+                if x[o] is not None:
+                    snapX[o, pos] = x[o][:, 2 * (step - start)]
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
     need = tuple(sorted(set(orders) | ({0} if win else set())))
-
     half = 0.5 * dt
-    sixth = dt / 6.0
-    accel = system.accel
     for start in range(0, nsteps, BLOCK_STEPS):
         stop = min(nsteps, start + BLOCK_STEPS)
         t_half = half * np.arange(2 * start, 2 * stop + 1)
-        raw = eval_batch(noise, t_half, need)
-        x0a, x1a, x2a = _windowed(raw, win, t_half, orders)
-        if start == 0 and 0 in probe_pos:
-            snap(probe_pos[0], Q, P, x0a[:, 0], None if x1a is None else x1a[:, 0])
-        for i in range(stop - start):
-            a = 2 * i
-            xA = (x0a[:, a], None if x1a is None else x1a[:, a],
-                  None if x2a is None else x2a[:, a])
-            xB = (x0a[:, a + 1], None if x1a is None else x1a[:, a + 1],
-                  None if x2a is None else x2a[:, a + 1])
-            xC = (x0a[:, a + 2], None if x1a is None else x1a[:, a + 2],
-                  None if x2a is None else x2a[:, a + 2])
-            k1p = accel(Q, P, *xA)
-            q2 = Q + half * P
-            p2 = P + half * k1p
-            k2p = accel(q2, p2, *xB)
-            q3 = Q + half * p2
-            p3 = P + half * k2p
-            k3p = accel(q3, p3, *xB)
-            q4 = Q + dt * p3
-            p4 = P + dt * k3p
-            k4p = accel(q4, p4, *xC)
-            Q = Q + sixth * (P + 2.0 * (p2 + p3) + p4)
-            P = P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-            pos = probe_pos.get(start + i + 1)
-            if pos is not None:
-                snap(pos, Q, P, *xC[:2])
-    return BatchResult(times, snapQ, snapP, snapPi)
+        # (batch, half-steps) per noise order, None where not needed
+        x = _windowed(eval_batch(noise, t_half, need), win, t_half, orders)
+        if start == 0:
+            record(0, Y, x, start)
+        for lo in range(start, stop, MAP_STEPS):
+            hi = min(stop, lo + MAP_STEPS)
+            i0, i1 = 2 * (lo - start), 2 * (hi - start)
+            M = _step_maps(system, dt, *(
+                [None if v is None else np.ascontiguousarray(v[:, i0 + j:i1 + j:2].T)
+                 for v in x] for j in (0, 1, 2)))
+            cuts = [int(i) for i in probe_idx[(probe_idx > lo) & (probe_idx < hi)]]
+            for a, b in zip([lo, *cuts], [*cuts, hi]):
+                Y = _matmul(_chain(M[:, :, a - lo:b - lo]), Y)
+                record(b, Y, x, start)
+        del x, M    # free this block's arrays before the next one's are made
+
+    def solution(c):
+        """Q, Q' and Pi of state column pair c, each (batch, n_probes, m)."""
+        y = snapY[:, :, 2 * c] + 1j * snapY[:, :, 2 * c + 1]
+        Q, P = y[:, :m].transpose(1, 0, 2), y[:, m:].transpose(1, 0, 2)
+        out = [np.ascontiguousarray(v.transpose(2, 1, 0)) for v in (Q, P)]
+        if m == 1:
+            # without mode coupling the canonical momentum is Q' itself
+            return out + [out[1]]
+        Pi = system.canonical_momentum(Q, P, snapX[0], snapX[1])
+        return out + [np.ascontiguousarray(Pi.transpose(2, 1, 0))]
+
+    Q, P, Pi = solution(0)
+    vac_Q, _, vac_Pi = solution(1) if len(states) > 1 else (Q, P, Pi)
+    return BatchResult(probe_idx * dt, Q, P, Pi, vac_Q, vac_Pi)
 
 
 # ---------------------------------------------------------------------------

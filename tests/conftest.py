@@ -8,7 +8,8 @@ acceptance verdict is visible regardless of capture settings.
 import numpy as np
 import pytest
 
-from stochastic_dce.dynamics import decompose, run_batch, step_grid
+from stochastic_dce.dynamics import (Window, _windowed, decompose, position_kick_state,
+                                     run_batch, step_grid, vacuum_state)
 from stochastic_dce.noise import eval_batch
 
 # criterion label -> (passed, detail); filled in by tests/test_acceptance.py
@@ -40,6 +41,28 @@ def run_every_step(system, noise, integrator, horizon, **kwargs):
     nsteps, dt, _ = step_grid(horizon, integrator)
     return run_batch(system, noise, integrator, horizon,
                      np.arange(nsteps + 1) * dt, **kwargs)
+
+
+def rk4_every_step(system, noise, integrator, horizon, initial="vacuum"):
+    """(Q, Q') of every row at every step, shaped (steps + 1, modes, batch), by
+    the plain per-step RK4 loop: the reference for run_batch's propagators."""
+    nsteps, dt, _ = step_grid(horizon, integrator)
+    t = 0.5 * dt * np.arange(2 * nsteps + 1)
+    win = Window(integrator.window_ramp, horizon) if integrator.window_ramp > 0 else None
+    xi = eval_batch(noise, t, tuple(sorted({0, *system.noise_orders})))
+    x = [v if v is None else v.T for v in _windowed(xi, win, t, system.noise_orders)]
+    state = vacuum_state if initial == "vacuum" else position_kick_state
+    Q, P = (v.T for v in state(system, len(noise)))
+    out = [(Q, P)]
+    for i in range(nsteps):
+        xa, xb, xc = ([None if v is None else v[2 * i + j] for v in x] for j in (0, 1, 2))
+        k1 = system.accel(Q, P, *xa)
+        k2 = system.accel(Q + 0.5 * dt * P, p2 := P + 0.5 * dt * k1, *xb)
+        k3 = system.accel(Q + 0.5 * dt * p2, p3 := P + 0.5 * dt * k2, *xb)
+        k4 = system.accel(Q + dt * p3, p4 := P + dt * k3, *xc)
+        Q, P = Q + dt / 6 * (P + 2 * (p2 + p3) + p4), P + dt / 6 * (k1 + 2 * (k2 + k3) + k4)
+        out.append((Q, P))
+    return np.array([q for q, _ in out]), np.array([p for _, p in out])
 
 
 def bogoliubov_at(res, noise, omegas, t_stop, rest_tol):

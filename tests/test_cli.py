@@ -48,10 +48,10 @@ def coupled_data():
 
 
 def assert_run_facts(summary, labels):
-    # the step actually used, the chunk and worker layout and the
-    # invariant margin, recorded on a pass
+    # the step actually used, the chunk and worker layout, the invariant
+    # margin, recorded on a pass, and the time and throughput per system
     for key in ("dt", "nsteps", "chunk_size", "chunks", "workers",
-                "max_wronskian_drift"):
+                "max_wronskian_drift", "simulate_s", "realization_steps_per_s"):
         assert set(summary[key]) == set(labels)
     n = summary["config"]["ensemble"]["n_realizations"]
     for label in labels:
@@ -63,7 +63,9 @@ def assert_run_facts(summary, labels):
         assert isinstance(summary["nsteps"][label], int)
         assert summary["nsteps"][label] * summary["dt"][label] == pytest.approx(
             summary["config"]["ensemble"]["horizon_time"])
-        assert 0.0 <= summary["max_wronskian_drift"][label] < 1e-8
+        assert 0.0 < summary["max_wronskian_drift"][label] < 1e-8
+        for key in ("simulate_s", "realization_steps_per_s"):
+            assert math.isfinite(summary[key][label]) and summary[key][label] > 0
 
 
 def read_csv(path):
@@ -185,6 +187,13 @@ def test_simulate_writes_series_and_summary(tmp_path):
     assert seeds == [derive_seed(11, i) for i in range(6)]
     assert summary["config"]["ensemble"]["master_seed"] == 11
     assert_run_facts(summary, ["1"])
+
+    # a position kick's own Wronskian is exactly 0; its vacuum column drifts
+    data["ensemble"]["initial"] = "position_kick"
+    kick = tmp_path / "kick"
+    assert main(["simulate", "--config", write_yaml(tmp_path, data, "kick.yaml"),
+                 "--out", str(kick), "--quiet"]) == 0
+    assert_run_facts(json.loads((kick / "summary.json").read_text()), ["1"])
 
 
 def test_simulate_seed_override(tmp_path):

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bogoliubov_at, run_every_step
+from conftest import bogoliubov_at, rk4_every_step, run_every_step
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
     BLOCK_STEPS,
+    MAP_STEPS,
     CavityModes,
     DerivativeOrderError,
     GeometryCollapseError,
@@ -136,18 +137,20 @@ def test_coupled_acceleration_free_when_wall_still():
     for path in ("linearized", "exact"):
         sys_ = CavityModes(cav, path)
         rng = np.random.default_rng(0)
-        Q = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        P = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        # mode-first: (modes, batch)
+        Q = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))).T
+        P = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))).T
         zeros = np.zeros(4)
         acc = sys_.accel(Q, P, zeros, zeros, zeros)
-        np.testing.assert_allclose(acc, -sys_.omegas[None, :] ** 2 * Q,
+        np.testing.assert_allclose(acc, -sys_.omegas[:, None] ** 2 * Q,
                                    rtol=1e-12)
 
 
 def test_exact_minus_linearized_is_second_order():
     rng = np.random.default_rng(42)
-    Q = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
-    P = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
+    # mode-first: (modes, batch)
+    Q = (rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))).T
+    P = (rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))).T
     x0 = rng.uniform(-1.0, 1.0, 100)
     x1 = rng.uniform(-1.0, 1.0, 100)
     x2 = rng.uniform(-1.0, 1.0, 100)
@@ -370,26 +373,67 @@ def test_run_batch_matches_single_integrations():
 
 
 def test_rows_do_not_depend_on_batch_width():
-    # noise blocks have a fixed length, so a row evaluates, and a
-    # plain-oscillator row integrates, to the same bits alone or in a
-    # batch, over several blocks (a coupled system's complex G products
-    # do not have this property)
+    # noise and step-matrix blocks have fixed lengths and every mode sum
+    # has a fixed order, so a row evaluates and integrates to the same
+    # bits alone or in a batch, over several blocks, for the plain
+    # oscillator and for three windowed coupled modes on both paths
     horizon = 7.0
-    cfg = IntegratorConfig(dt=0.001)
-    nsteps, dt, _ = step_grid(horizon, cfg)
-    assert nsteps > 3 * BLOCK_STEPS
-    sys_ = PlainOscillator(omega=2.0, epsilon=0.1)
-    seeds = [21, 22, 23, 24, 25]
-    many = synthesize_many(BAND, seeds, horizon)
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
+    cases = [(PlainOscillator(omega=2.0, epsilon=0.1), IntegratorConfig(dt=0.001))]
+    cases += [(CavityModes(cav, path), IntegratorConfig(dt=0.001, path=path, window_ramp=1.5))
+              for path in ("linearized", "exact")]
+    seeds = [21, 22, 23, 24, 25, 26, 27]
     probes = (0.0, 2.1, 4.5, 7.0)
-    res = run_batch(sys_, many, cfg, horizon, probes)
+    for sys_, cfg in cases:
+        nsteps, dt, _ = step_grid(horizon, cfg)
+        assert nsteps > 3 * BLOCK_STEPS
+        wide = run_batch(sys_, synthesize_many(BAND, seeds, horizon), cfg, horizon, probes)
+        five = run_batch(sys_, synthesize_many(BAND, seeds[:5], horizon), cfg, horizon,
+                         probes)
+        for i, seed in enumerate(seeds):
+            alone = run_batch(sys_, synthesize(BAND, seed, horizon), cfg, horizon, probes)
+            for res in (wide, five) if i < 5 else (wide,):
+                for name in ("Q", "P", "Pi"):
+                    np.testing.assert_array_equal(getattr(res, name)[i],
+                                                  getattr(alone, name)[0])
+    many = synthesize_many(BAND, seeds[:5], horizon)
     t_half = 0.5 * dt * np.arange(2 * BLOCK_STEPS, 4 * BLOCK_STEPS + 1)
     xi = eval_batch(many, t_half, (0, 1, 2))
-    for i, seed in enumerate(seeds):
-        one = synthesize(BAND, seed, horizon)
-        alone = run_batch(sys_, one, cfg, horizon, probes)
-        np.testing.assert_array_equal(res.Q[i], alone.Q[0])
-        np.testing.assert_array_equal(res.P[i], alone.P[0])
-        xi_one = eval_batch(one, t_half, (0, 1, 2))
+    for i, seed in enumerate(seeds[:5]):
+        xi_one = eval_batch(synthesize(BAND, seed, horizon), t_half, (0, 1, 2))
         for o in (0, 1, 2):
             np.testing.assert_array_equal(xi[o][i], xi_one[o][0])
+
+
+ORACLE_CAV = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
+ORACLE_BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
+                        nu_max=10.0, n_components=16)
+
+
+@pytest.mark.parametrize("case", ["plain_ou", "linearized_windowed", "exact_kick"])
+def test_run_batch_matches_per_step_oracle(case):
+    # 2300 steps: not a multiple of either block length; probes at t = 0,
+    # inside blocks (steps 100 and 1000), on block boundaries (256 and
+    # 2048) and at the horizon
+    horizon = 2.3
+    initial = "vacuum"
+    if case == "plain_ou":
+        sys_, noise = PlainOscillator(omega=2.0, epsilon=0.1), OU
+        cfg = IntegratorConfig(dt=0.001)
+    elif case == "linearized_windowed":
+        sys_, noise = CavityModes(ORACLE_CAV), ORACLE_BAND
+        cfg = IntegratorConfig(dt=0.001, window_ramp=0.5)
+    else:
+        sys_, noise = CavityModes(ORACLE_CAV, "exact"), ORACLE_BAND
+        cfg = IntegratorConfig(dt=0.001, path="exact")
+        initial = "position_kick"
+    nsteps, dt, idx = step_grid(horizon, cfg, (0.0, 0.1, 0.256, 1.0, 2.048, horizon))
+    assert nsteps == 2300 and list(idx) == [0, 100, 256, 1000, 2048, 2300]
+    assert nsteps % MAP_STEPS and 100 % MAP_STEPS and 1000 % MAP_STEPS
+    assert 256 % MAP_STEPS == 0 and BLOCK_STEPS == 2048
+    reals = synthesize_many(noise, [3, 4, 5], horizon)
+    res = run_batch(sys_, reals, cfg, horizon, idx * dt, initial=initial)
+    Q, P = rk4_every_step(sys_, reals, cfg, horizon, initial=initial)
+    for got, ref in ((res.Q, Q[idx]), (res.P, P[idx])):
+        ref = ref.transpose(2, 0, 1)            # (batch, probes, modes)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: seed derivation, worker invariance, aggregation,
 abort handling, and sampling-error scaling."""
 
+import dataclasses
 import json
 import math
 
@@ -118,6 +119,32 @@ def test_worker_count_does_not_change_results(monkeypatch):
         np.testing.assert_array_equal(s1.standard_error[key], s3.standard_error[key])
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_chunk_size_does_not_change_results(monkeypatch, coupled):
+    # rows integrate to the same bits in any batch, so chunks of 3 and
+    # one chunk of 1024 give the same means and variances: a plain
+    # oscillator under OU noise and three coupled modes under band noise
+    if coupled:
+        cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
+        sys_, noise = CavityModes(cav), NoiseSpec(
+            kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0, nu_max=10.0,
+            n_components=8)
+        icfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), 6.0))
+    else:
+        sys_ = SYS
+        noise = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
+        icfg = integ(6.0)
+    cfg = EnsembleConfig(n_realizations=7, master_seed=5, probes=(2.5, 6.0),
+                         horizon=6.0, workers=1)
+    one = run_ensemble(sys_, noise, icfg, cfg)
+    monkeypatch.setattr(ens, "CHUNK_SIZE", 3)
+    assert len(ens.chunk_layout(cfg)[0]) == 3
+    three = run_ensemble(sys_, noise, icfg, cfg)
+    for key in one.keys():
+        np.testing.assert_array_equal(one.mean[key], three.mean[key])
+        np.testing.assert_array_equal(one.variance[key], three.variance[key])
+
+
 def test_repeated_runs_are_identical():
     cfg = small_cfg(16, horizon=6.0)
     a = run_ensemble(SYS, BAND, integ(6.0), cfg)
@@ -215,23 +242,28 @@ class DropsVelocityCoupling(CavityModes):
     """Coupled modes with the 2 lam G Q' term of the equations left out."""
 
     def accel(self, Q, P, x0, x1, x2):
+        # mode-first: modes on axis 0, noise values broadcast over the rest
         eps = self.epsilon
-        a = (-self.omegas**2 + (2.0 * eps) * x0[:, None] * self.omega_zs**2) * Q
-        a += eps * x2[:, None] * (Q @ self.gT)
+        col = (-1,) + (1,) * (Q.ndim - 1)
+        a = (-self.omegas.reshape(col)**2
+             + (2.0 * eps) * x0 * self.omega_zs.reshape(col)**2) * Q
+        a += eps * x2 * np.tensordot(self.gmat, Q, axes=1)
         return a
 
 
 @pytest.mark.parametrize("ramp", [0.0, 1.5])
 def test_broken_coupled_integrator_is_caught(ramp):
+    # position-kick runs are checked through their vacuum solution column
     cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=2)
     noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
                       nu_max=10.0, n_components=8)
     icfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), 6.0),
                             window_ramp=ramp)
-    with pytest.raises(InvariantViolationError) as err:
-        run_ensemble(DropsVelocityCoupling(cav), noise, icfg,
-                     small_cfg(2, horizon=6.0))
-    assert {e["kind"] for e in err.value.entries} == {"wronskian"}
+    for initial in ("vacuum", "position_kick"):
+        with pytest.raises(InvariantViolationError) as err:
+            run_ensemble(DropsVelocityCoupling(cav), noise, icfg,
+                         dataclasses.replace(small_cfg(2, horizon=6.0), initial=initial))
+        assert {e["kind"] for e in err.value.entries} == {"wronskian"}
 
 
 # ---------------------------------------------------------------------------
