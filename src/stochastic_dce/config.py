@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .cavity import CavityConfig
-from .dynamics import CavityModes, IntegratorConfig, PlainOscillator, suggest_dt
+from .dynamics import CavityModes, IntegratorConfig, PlainOscillator, initial_data, suggest_dt
 from .ensemble import EnsembleConfig
 from .noise import NoiseKind, NoiseSpec
 
@@ -183,7 +183,8 @@ def parse_config(data: dict) -> RunConfig:
         cfg = RunConfig(scenario, noise, integ, ens, cavity, omega, epsilon,
                         mass, k_grid, comp, data)
         for _, system in cfg.systems():
-            pass   # constructing systems validates cross-section consistency
+            # building systems and initial data checks cross-section consistency
+            initial_data(system, ens.initial, ens.in_mode)
     except ValueError as err:
         raise ConfigError(str(err))
     return cfg
@@ -268,8 +269,6 @@ def _parse_ensemble(sec, deterministic=False) -> EnsembleConfig:
         initial=_take(sec, "ensemble", "initial", str, default="vacuum"),
     )
     _no_leftovers(sec, "ensemble")
-    if kwargs["initial"] not in ("vacuum", "position_kick"):
-        raise ConfigError(f"ensemble.initial must be vacuum or position_kick")
     try:
         return EnsembleConfig(**kwargs)
     except ValueError as err:

@@ -10,11 +10,13 @@ a whole block of steps and every realization at once, by applying the
 RK4 stage formulas, through the system's own accel, to the 2m unit
 vectors; it then multiplies the matrices of each stretch between probes
 by pairwise products and applies the product to the state.  The state
-holds the run's initial data and, for position-kick runs, the vacuum
-solution as one more column, whose canonical Wronskian every run
-checks.  Systems work mode-first: modes on axis 0, with the noise values
-broadcasting over the trailing axes, and every mode sum is an explicit
-fixed-order sum, so a row rounds the same at any batch width.
+is the propagator Phi of (Q, Q'), started at the identity: a run's
+solution is Phi times its initial data, and every run checks at every
+probe that Phi, taken to canonical (Q, Pi) coordinates, is symplectic,
+which holds every Wronskian pair of basis solutions at once.  Systems
+work mode-first: modes on axis 0, with the noise values broadcasting
+over the trailing axes, and every mode sum is an explicit fixed-order
+sum, so a row rounds the same at any batch width.
 
 Noise values for all substeps are produced in fixed blocks of 2048
 steps and the step matrices in fixed blocks of 64; neither length
@@ -41,6 +43,7 @@ __all__ = [
     "DerivativeOrderError",
     "GeometryCollapseError",
     "step_grid",
+    "initial_data",
     "run_batch",
     "decompose",
     "wronskian",
@@ -262,26 +265,22 @@ class CavityModes:
         return a
 
 
-def vacuum_state(system, batch: int, in_mode: int = 1):
-    """Q_k = delta_kn / sqrt(2 w_n), Q'_k = -i sqrt(w_n/2) delta_kn."""
-    m = system.n_modes
-    if not 1 <= in_mode <= m:
-        raise ValueError(f"in_mode must be in 1..{m}")
-    wn = system.omegas[in_mode - 1]
-    Q = np.zeros((batch, m), dtype=complex)
-    P = np.zeros((batch, m), dtype=complex)
-    Q[:, in_mode - 1] = 1.0 / math.sqrt(2.0 * wn)
-    P[:, in_mode - 1] = -1j * math.sqrt(wn / 2.0)
-    return Q, P
+def initial_data(system, initial: str = "vacuum", in_mode: int = 1):
+    """The run's initial (Q, Q') as one complex 2m-vector, nonzero in mode n = in_mode.
 
-
-def position_kick_state(system, batch: int, in_mode: int = 1):
-    """Q_n = 1, Q'_n = 0 (the classic mean-value initial data)."""
-    m = system.n_modes
-    Q = np.zeros((batch, m), dtype=complex)
-    P = np.zeros((batch, m), dtype=complex)
-    Q[:, in_mode - 1] = 1.0
-    return Q, P
+    vacuum: Q_n = 1/sqrt(2 w_n), Q'_n = -i sqrt(w_n/2); position_kick:
+    Q_n = 1, Q'_n = 0 (the classic mean-value initial data).
+    """
+    m, n = system.n_modes, in_mode - 1
+    if not 0 <= n < m:
+        raise ValueError(f"in_mode must be in 1..{m}, got {in_mode}")
+    if initial not in ("vacuum", "position_kick"):
+        raise ValueError(f"unknown initial data {initial!r}; use vacuum or position_kick")
+    wn = system.omegas[n]
+    y = np.zeros(2 * m, dtype=complex)
+    y[n], y[m + n] = ((1.0 / math.sqrt(2.0 * wn), -1j * math.sqrt(wn / 2.0))
+                      if initial == "vacuum" else (1.0, 0.0))
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +289,14 @@ def position_kick_state(system, batch: int, in_mode: int = 1):
 
 @dataclass
 class BatchResult:
+    """The run's solution at the probes, and the largest entry of its
+    propagator's symplectic defect (_symplectic_defect) per row and probe."""
+
     times: np.ndarray           # (n_probes,) actual grid-aligned probe times
     Q: np.ndarray               # (batch, n_probes, n_modes) complex
     P: np.ndarray               # Q'
     Pi: np.ndarray              # canonical momentum; P itself for one mode
-    vacuum_Q: np.ndarray        # the vacuum solution's Q and Pi, the run's
-    vacuum_Pi: np.ndarray       # own for vacuum initial data
+    defect: np.ndarray          # (batch, n_probes)
 
 
 def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
@@ -394,14 +395,36 @@ def _step_maps(system, dt, xA, xB, xC):
     return M
 
 
+def _symplectic_defect(Psi, T0, omegas):
+    """2 |(Psi S)^T J (Psi S) - (T0 S)^T J (T0 S)| entrywise, S = diag(1/sqrt(2w), sqrt(w/2)).
+
+    Psi = T(t) Phi(t) is the propagator in canonical (Q, Pi) coordinates
+    and T0 = T(0); the canonical flow is symplectic, so the forms agree.
+    Entry (i, j) is the Wronskian drift of the vacuum-normalised basis
+    solutions i and j: (n, m + n) is |W(Q, Pi) - i| of in-mode n's vacuum
+    solution, and with one mode the entries are 0 and |det Phi - 1|.
+    """
+    m = omegas.size
+    s = np.concatenate([1.0 / np.sqrt(2.0 * omegas), np.sqrt(0.5 * omegas)])
+    weight = (2.0 * np.outer(s, s)).reshape((2 * m, 2 * m) + (1,) * (Psi.ndim - 2))
+
+    def form(A):   # A^T J A, by _matmul's fixed-order sums
+        return _matmul(np.swapaxes(A, 0, 1), np.concatenate([A[m:], -A[:m]]))
+
+    return weight * np.abs(form(Psi) - form(T0))
+
+
 def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: float,
               probe_times, initial: str = "vacuum", in_mode: int = 1) -> BatchResult:
     """Integrate every realization of a noise batch, snapshotting at the probes.
 
-    Probe times are rounded to the step grid; the returned times are the
-    grid-aligned values actually used.  Spline (OU) noise has no smooth
-    derivatives, so it is refused for systems that need them.
+    The state is the propagator Phi of (Q, Q'), started at the identity,
+    and the run's solution is Phi y0, y0 = initial_data(system, initial,
+    in_mode).  Probe times are rounded to the step grid; the returned
+    times are the grid-aligned values actually used.  Spline (OU) noise
+    has no smooth derivatives, so it is refused for systems that need them.
     """
+    y0 = initial_data(system, initial, in_mode)
     nsteps, dt, probe_idx = step_grid(horizon, integrator, probe_times)
     omega_max = float(np.max(system.omegas))
     if dt * omega_max > 0.1 + 1e-12:
@@ -414,32 +437,24 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
             "coupled runs need smooth xi', xi''; use a spectral-synthesis noise kind"
         )
     batch = len(noise)
-    if initial == "vacuum":
-        states = [vacuum_state(system, batch, in_mode)]
-    elif initial == "position_kick":
-        states = [position_kick_state(system, batch, in_mode),
-                  vacuum_state(system, batch, in_mode)]
-    else:
-        raise ValueError(f"unknown initial data {initial!r}")
-
     m = system.n_modes
-    # real state: rows Q then Q', columns Re and Im of each solution
-    Y = np.empty((2 * m, 2 * len(states), batch))
-    for c, (Q, P) in enumerate(states):
-        y = np.concatenate([Q.T, P.T])
-        Y[:, 2 * c], Y[:, 2 * c + 1] = y.real, y.imag
-    snapY = np.empty((probe_idx.size,) + Y.shape)
-    snapX = np.zeros((2, probe_idx.size, batch))   # x0, x1 at the probes
-    probe_pos = {int(i): k for k, i in enumerate(probe_idx)}
+    Phi = np.repeat(np.eye(2 * m)[:, :, None], batch, axis=2)      # (2m, 2m, batch)
+    snaps = {0: [0]}        # step -> snapshot slots: t = 0, for T(0), then the probes
+    for k, i in enumerate(probe_idx, start=1):
+        snaps.setdefault(int(i), []).append(k)
+    Phis = np.empty((2 * m, 2 * m, probe_idx.size + 1, batch))
+    Psis = np.empty_like(Phis)
 
-    def record(step, Y, x, start):
-        """Snapshot the state, and x0, x1 for Pi, if step is a probe."""
-        pos = probe_pos.get(step)
-        if pos is not None:
-            snapY[pos] = Y
-            for o in (0, 1):
-                if x[o] is not None:
-                    snapX[o, pos] = x[o][:, 2 * (step - start)]
+    def record(step, Phi, x, start):
+        """Snapshot Phi, and Psi = T Phi with T = [[I, 0], [-lam G, I]], at a
+        snapshot step; with one mode G = 0, and canonical_momentum is not called."""
+        pos = snaps.get(step)
+        if pos:
+            Phis[:, :, pos] = Psis[:, :, pos] = Phi[:, :, None]
+            if m > 1:
+                x0, x1 = (v if v is None else v[:, 2 * (step - start)] for v in x[:2])
+                Pi = system.canonical_momentum(Phi[:m], Phi[m:], x0, x1)
+                Psis[m:, :, pos] = Pi[:, :, None]
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
@@ -451,7 +466,7 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         # (batch, half-steps) per noise order, None where not needed
         x = _windowed(eval_batch(noise, t_half, need), win, t_half, orders)
         if start == 0:
-            record(0, Y, x, start)
+            record(0, Phi, x, start)
         for lo in range(start, stop, MAP_STEPS):
             hi = min(stop, lo + MAP_STEPS)
             i0, i1 = 2 * (lo - start), 2 * (hi - start)
@@ -460,24 +475,17 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
                  for v in x] for j in (0, 1, 2)))
             cuts = [int(i) for i in probe_idx[(probe_idx > lo) & (probe_idx < hi)]]
             for a, b in zip([lo, *cuts], [*cuts, hi]):
-                Y = _matmul(_chain(M[:, :, a - lo:b - lo]), Y)
-                record(b, Y, x, start)
+                Phi = _matmul(_chain(M[:, :, a - lo:b - lo]), Phi)
+                record(b, Phi, x, start)
         del x, M    # free this block's arrays before the next one's are made
 
-    def solution(c):
-        """Q, Q' and Pi of state column pair c, each (batch, n_probes, m)."""
-        y = snapY[:, :, 2 * c] + 1j * snapY[:, :, 2 * c + 1]
-        Q, P = y[:, :m].transpose(1, 0, 2), y[:, m:].transpose(1, 0, 2)
-        out = [np.ascontiguousarray(v.transpose(2, 1, 0)) for v in (Q, P)]
-        if m == 1:
-            # without mode coupling the canonical momentum is Q' itself
-            return out + [out[1]]
-        Pi = system.canonical_momentum(Q, P, snapX[0], snapX[1])
-        return out + [np.ascontiguousarray(Pi.transpose(2, 1, 0))]
+    def solution(rows):     # rows y0, a fixed-order sum over y0's nonzero entries
+        y = sum(rows[:, c, 1:] * y0[c] for c in np.flatnonzero(y0))
+        return np.ascontiguousarray(y.transpose(2, 1, 0))       # (batch, n_probes, k)
 
-    Q, P, Pi = solution(0)
-    vac_Q, _, vac_Pi = solution(1) if len(states) > 1 else (Q, P, Pi)
-    return BatchResult(probe_idx * dt, Q, P, Pi, vac_Q, vac_Pi)
+    defect = _symplectic_defect(Psis[:, :, 1:], Psis[:, :, :1], system.omegas)
+    return BatchResult(probe_idx * dt, solution(Phis[:m]), solution(Phis[m:]),
+                       solution(Psis[m:]), np.max(defect, axis=(0, 1)).T)
 
 
 # ---------------------------------------------------------------------------

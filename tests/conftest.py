@@ -8,8 +8,8 @@ acceptance verdict is visible regardless of capture settings.
 import numpy as np
 import pytest
 
-from stochastic_dce.dynamics import (Window, _windowed, decompose, position_kick_state,
-                                     run_batch, step_grid, vacuum_state)
+from stochastic_dce.dynamics import (Window, _windowed, decompose, initial_data, run_batch,
+                                     step_grid)
 from stochastic_dce.noise import eval_batch
 
 # criterion label -> (passed, detail); filled in by tests/test_acceptance.py
@@ -51,8 +51,7 @@ def rk4_every_step(system, noise, integrator, horizon, initial="vacuum"):
     win = Window(integrator.window_ramp, horizon) if integrator.window_ramp > 0 else None
     xi = eval_batch(noise, t, tuple(sorted({0, *system.noise_orders})))
     x = [v if v is None else v.T for v in _windowed(xi, win, t, system.noise_orders)]
-    state = vacuum_state if initial == "vacuum" else position_kick_state
-    Q, P = (v.T for v in state(system, len(noise)))
+    Q, P = np.split(initial_data(system, initial)[:, None] * np.ones(len(noise)), 2)
     out = [(Q, P)]
     for i in range(nsteps):
         xa, xb, xc = ([None if v is None else v[2 * i + j] for v in x] for j in (0, 1, 2))

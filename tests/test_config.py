@@ -65,6 +65,13 @@ def test_coupled_parses_with_cavity():
     assert system.omegas.size == 3
 
 
+def test_coupled_in_mode_beyond_nz_max_refused():
+    data = coupled_data()
+    data["ensemble"]["in_mode"] = 5
+    with pytest.raises(ConfigError, match="in_mode"):
+        parse_config(data)
+
+
 def test_cosmology_parses_one_system_per_k():
     cfg = parse_config(cosmology_data())
     systems = cfg.systems()
@@ -104,6 +111,8 @@ def test_default_integrator_step_respects_fastest_mode():
     (lambda d: d["noise"].update(kind="white"), "noise.kind"),
     (lambda d: d["ensemble"].update(probes_time=[]), "probe"),
     (lambda d: d["ensemble"].update(initial="squeezed"), "initial"),
+    (lambda d: d["ensemble"].update(in_mode=0), "in_mode"),
+    (lambda d: d["ensemble"].update(in_mode=2), "in_mode"),
     (lambda d: d["ensemble"].update(n_realizations=2.5), "expected int"),
     (lambda d: d.update(cavity={"Lx_length": 1.0, "Ly_length": 1.0,
                                 "Lz0_length": 1.0, "epsilon": 0.1}),

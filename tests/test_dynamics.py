@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import stochastic_dce.dynamics as dyn
 from conftest import bogoliubov_at, rk4_every_step, run_every_step
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
@@ -19,11 +20,10 @@ from stochastic_dce.dynamics import (
     StepResolutionError,
     Window,
     decompose,
-    position_kick_state,
+    initial_data,
     run_batch,
     step_grid,
     suggest_dt,
-    vacuum_state,
     wronskian,
 )
 from stochastic_dce.noise import NoiseKind, NoiseSpec, eval_batch, synthesize, synthesize_many
@@ -79,15 +79,15 @@ def test_ou_noise_refused_for_coupled_runs():
 
 def test_vacuum_state_values():
     sys_ = PlainOscillator(omega=2.0, epsilon=0.0)
-    Q, P = vacuum_state(sys_, batch=3)
-    np.testing.assert_allclose(Q[:, 0], 1.0 / math.sqrt(4.0), rtol=1e-15)
-    np.testing.assert_allclose(P[:, 0], -1j * math.sqrt(1.0), rtol=1e-15)
+    Q, P = np.split(initial_data(sys_, "vacuum"), 2)
+    np.testing.assert_allclose(Q, 1.0 / math.sqrt(4.0), rtol=1e-15)
+    np.testing.assert_allclose(P, -1j * math.sqrt(1.0), rtol=1e-15)
     np.testing.assert_allclose(wronskian(Q, P), 1j, rtol=1e-15)
 
 
 def test_position_kick_state_values():
     sys_ = PlainOscillator(omega=2.0, epsilon=0.0)
-    Q, P = position_kick_state(sys_, batch=2)
+    Q, P = np.split(initial_data(sys_, "position_kick"), 2)
     np.testing.assert_array_equal(Q, 1.0)
     np.testing.assert_array_equal(P, 0.0)
 
@@ -249,12 +249,19 @@ def test_wronskian_conserved_under_stochastic_drive():
     assert np.max(drift) < 1e-8
 
 
-def test_canonical_wronskian_conserved_for_coupled_runs():
+def test_canonical_wronskian_conserved_for_coupled_runs(monkeypatch):
     # once the modes couple, the Wronskian on Q' drifts; the one on the
     # canonical momentum Pi = Q' - lam G Q holds, windowed or not, on
     # both paths, from the probe at t = 0 on; the short ramp ends
-    # mid-step on the plain grid, where Pi drifted by 6e-8
-    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
+    # mid-step on the plain grid, where Pi drifted by 6e-8.  The recorded
+    # symplectic defect holds too, and its (1, m + 1) entry is that
+    # vacuum run's Wronskian drift
+    full = []
+    defect = dyn._symplectic_defect
+    monkeypatch.setattr(dyn, "_symplectic_defect",
+                        lambda *args: full.append(defect(*args)) or full[-1])
+    m = 3
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=m)
     noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
                       nu_max=10.0, n_components=16)
     for horizon, ramp in ((12.0, 0.0), (12.0, 3.0), (2.0, 0.5)):
@@ -265,8 +272,12 @@ def test_canonical_wronskian_conserved_for_coupled_runs():
             res = run_batch(CavityModes(cav, path), reals, cfg, horizon,
                             np.linspace(0.0, horizon, 7))
             assert res.times[0] == 0.0
-            assert np.max(np.abs(wronskian(res.Q, res.Pi) - 1j)) < 1e-8
+            drift = np.abs(wronskian(res.Q, res.Pi) - 1j)
+            assert np.max(drift) < 1e-8
             assert np.max(np.abs(wronskian(res.Q, res.P) - 1j)) > 1e-3
+            assert np.max(res.defect) < 1e-8
+            np.testing.assert_array_equal(res.defect, np.max(full[-1], axis=(0, 1)).T)
+            assert np.max(np.abs(full[-1][0, m].T - drift)) <= 1e-15
 
 
 @pytest.mark.parametrize("horizon, ramp", [(2.0, 0.5), (12.0, 3.0), (40.0, 10.0),
@@ -376,7 +387,8 @@ def test_rows_do_not_depend_on_batch_width():
     # noise and step-matrix blocks have fixed lengths and every mode sum
     # has a fixed order, so a row evaluates and integrates to the same
     # bits alone or in a batch, over several blocks, for the plain
-    # oscillator and for three windowed coupled modes on both paths
+    # oscillator and for three windowed coupled modes on both paths, and
+    # so does its symplectic defect
     horizon = 7.0
     cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
     cases = [(PlainOscillator(omega=2.0, epsilon=0.1), IntegratorConfig(dt=0.001))]
@@ -393,7 +405,7 @@ def test_rows_do_not_depend_on_batch_width():
         for i, seed in enumerate(seeds):
             alone = run_batch(sys_, synthesize(BAND, seed, horizon), cfg, horizon, probes)
             for res in (wide, five) if i < 5 else (wide,):
-                for name in ("Q", "P", "Pi"):
+                for name in ("Q", "P", "Pi", "defect"):
                     np.testing.assert_array_equal(getattr(res, name)[i],
                                                   getattr(alone, name)[0])
     many = synthesize_many(BAND, seeds[:5], horizon)

@@ -136,6 +136,14 @@ def test_chunk_size_does_not_change_results(monkeypatch, coupled):
         icfg = integ(6.0)
     cfg = EnsembleConfig(n_realizations=7, master_seed=5, probes=(2.5, 6.0),
                          horizon=6.0, workers=1)
+    defects = []
+
+    def recording(*args):
+        res = run_batch(*args)
+        defects.append(res.defect)
+        return res
+
+    monkeypatch.setattr(ens, "run_batch", recording)
     one = run_ensemble(sys_, noise, icfg, cfg)
     monkeypatch.setattr(ens, "CHUNK_SIZE", 3)
     assert len(ens.chunk_layout(cfg)[0]) == 3
@@ -143,6 +151,9 @@ def test_chunk_size_does_not_change_results(monkeypatch, coupled):
     for key in one.keys():
         np.testing.assert_array_equal(one.mean[key], three.mean[key])
         np.testing.assert_array_equal(one.variance[key], three.variance[key])
+    # and so is every row's symplectic defect
+    assert len(defects) == 4
+    np.testing.assert_array_equal(defects[0], np.concatenate(defects[1:]))
 
 
 def test_repeated_runs_are_identical():
@@ -264,6 +275,37 @@ def test_broken_coupled_integrator_is_caught(ramp):
             run_ensemble(DropsVelocityCoupling(cav), noise, icfg,
                          dataclasses.replace(small_cfg(2, horizon=6.0), initial=initial))
         assert {e["kind"] for e in err.value.entries} == {"wronskian"}
+
+
+class DampsSecondMode:
+    """Two uncoupled noisy modes, omega = (1, 2), with a friction term
+    -0.01 Q' on mode 2 only: a non-Hamiltonian error outside the in-mode."""
+
+    n_modes = 2
+    noise_orders = (0,)
+    omegas = np.array([1.0, 2.0])
+
+    def accel(self, Q, P, x0, x1, x2):
+        # both modes scale with 1 + 0.1 x0, so the build broadcasts over
+        # steps and rows
+        a = -self.omegas.reshape((-1,) + (1,) * (Q.ndim - 1)) ** 2 * (1.0 + 0.1 * x0) * Q
+        a[1] -= 0.01 * P[1]
+        return a
+
+    def canonical_momentum(self, Q, P, x0, x1):
+        return P
+
+
+@pytest.mark.parametrize("initial", ["vacuum", "position_kick"])
+def test_damped_other_mode_is_caught(initial):
+    # the vacuum solution of in-mode 1 never touches mode 2, so its
+    # Wronskian holds (drift 5e-11); the symplectic defect of the whole
+    # propagator sees the friction (0.095)
+    noise = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
+    cfg = dataclasses.replace(small_cfg(2, horizon=10.0), initial=initial)
+    with pytest.raises(InvariantViolationError) as err:
+        run_ensemble(DampsSecondMode(), noise, IntegratorConfig(dt=0.01), cfg)
+    assert {e["kind"] for e in err.value.entries} == {"wronskian"}
 
 
 # ---------------------------------------------------------------------------
