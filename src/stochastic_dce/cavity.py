@@ -1,4 +1,4 @@
-"""Static cavity geometry: mode frequencies and intermode couplings.
+"""Static cavity geometry: mode frequencies and the intermode coupling table.
 
 One run simulates a single transverse family (kx, ky) with nz = 1..nz_max;
 the wall motion only couples modes that share transverse indices, so this
@@ -7,12 +7,11 @@ truncation is exact in the transverse directions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CavityConfig", "ModeIndex", "omega", "omega_z", "g", "v"]
+__all__ = ["CavityConfig", "ModeIndex"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,24 @@ class CavityConfig:
         np.fill_diagonal(mat, 0.0)
         return mat
 
+    def v_matrix(self) -> np.ndarray:
+        """Perturbative couplings V[n-1, k-1] = v_nk over the retained family.
+
+        v_nk = g_kn (w_n^2 - w_k^2) / (2 sqrt(w_n w_k)) + delta_nk w_z,k^2 / w_k
+        depends only on the static geometry, not on epsilon.
+        """
+        w = self.omegas()
+        wn, wk = w[:, None], w[None, :]
+        V = self.g_matrix().T * (wn**2 - wk**2) / (2.0 * np.sqrt(wk * wn))
+        V[np.diag_indices_from(V)] += self.omega_zs() ** 2 / w
+        return V
+
+    def index(self, mode: "ModeIndex") -> int:
+        """Position of mode in the family's tables; a mode beyond nz_max is refused."""
+        if mode.nz > self.nz_max:
+            raise ValueError(f"mode nz={mode.nz} outside family (nz_max={self.nz_max})")
+        return mode.nz - 1
+
 
 @dataclass(frozen=True)
 class ModeIndex:
@@ -69,40 +86,3 @@ class ModeIndex:
     def __post_init__(self):
         if self.nz < 1:
             raise ValueError(f"nz must be >= 1, got {self.nz}")
-
-
-def omega(config: CavityConfig, mode: ModeIndex) -> float:
-    """omega = pi sqrt((kx/Lx)^2 + (ky/Ly)^2 + (nz/Lz0)^2)."""
-    _check(config, mode)
-    return math.pi * math.sqrt(config.transverse_sq + (mode.nz / config.Lz0) ** 2)
-
-
-def omega_z(config: CavityConfig, mode: ModeIndex) -> float:
-    """Longitudinal part pi nz / Lz0 (enters the driving term squared)."""
-    _check(config, mode)
-    return math.pi * mode.nz / config.Lz0
-
-
-def g(config: CavityConfig, k: ModeIndex, j: ModeIndex) -> float:
-    """Intermode coupling; 0 on the diagonal, antisymmetric off it."""
-    _check(config, k)
-    _check(config, j)
-    if k.nz == j.nz:
-        return 0.0
-    return (-1.0) ** (k.nz + j.nz) * 2.0 * k.nz * j.nz / (j.nz**2 - k.nz**2)
-
-
-def v(config: CavityConfig, n: ModeIndex, k: ModeIndex) -> float:
-    """Perturbative coupling v_nk (depends only on the static geometry)."""
-    wk = omega(config, k)
-    wn = omega(config, n)
-    wkz = omega_z(config, k)
-    out = g(config, k, n) * (wn**2 - wk**2) / (2.0 * math.sqrt(wk * wn))
-    if n.nz == k.nz:
-        out += wkz**2 / wk
-    return out
-
-
-def _check(config: CavityConfig, mode: ModeIndex):
-    if mode.nz > config.nz_max:
-        raise ValueError(f"mode nz={mode.nz} outside family (nz_max={config.nz_max})")

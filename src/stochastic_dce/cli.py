@@ -38,6 +38,8 @@ from .theory import (
     msa_mean_q,
     msa_mean_q2,
     msa_stochastic_beta2,
+    perturbative_beta2,
+    perturbative_number,
     slow_flow_rates,
     solve_occupations,
     windowed_exposure,
@@ -83,18 +85,13 @@ def _truncation_check(cfg: RunConfig) -> None:
     """Warn when the retained z-family looks too small for the run."""
     if cfg.scenario is not Scenario.COUPLED_STOCHASTIC:
         return
-    from .theory import perturbative_beta2
-
     top = ModeIndex(cfg.cavity.nz_max)
     n_in = ModeIndex(cfg.ensemble.in_mode)
     horizon = cfg.ensemble.horizon
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         top_n = float(perturbative_beta2(cfg.cavity, cfg.noise, top, n_in, horizon))
-        total = sum(
-            float(perturbative_beta2(cfg.cavity, cfg.noise, ModeIndex(nz), n_in, horizon))
-            for nz in range(1, cfg.cavity.nz_max + 1)
-        )
+        total = float(perturbative_number(cfg.cavity, cfg.noise, n_in, horizon))
     if total > 0 and top_n > 0.01 * total:
         log.warning(
             "highest retained mode nz=%d carries %.1f%% of the predicted "
@@ -369,9 +366,8 @@ def cmd_noise_dump(cfg: RunConfig, seed: int | None) -> int:
     if seed is None:
         seed = cfg.ensemble.master_seed
     horizon = cfg.ensemble.horizon
-    step = cfg.integrator.dt
-    t = np.arange(0.0, horizon + 0.5 * step, step)
-    t[-1] = min(t[-1], horizon)
+    nsteps, step, _ = step_grid(horizon, cfg.integrator)
+    t = np.arange(nsteps + 1) * step
     xi = eval_batch(synthesize(cfg.noise, seed, horizon), t, (0, 1, 2))
     cols = [xi[o][0] for o in (0, 1, 2)]
     w = csv.writer(sys.stdout)

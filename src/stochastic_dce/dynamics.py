@@ -89,16 +89,19 @@ class IntegratorConfig:
             raise ValueError("window_ramp must be >= 0")
 
 
-def suggest_dt(omega_max: float, horizon: float, drift_budget: float = 1e-8,
-               amplitude_margin: float = 100.0) -> float:
-    """Step size keeping the RK4 Wronskian drift under drift_budget.
+DRIFT_BUDGET = 1e-8
+AMPLITUDE_MARGIN = 100.0
+
+
+def suggest_dt(omega_max: float, horizon: float) -> float:
+    """Step size keeping the RK4 Wronskian drift under DRIFT_BUDGET.
 
     RK4 damps a harmonic mode by (omega dt)^6/72 per step, so the drift
     over the run is ~ horizon * omega^6 dt^5 / 72 times the amplitude
-    scale reached; amplitude_margin covers the growth of the worst
+    scale reached; AMPLITUDE_MARGIN covers the growth of the worst
     realizations.  Capped at 0.1/omega in any case.
     """
-    dt = (72.0 * drift_budget / (horizon * omega_max**6 * amplitude_margin)) ** 0.2
+    dt = (72.0 * DRIFT_BUDGET / (horizon * omega_max**6 * AMPLITUDE_MARGIN)) ** 0.2
     return min(dt, 0.1 / omega_max)
 
 

@@ -1,6 +1,11 @@
 """Closed-form predictions: perturbative short-time laws and the slow-flow
 (two-time) resummation for single and coupled modes.
 
+Every cavity law reads its couplings v_nk from CavityConfig.v_matrix().
+The coupled slow flow is linear with constant coefficients on the slow
+time, so solve_occupations evaluates its exact solution, a matrix
+exponential, at each probe.
+
 Conventions: S(nu) is the one-sided spectrum of the noise, tau = eps^2 t
 is the slow time for stochastic driving and eps*t for deterministic
 resonance.
@@ -13,8 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .cavity import CavityConfig, ModeIndex, omega as mode_omega, omega_z as mode_omega_z, v as coupling_v
+from .cavity import CavityConfig, ModeIndex
 from .dynamics import Window
 from .noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 
@@ -66,15 +72,15 @@ def perturbative_beta2(cavity: CavityConfig, noise: NoiseSpec, n: ModeIndex,
     the returned value).
     """
     _require_stochastic(noise, "perturbative_beta2")
-    wn = mode_omega(cavity, n)
-    wk = mode_omega(cavity, k)
+    i, j = cavity.index(n), cavity.index(k)
+    wn, wk = cavity.omegas()[[i, j]]
     if (wn + wk) * T < 10.0:
         warnings.warn(
             f"drive length T={T} resolves frequencies only to ~pi/T; "
             f"(w_n + w_k) T = {(wn + wk) * T:.3g} should be >> 1",
             stacklevel=2,
         )
-    vnk = coupling_v(cavity, n, k)
+    vnk = cavity.v_matrix()[i, j]
     val = 2.0 * cavity.epsilon**2 * T * vnk**2 * spectrum(noise, wn + wk).real
     return FlaggedValue(val, cavity.epsilon**2 * max(wn, wk) * T <= 1.0)
 
@@ -87,20 +93,18 @@ def perturbative_number(cavity: CavityConfig, noise: NoiseSpec, k: ModeIndex,
 
 
 def deterministic_beta2(cavity: CavityConfig, Omega: float, n: ModeIndex,
-                        k: ModeIndex, T: float, resonance_width: float | None = None) -> float:
+                        k: ModeIndex, T: float) -> float:
     """|beta_nk|^2 = (1/4) eps^2 v_nk^2 T^2 on resonance Omega = w_n + w_k.
 
-    A drive of length T resolves frequencies to ~pi/T, which is the
-    default width of the resonance window; off resonance the quadratic
-    growth is absent and 0 is returned.
+    A drive of length T resolves frequencies to ~pi/T, which is the width
+    of the resonance window; off resonance the quadratic growth is absent
+    and 0 is returned.
     """
-    wn = mode_omega(cavity, n)
-    wk = mode_omega(cavity, k)
-    if resonance_width is None:
-        resonance_width = math.pi / T
-    if abs(Omega - (wn + wk)) > resonance_width:
+    i, j = cavity.index(n), cavity.index(k)
+    wn, wk = cavity.omegas()[[i, j]]
+    if abs(Omega - (wn + wk)) > math.pi / T:
         return 0.0
-    return 0.25 * cavity.epsilon**2 * coupling_v(cavity, n, k) ** 2 * T**2
+    return 0.25 * cavity.epsilon**2 * cavity.v_matrix()[i, j] ** 2 * T**2
 
 
 def msa_deterministic_beta2(omega: float, epsilon: float, t) -> np.ndarray | float:
@@ -163,14 +167,11 @@ def msa_stochastic_beta2(omega: float, epsilon: float, noise: NoiseSpec, t,
 def cosmo_beta2(k, M: float, epsilon: float, noise: NoiseSpec, eta) -> np.ndarray | float:
     """Created quanta per comoving mode k for a noisy mass term.
 
-    <|beta_k|^2> = (e^{(k^2+M^2) Re S(2 sqrt(k^2+M^2)) eps^2 eta} - 1)/2;
-    identical to msa_stochastic_beta2 at omega = sqrt(k^2 + M^2).
+    <|beta_k|^2> = (e^{(k^2+M^2) Re S(2 sqrt(k^2+M^2)) eps^2 eta} - 1)/2:
+    each k is the single noisy mode at omega = sqrt(k^2 + M^2).
     """
-    _require_stochastic(noise, "cosmo_beta2")
-    k = np.asarray(k, dtype=float)
-    w = np.sqrt(k**2 + M**2)
-    ReS = np.real(spectrum(noise, 2.0 * w))
-    return 0.5 * (np.exp(w**2 * ReS * epsilon**2 * np.asarray(eta, dtype=float)) - 1.0)
+    return msa_stochastic_beta2(np.sqrt(np.asarray(k, dtype=float) ** 2 + M**2),
+                                epsilon, noise, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +188,11 @@ class SlowFlowRates:
     epsilon: float
 
 
-def slow_flow_rates(cavity: CavityConfig, noise: NoiseSpec,
-                    degeneracy_rtol: float = 1e-6) -> SlowFlowRates:
+# two frequencies closer than this times their mean count as degenerate
+DEGENERACY_RTOL = 1e-6
+
+
+def slow_flow_rates(cavity: CavityConfig, noise: NoiseSpec) -> SlowFlowRates:
     """Rates of the slow-flow equations for the retained mode family.
 
     The derivation singles out resonant pairs and assumes a nondegenerate
@@ -196,36 +200,30 @@ def slow_flow_rates(cavity: CavityConfig, noise: NoiseSpec,
     """
     _require_stochastic(noise, "slow_flow_rates")
     w = cavity.omegas()
-    wz = cavity.omega_zs()
     m = w.size
     if m > 1:
         gaps = np.abs(w[:, None] - w[None, :])[~np.eye(m, dtype=bool)]
-        if np.min(gaps) < degeneracy_rtol * np.mean(w):
+        if np.min(gaps) < DEGENERACY_RTOL * np.mean(w):
             raise DegenerateSpectrumError(
                 "two retained modes are (nearly) degenerate; slow-flow rates "
                 "are not valid for this geometry"
             )
-    g = cavity.g_matrix()
+    v2 = cavity.v_matrix() ** 2
+    v2_self = np.diag(v2).copy()          # (w_z,k^2 / w_k)^2
+    np.fill_diagonal(v2, 0.0)             # v_km^2, symmetric, k != m
     S2 = np.asarray(spectrum(noise, 2.0 * w))
     S0 = spectrum(noise, 0.0).real
     Ssum = np.asarray(spectrum(noise, w[:, None] + w[None, :]))   # S(w_k + w_m)
     Sdif = np.asarray(spectrum(noise, w[:, None] - w[None, :]))   # S(w_k - w_m)
 
-    pref = g**2 / (4.0 * w[:, None] * w[None, :]) * (w[:, None] ** 2 - w[None, :] ** 2) ** 2
-    lam = wz**4 / w**2 * (S0 - S2) - np.sum(pref * (Ssum - Sdif), axis=1)
-    gam = (-4.0 * wz**4 / w**2 * S2.real
-           - np.sum(2.0 * pref * (Ssum - Sdif).real, axis=1))
+    lam = v2_self * (S0 - S2) - np.sum(v2 * (Ssum - Sdif), axis=1)
+    gam = -4.0 * v2_self * S2.real - np.sum(2.0 * v2 * (Ssum - Sdif).real, axis=1)
 
     # rho[m, k]: feed of T_m into T_k'.  Written so that sum-frequency
     # noise creates pairs in both partner modes and difference-frequency
     # noise transfers quanta conservatively; this also makes the short-
     # time slope of the totals agree with the perturbative rates.
-    wm = w[:, None]
-    wk = w[None, :]
-    rho = -(g.T**2 / (2.0 * wk**2)) * (wk**2 - wm**2) ** 2 * (
-        np.real(spectrum(noise, wk + wm)) + np.real(spectrum(noise, wk - wm))
-    )
-    rho[np.eye(m, dtype=bool)] = 0.0
+    rho = -2.0 * v2 * (w[:, None] / w[None, :]) * (Ssum.real + Sdif.T.real)
     return SlowFlowRates(lam, gam, rho, cavity.epsilon)
 
 
@@ -250,45 +248,27 @@ class OccupationSolution:
     went_negative: bool        # numerical underflow flag on totals
 
 
-SLOW_FLOW_STEPS = 10_000
-
-
 def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: ModeIndex,
                       t_grid) -> OccupationSolution:
-    """Integrate the occupation flow T' = -(gamma + rho) T on tau = eps^2 t.
+    """Solve the occupation flow T' = A T, A = -(gamma + rho^T), on tau = eps^2 t.
 
+    The flow is linear with constant coefficients, so T(tau) = expm(A tau) T(0)
+    exactly; each probe's exponential is computed on its own by scaling
+    and squaring, with no error carried from one probe to the next.
     Initial data T_k(0) = delta_nk / (2 w_k); the summed identity
     sum_k 2 w_k T_k = 1 + 2 sum_k <|beta_nk|^2> converts occupations to
     created particles.
     """
     w = cavity.omegas()
-    m = w.size
-    if not 1 <= n.nz <= m:
-        raise ValueError(f"in-mode nz={n.nz} outside family (nz_max={m})")
+    i = cavity.index(n)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be nondecreasing and nonnegative")
-    A = -(np.diag(rates.gamma_k) + rates.rho.T)   # T' = A T on the slow time
-    T = np.zeros(m)
-    T[n.nz - 1] = 1.0 / (2.0 * w[n.nz - 1])
-
+    A = -(np.diag(rates.gamma_k) + rates.rho.T)
+    T0 = np.zeros(w.size)
+    T0[i] = 1.0 / (2.0 * w[i])
     taus = rates.epsilon**2 * t_grid
-    span = taus[-1] if taus.size and taus[-1] > 0 else 1.0
-    out = np.empty((t_grid.size, m))
-    tau_now = 0.0
-    for i, tau in enumerate(taus):
-        seg = tau - tau_now
-        if seg > 0:
-            steps = max(1, int(math.ceil(SLOW_FLOW_STEPS * seg / span)))
-            h = seg / steps
-            for _ in range(steps):
-                k1 = A @ T
-                k2 = A @ (T + 0.5 * h * k1)
-                k3 = A @ (T + 0.5 * h * k2)
-                k4 = A @ (T + h * k3)
-                T = T + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            tau_now = tau
-        out[i] = T
+    out = expm(taus[:, None, None] * A) @ T0
     totals = 0.5 * (out @ (2.0 * w) - 1.0)
     went_negative = bool(np.any(totals < -1e-12))
     return OccupationSolution(t_grid, out, totals, went_negative)

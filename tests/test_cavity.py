@@ -1,5 +1,5 @@
 """Cavity geometry: mode frequencies, intermode couplings, and the
-perturbative coupling matrix."""
+perturbative coupling table."""
 
 import math
 
@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochastic_dce.cavity import (
-    CavityConfig,
-    ModeIndex,
-    g,
-    omega,
-    omega_z,
-    v,
-)
+from stochastic_dce.cavity import CavityConfig, ModeIndex
 
 QUASI_1D = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.01, nz_max=3)
 CUBE = CavityConfig(Lx=1.0, Ly=1.0, Lz0=1.0, epsilon=0.01, nz_max=3)
@@ -42,17 +35,16 @@ def test_mode_index_validation():
     with pytest.raises(ValueError):
         ModeIndex(0)
     with pytest.raises(ValueError):
-        omega(CUBE, ModeIndex(4))  # beyond nz_max
+        CUBE.index(ModeIndex(4))  # beyond nz_max
+    assert CUBE.index(ModeIndex(3)) == 2
 
 
 def test_omega_hand_values():
     # unit cube fundamental: pi sqrt(1+1+1)
-    assert omega(CUBE, ModeIndex(1)) == pytest.approx(math.pi * math.sqrt(3.0),
-                                                      rel=1e-12)
+    assert CUBE.omegas()[0] == pytest.approx(math.pi * math.sqrt(3.0), rel=1e-12)
     # wide transverse box: omega -> pi nz / Lz0
-    assert omega(QUASI_1D, ModeIndex(1)) == pytest.approx(math.pi, rel=1e-10)
-    assert omega(QUASI_1D, ModeIndex(3)) == pytest.approx(3.0 * math.pi,
-                                                          rel=1e-10)
+    assert QUASI_1D.omegas()[0] == pytest.approx(math.pi, rel=1e-10)
+    assert QUASI_1D.omegas()[2] == pytest.approx(3.0 * math.pi, rel=1e-10)
 
 
 def test_omega_strictly_increasing_in_nz():
@@ -62,65 +54,55 @@ def test_omega_strictly_increasing_in_nz():
 
 
 def test_omega_z_hand_values():
-    assert omega_z(CUBE, ModeIndex(1)) == pytest.approx(math.pi, rel=1e-12)
+    assert CUBE.omega_zs()[0] == pytest.approx(math.pi, rel=1e-12)
     cav = CavityConfig(Lx=1.0, Ly=1.0, Lz0=2.0, epsilon=0.01, nz_max=4)
-    assert omega_z(cav, ModeIndex(4)) == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert cav.omega_zs()[3] == pytest.approx(2.0 * math.pi, rel=1e-12)
     cav = CavityConfig(Lx=1.0, Ly=1.0, Lz0=math.pi, epsilon=0.01, nz_max=1)
-    assert omega_z(cav, ModeIndex(1)) == pytest.approx(1.0, rel=1e-12)
+    assert cav.omega_zs()[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_coupling_hand_values():
     # g(1,2) = (-1)^3 * 2*1*2/(4-1) = -4/3
-    assert g(CUBE, ModeIndex(1), ModeIndex(2)) == pytest.approx(-4.0 / 3.0,
-                                                                rel=1e-12)
-    assert g(CUBE, ModeIndex(2), ModeIndex(1)) == pytest.approx(4.0 / 3.0,
-                                                                rel=1e-12)
-    assert g(CUBE, ModeIndex(3), ModeIndex(3)) == 0.0
+    G = CUBE.g_matrix()
+    assert G[0, 1] == pytest.approx(-4.0 / 3.0, rel=1e-12)
+    assert G[1, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert G[2, 2] == 0.0
 
 
 @given(st.integers(1, 10), st.integers(1, 10))
 def test_coupling_antisymmetry_and_parity(knz, jnz):
     cav = CavityConfig(Lx=1.0, Ly=1.0, Lz0=1.0, epsilon=0.01, nz_max=10)
-    k, j = ModeIndex(knz), ModeIndex(jnz)
-    assert g(cav, k, j) == -g(cav, j, k)
+    G = cav.g_matrix()
+    k, j = knz - 1, jnz - 1
+    assert G[k, j] == -G[j, k]
     if knz != jnz:
         expected_sign = (-1.0) ** (knz + jnz) * math.copysign(1.0, jnz - knz)
-        assert math.copysign(1.0, g(cav, k, j)) == expected_sign
+        assert math.copysign(1.0, G[k, j]) == expected_sign
 
 
-def test_g_matrix_matches_scalar_function():
+def test_g_matrix_antisymmetric():
     G = CUBE.g_matrix()
-    for a in range(3):
-        for b in range(3):
-            assert G[a, b] == g(CUBE, ModeIndex(a + 1), ModeIndex(b + 1))
     np.testing.assert_allclose(G, -G.T, atol=0)
 
 
 def test_v_diagonal_is_omega_z_sq_over_omega():
     for cav in (CUBE, QUASI_1D):
-        for nz in (1, 2, 3):
-            m = ModeIndex(nz)
-            expected = omega_z(cav, m) ** 2 / omega(cav, m)
-            assert v(cav, m, m) == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(np.diag(cav.v_matrix()),
+                                   cav.omega_zs() ** 2 / cav.omegas(), rtol=1e-12)
 
 
 def test_v_off_diagonal_hand_value():
     # quasi-1D, n=1, k=2: omega_n = pi, omega_k = 2 pi, g(2,1) = +4/3:
     # v = (4/3)(pi^2 - 4 pi^2) / (2 sqrt(2 pi^2)) = -sqrt(2) pi
-    val = v(QUASI_1D, ModeIndex(1), ModeIndex(2))
+    val = QUASI_1D.v_matrix()[0, 1]
     assert val == pytest.approx(-math.sqrt(2.0) * math.pi, rel=1e-9)
 
 
 def test_v_independent_of_epsilon():
     a = CavityConfig(Lx=1.0, Ly=1.0, Lz0=1.0, epsilon=0.001, nz_max=2)
     b = CavityConfig(Lx=1.0, Ly=1.0, Lz0=1.0, epsilon=0.5, nz_max=2)
-    assert v(a, ModeIndex(1), ModeIndex(2)) == v(b, ModeIndex(1), ModeIndex(2))
+    assert a.v_matrix()[0, 1] == b.v_matrix()[0, 1]
 
 
-def test_array_helpers_consistent():
-    w = CUBE.omegas()
-    wz = CUBE.omega_zs()
-    for i in range(3):
-        assert w[i] == pytest.approx(omega(CUBE, ModeIndex(i + 1)), rel=1e-15)
-        assert wz[i] == pytest.approx(omega_z(CUBE, ModeIndex(i + 1)), rel=1e-15)
+def test_modes_span_family():
     assert len(CUBE.modes()) == 3

@@ -10,6 +10,8 @@ import pytest
 import yaml
 
 from stochastic_dce.cli import PREDICT_HEADER, SERIES_HEADER, main
+from stochastic_dce.config import load_config
+from stochastic_dce.dynamics import step_grid
 from stochastic_dce.ensemble import derive_seed
 from stochastic_dce.theory import msa_stochastic_beta2
 from stochastic_dce.noise import NoiseKind, NoiseSpec
@@ -125,13 +127,20 @@ def test_spectrum_scales_with_cavity_length(tmp_path, capsys):
 def test_noise_dump_silent(tmp_path, capsys):
     data = single_mode_data()
     data["noise"]["sigma"] = 0.0
-    cfg = write_yaml(tmp_path, data)
-    assert main(["noise-dump", "--config", cfg, "--quiet"]) == 0
-    header, rows = (lambda lines: (lines[0].split(","),
-                                   [l.split(",") for l in lines[1:]]))(
-        capsys.readouterr().out.strip().splitlines())
-    assert header == ["t", "xi", "xi_dot", "xi_ddot"]
-    assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)
+    for dt in (None, 0.07):  # the default step, and one that does not divide the horizon
+        if dt is not None:
+            data["integrator"] = {"dt_time": dt}
+        cfg = write_yaml(tmp_path, data)
+        assert main(["noise-dump", "--config", cfg, "--quiet"]) == 0
+        header, rows = (lambda lines: (lines[0].split(","),
+                                       [l.split(",") for l in lines[1:]]))(
+            capsys.readouterr().out.strip().splitlines())
+        assert header == ["t", "xi", "xi_dot", "xi_ddot"]
+        assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)
+        # the dump's times are the grid simulate integrates on
+        nsteps, step, _ = step_grid(6.0, load_config(cfg).integrator)
+        np.testing.assert_array_equal([float(r[0]) for r in rows],
+                                      np.arange(nsteps + 1) * step)
 
 
 def test_noise_dump_sinusoid_and_derivatives(tmp_path, capsys):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochastic_dce.cavity import CavityConfig, ModeIndex, v
+from scipy.integrate import solve_ivp
+
+from stochastic_dce.cavity import CavityConfig, ModeIndex
 from stochastic_dce.noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 from stochastic_dce.theory import (
     DegenerateSpectrumError,
@@ -28,6 +30,8 @@ from stochastic_dce.theory import (
 OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
 QUASI_1D = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.05, nz_max=3)
 SINUSOID = NoiseSpec(kind=NoiseKind.DETERMINISTIC_SINUSOID, omega_drive=2.0)
+# flat in-band spectrum around w1 + w2 = 3 pi in QUASI_1D
+BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0, nu_max=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +53,7 @@ def test_perturbative_linear_in_time():
 def test_perturbative_hand_value_flat_band():
     # quasi-1D v(1,2) = -sqrt(2) pi and a flat in-band spectrum
     # Re S = pi sigma^2 / (2 dnu) give 2 eps^2 T (2 pi^2)(pi/2) = 2 pi^3 eps^2 T
-    band = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
-                     nu_max=10.0)  # contains w1 + w2 = 3 pi
-    val = perturbative_beta2(QUASI_1D, band, ModeIndex(1), ModeIndex(2), 40.0)
+    val = perturbative_beta2(QUASI_1D, BAND, ModeIndex(1), ModeIndex(2), 40.0)
     assert val == pytest.approx(2.0 * math.pi**3 * 0.05**2 * 40.0, rel=1e-9)
 
 
@@ -98,7 +100,7 @@ def test_perturbative_depends_on_sigma_epsilon_product(c):
 def test_deterministic_on_and_off_resonance():
     w12 = 3.0 * math.pi  # w1 + w2 in quasi-1D
     on = deterministic_beta2(QUASI_1D, w12, ModeIndex(1), ModeIndex(2), 40.0)
-    expected = 0.25 * 0.05**2 * v(QUASI_1D, ModeIndex(1), ModeIndex(2)) ** 2 * 40.0**2
+    expected = 0.25 * 0.05**2 * QUASI_1D.v_matrix()[0, 1] ** 2 * 40.0**2
     assert on == pytest.approx(expected, rel=1e-12)
     assert deterministic_beta2(QUASI_1D, w12 + 1.0, ModeIndex(1),
                                ModeIndex(2), 40.0) == 0.0
@@ -268,8 +270,8 @@ def test_solve_occupations_silent_noise_constant():
 
 def test_solve_occupations_decouples_without_transfer():
     # with the intermode feed zeroed each occupation obeys a scalar linear
-    # flow with its own self-rate, so the integrator must land on the
-    # exact exponential
+    # flow with its own self-rate, so the solution must be the scalar
+    # exponential
     rates = slow_flow_rates(QUASI_1D, OU)
     lonely = dataclasses.replace(rates, rho=np.zeros_like(rates.rho))
     t = np.linspace(0.0, 200.0, 5)
@@ -291,6 +293,31 @@ def test_solve_occupations_short_slope_matches_perturbative():
         with pytest.warns(UserWarning):
             pert = perturbative_number(QUASI_1D, OU, ModeIndex(n), t)
         assert sol.beta2_total[1] == pytest.approx(float(pert), rel=1e-5)
+
+
+@pytest.mark.parametrize("noise, horizon", [(OU, 80.0), (BAND, 4.0)],
+                         ids=["ou", "band"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_occupations_matches_independent_integration(noise, horizon, n):
+    # the coupled flow with intermode feed, out to beta2 of order one,
+    # against an adaptive high-order integration of the same rates
+    rates = slow_flow_rates(QUASI_1D, noise)
+    t = np.linspace(0.0, horizon, 9)
+    sol = solve_occupations(rates, QUASI_1D, ModeIndex(n), t)
+    w = QUASI_1D.omegas()
+    A = -(np.diag(rates.gamma_k) + rates.rho.T)
+    T0 = np.zeros(w.size)
+    T0[n - 1] = 1.0 / (2.0 * w[n - 1])
+    tau = rates.epsilon**2 * t
+    ref = solve_ivp(lambda _, y: A @ y, (0.0, tau[-1]), T0, method="DOP853",
+                    rtol=1e-12, atol=1e-15, t_eval=tau).y.T
+    np.testing.assert_allclose(sol.T, ref, rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(sol.beta2_total, 0.5 * (ref @ (2.0 * w) - 1.0),
+                               rtol=1e-9, atol=1e-15)
+    if noise is BAND and n == 3:  # no w_3 +- w_k falls inside the band
+        np.testing.assert_allclose(sol.beta2_total, 0.0, atol=1e-12)
+    else:
+        assert 0.5 < sol.beta2_total[-1] < 2.0
 
 
 def test_solve_occupations_validates_inputs():
