@@ -22,7 +22,6 @@ from . import __version__
 from .cavity import ModeIndex
 from .config import ConfigError, RunConfig, Scenario, load_config
 from .ensemble import (
-    CHUNK_SIZE,
     EnsembleConfig,
     InvariantViolationError,
     TooManyAbortsError,
@@ -117,6 +116,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         "seeds": seed_info,
         "n_effective": {},
         "aborted": {},
+        "abort_count": {},
         "dt": {},
         "nsteps": {},
         "chunk_size": {},
@@ -139,7 +139,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             summary["dt"][str(label)] = dt
             summary["nsteps"][str(label)] = nsteps
             chunks, workers = chunk_layout(ens)
-            summary["chunk_size"][str(label)] = CHUNK_SIZE
+            summary["chunk_size"][str(label)] = chunks[0][1] - chunks[0][0]
             summary["chunks"][str(label)] = len(chunks)
             summary["workers"][str(label)] = workers
             t0 = time.perf_counter()
@@ -152,6 +152,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             }
             summary["n_effective"][str(label)] = stats.n_effective
             summary["aborted"][str(label)] = stats.aborted
+            summary["abort_count"][str(label)] = len(stats.aborted)
             summary["max_wronskian_drift"][str(label)] = stats.max_wronskian_drift
             summary["simulate_s"][str(label)] = seconds
             summary["realization_steps_per_s"][str(label)] = (
@@ -415,10 +416,10 @@ def main(argv=None) -> int:
     from pathlib import Path
 
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    # the package's own logger, so --quiet holds whatever handlers the
+    # root logger already has
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)

@@ -201,6 +201,9 @@ class PlainOscillator:
         self.noise_orders = (0,)
         self.omegas = np.array([self.omega])
 
+    def __repr__(self):
+        return f"PlainOscillator(omega={self.omega:.6g}, epsilon={self.epsilon:.6g})"
+
     def accel(self, Q, P, x0, x1, x2):
         return -(self.omega**2) * (1.0 + self.epsilon * x0) * Q
 
@@ -226,6 +229,9 @@ class CavityModes:
             self.noise_orders = (0, 1, 2)
         else:
             self.noise_orders = (0,)
+
+    def __repr__(self):
+        return f"CavityModes(nz_max={self.n_modes}, path={self.path!r})"
 
     def accel(self, Q, P, x0, x1, x2):
         if self.path == "exact":

@@ -1,17 +1,23 @@
 """Monte Carlo ensembles: reproducible seeds, batched runs, statistics.
 
-Realizations are processed in fixed-size chunks; each chunk owns its
-noise synthesis and integration and deposits per-realization values into
-a staging buffer indexed by realization, so the final reduction (an
-index-ordered compensated sum) is identical for any worker count.
+Realizations are processed in chunks sized from the ensemble and the
+worker count, so that every worker gets one; each chunk owns its noise
+synthesis and integration and deposits per-realization values into a
+staging buffer indexed by realization.  A row integrates to the same
+bits in any chunk and the final reduction is an index-ordered
+compensated sum, so the output is identical for any chunk and worker
+layout.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,10 +44,12 @@ __all__ = [
     "ConvergenceReport",
 ]
 
-CHUNK_SIZE = 1024           # fixed: reduction must not depend on worker count
+CHUNK_SIZE = 1024           # the most realizations one chunk holds
 
 WRONSKIAN_TOL = 1e-8
 MAX_ABORT_FRACTION = 0.01
+
+log = logging.getLogger("sdce")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -153,8 +161,22 @@ def _check_invariants(res):
     return entries, float(np.max(drift, initial=0.0))
 
 
+class _Chunk(NamedTuple):
+    """One chunk's staged results."""
+
+    kept: list                  # realization indices of the panel's rows
+    keys: list
+    panel: np.ndarray           # (rows, probes, quantities)
+    times: np.ndarray
+    violations: list
+    aborted: list
+    drift: float
+    seconds: float
+
+
 def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     """Integrate realizations [start, stop); returns staged results."""
+    t0 = time.perf_counter()
     idx = list(range(start, stop))
     seeds = [derive_seed(ensemble.master_seed, i) for i in idx]
     aborted = []
@@ -173,50 +195,63 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     for entry in violations:
         # batch rows skip aborted members; map back to indices
         entry["realization"] = idx[keep[entry["realization"]]]
-    return (start, [idx[i] for i in keep], keys, panel, res.times, violations,
-            aborted, drift)
+    return _Chunk([idx[i] for i in keep], keys, panel, res.times, violations,
+                  aborted, drift, time.perf_counter() - t0)
 
 
 def chunk_layout(ensemble: EnsembleConfig):
     """The run's chunks [(start, stop), ...] and its worker count.
 
-    Chunks hold CHUNK_SIZE realizations (the last one the rest); workers
-    0 resolves to one per CPU.  More than one chunk and more than one
-    worker run the chunks in a process pool.
+    Workers 0 resolves to one per CPU.  Chunks hold ceil(N / workers)
+    realizations, at most CHUNK_SIZE (the last one the rest), so that
+    every worker has a chunk.  More than one chunk and more than one
+    worker run the chunks in a process pool, one process per chunk at
+    most.
     """
     N = ensemble.n_realizations
-    chunks = [(s, min(N, s + CHUNK_SIZE)) for s in range(0, N, CHUNK_SIZE)]
-    return chunks, ensemble.workers or os.cpu_count() or 1
+    workers = ensemble.workers or os.cpu_count() or 1
+    size = min(CHUNK_SIZE, -(-N // workers))
+    return [(s, min(N, s + size)) for s in range(0, N, size)], workers
+
+
+def _finished(system, chunk: _Chunk, i: int, n_chunks: int) -> _Chunk:
+    """Log one finished chunk: the progress line of a long run."""
+    log.info("%r: chunk %d/%d, %d rows, %.2f s", system, i + 1, n_chunks,
+             len(chunk.kept) + len(chunk.aborted), chunk.seconds)
+    return chunk
 
 
 def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
                  ensemble: EnsembleConfig) -> EnsembleStats:
     """Run the full ensemble and aggregate statistics.
 
-    Bit-identical output for any worker count: chunk boundaries are fixed
-    and the reduction folds the staging buffer in realization order.
-    Invariant violations raise; collapsed realizations are excluded
-    (failing the run if they exceed 1% of the ensemble).
+    Bit-identical output for any chunk and worker layout: a row rounds
+    the same in any chunk, and the reduction folds the staging buffer in
+    realization order.  Invariant violations raise; collapsed
+    realizations are excluded (failing the run if they exceed 1% of the
+    ensemble).
     """
     N = ensemble.n_realizations
     chunks, workers = chunk_layout(ensemble)
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    n = len(chunks)
+    if workers > 1 and n > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             futures = [
                 pool.submit(_run_chunk, system, noise_spec, integrator,
                             ensemble, s, e)
                 for s, e in chunks
             ]
-            results = [f.result() for f in futures]
+            results = [_finished(system, f.result(), i, n)
+                       for i, f in enumerate(futures)]
     else:
-        results = [_run_chunk(system, noise_spec, integrator, ensemble, s, e)
-                   for s, e in chunks]
+        results = [_finished(system, _run_chunk(system, noise_spec, integrator,
+                                                ensemble, s, e), i, n)
+                   for i, (s, e) in enumerate(chunks)]
 
-    results.sort(key=lambda r: r[0])
-    keys = results[0][2]
-    times = results[0][4]
-    aborted = sorted(a for r in results for a in r[6])
-    violations = sorted((v for r in results for v in r[5]),
+    keys = results[0].keys
+    times = results[0].times
+    aborted = sorted(a for r in results for a in r.aborted)
+    violations = sorted((v for r in results for v in r.violations),
                         key=lambda v: v["realization"])
     if violations:
         raise InvariantViolationError(violations)
@@ -231,9 +266,8 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     staged = np.empty((n_eff, P, len(keys)))
     row = 0
     for r in results:
-        panel = r[3]
-        staged[row:row + panel.shape[0]] = panel
-        row += panel.shape[0]
+        staged[row:row + r.panel.shape[0]] = r.panel
+        row += r.panel.shape[0]
 
     mean, var, sem = {}, {}, {}
     for j, key in enumerate(keys):
@@ -249,7 +283,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         mean[key] = mcol
         var[key] = vcol
         sem[key] = np.sqrt(vcol / n_eff)
-    drift = max(r[7] for r in results)
+    drift = max(r.drift for r in results)
     return EnsembleStats(times, mean, var, sem, n_eff, drift, aborted, violations)
 
 

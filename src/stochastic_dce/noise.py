@@ -12,8 +12,10 @@ all be fed to the mode equations:
   are finite cosine sums, differentiated term by term and evaluated by
   phasor recurrence from exact anchors every 64 points of an evenly
   spaced time grid (Shinozuka & Deodatis, 1991);
-* the Ornstein-Uhlenbeck process is sampled exactly on a fine grid and
-  interpolated with a C^2 cubic B-spline.
+* the Ornstein-Uhlenbeck process is sampled exactly on a fine grid, by
+  one AR(1) filter over a block of rows, and interpolated with a C^2
+  cubic B-spline whose coefficients are stored knot-major and evaluated
+  step-major (one gathered knot row per tap and time).
 """
 
 from __future__ import annotations
@@ -206,13 +208,15 @@ def _mirror(idx: np.ndarray, n: int) -> np.ndarray:
 def bspline_evaluate(coeffs: np.ndarray, u: np.ndarray, order: int = 0) -> np.ndarray:
     """Evaluate the spline (or a derivative) at grid coordinates u.
 
-    coeffs has the grid on its last axis; u is in grid units.  Returns an
-    array broadcasting leading coeff axes against u.  Derivatives are per
-    grid unit (caller rescales by the grid step).
+    coeffs has the knots on its first axis, knot-major, so that a batch
+    is one column per row; u is in grid units.  Returns an array of
+    shape u.shape + coeffs.shape[1:], step-major: each tap gathers whole
+    knot rows.  Derivatives are per grid unit (caller rescales by the
+    grid step).
     """
     c = np.asarray(coeffs)
     u = np.asarray(u, dtype=float)
-    n = c.shape[-1]
+    n = c.shape[0]
     j = np.floor(u).astype(np.intp)
     j = np.clip(j, 0, n - 1)
     w = u - j
@@ -237,11 +241,15 @@ def bspline_evaluate(coeffs: np.ndarray, u: np.ndarray, order: int = 0) -> np.nd
         b = (1.0 - w, 3.0 * w - 2.0, 1.0 - 3.0 * w, w)
     else:
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    out = None
-    for tap, weight in enumerate(b):
-        idx = _mirror(j + tap - 1, n)
-        term = c[..., idx] * weight
-        out = term if out is None else out + term
+    # each tap is a gathered knot row times its weight, and the taps are
+    # summed in order 0..3, so every point rounds as it would alone
+    col = w.shape + (1,) * (c.ndim - 1)
+    out = c[_mirror(j - 1, n)]
+    out *= b[0].reshape(col)
+    for tap in (1, 2, 3):
+        term = c[_mirror(j + tap - 1, n)]
+        term *= b[tap].reshape(col)
+        out += term
     return out
 
 
@@ -256,8 +264,9 @@ class NoiseBatch:
     Spectral kinds: row b is xi_b(t) = sum_j a_j cos(nu_bj t + phi_bj),
     with the amplitudes a (n,) shared by every row and frequencies and
     phases of shape (B, n).  OU: row b is the cubic B-spline with
-    coefficients coeffs[b] on the knots t = k * grid_step.  Derivatives
-    are analytic in both cases.
+    coefficients coeffs[:, b] on the knots t = k * grid_step; coeffs is
+    knot-major, (n_knots, B), so that eval_batch gathers whole knot rows.
+    Derivatives are analytic in both cases.
     """
 
     horizon: float
@@ -268,8 +277,9 @@ class NoiseBatch:
     coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        rows = self.coeffs if self.coeffs is not None else self.phases
-        return rows.shape[0]
+        if self.coeffs is not None:
+            return self.coeffs.shape[1]
+        return self.phases.shape[0]
 
 
 def synthesize(spec: NoiseSpec, seed: int, horizon: float) -> NoiseBatch:
@@ -283,13 +293,14 @@ def _ou_grid(spec: NoiseSpec, horizon: float):
     return n_grid, horizon / (n_grid - 1)
 
 
-def _ou_samples(spec: NoiseSpec, seed: int, n_grid: int, step: float) -> np.ndarray:
+def _ou_drive(spec: NoiseSpec, seed: int, n_grid: int, a: float) -> np.ndarray:
+    """The AR(1) innovations of one seed; filtering by 1/(1 - a z^-1) gives
+    the exact OU samples on the grid."""
     rng = np.random.default_rng(np.uint64(seed))
     z = rng.standard_normal(n_grid)
-    a = math.exp(-step / spec.t_c)
     drive = spec.sigma * math.sqrt(1.0 - a * a) * z
     drive[0] = spec.sigma * z[0]  # stationary start
-    return lfilter([1.0], [1.0, -a], drive)
+    return drive
 
 
 def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
@@ -303,12 +314,15 @@ def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
     seeds = list(seeds)
     if spec.kind is NoiseKind.ORNSTEIN_UHLENBECK:
         n_grid, step = _ou_grid(spec, horizon)
-        coeffs = np.empty((len(seeds), n_grid))
+        a = math.exp(-step / spec.t_c)
+        coeffs = np.empty((n_grid, len(seeds)))
         row_block = 128  # bounds the transient sample memory
         for s in range(0, len(seeds), row_block):
-            rows = np.stack([_ou_samples(spec, sd, n_grid, step)
-                             for sd in seeds[s:s + row_block]])
-            coeffs[s:s + row_block] = bspline_coefficients(rows)
+            drives = np.stack([_ou_drive(spec, sd, n_grid, a)
+                               for sd in seeds[s:s + row_block]])
+            # one filter call per block; each row is filtered on its own
+            samples = lfilter([1.0], [1.0, -a], drives, axis=-1)
+            coeffs[:, s:s + row_block] = bspline_coefficients(samples).T
         return NoiseBatch(horizon, grid_step=step, coeffs=coeffs)
     if spec.kind is NoiseKind.DETERMINISTIC_SINUSOID:
         # xi(t) = sin(omega_drive t), independent of the seed
@@ -335,7 +349,9 @@ def eval_batch(batch: NoiseBatch, times, orders) -> dict[int, np.ndarray]:
     """Evaluate every row of the batch on one shared 1-d time grid.
 
     Returns {order: array (len(batch), len(times))} for each requested
-    derivative order (0, 1 or 2).  Times must lie in [0, horizon].  For
+    derivative order (0, 1 or 2).  Times must lie in [0, horizon].  OU
+    values are built step-major and returned as transposed views, so a
+    row is strided and a time is contiguous.  For
     the spectral kinds, evenly spaced times are the fast case; other
     times are evaluated one by one, with memory O(len(times)) per
     component.
@@ -349,7 +365,13 @@ def eval_batch(batch: NoiseBatch, times, orders) -> dict[int, np.ndarray]:
     if batch.coeffs is not None:
         step = batch.grid_step
         u = times / step
-        return {o: bspline_evaluate(batch.coeffs, u, o) / step**o for o in orders}
+        out = {}
+        for o in orders:
+            vals = bspline_evaluate(batch.coeffs, u, o)     # (n_t, B)
+            if o:
+                vals /= step**o
+            out[o] = vals.T
+        return out
     return _eval_spectral(batch, times, tuple(orders))
 
 

@@ -147,20 +147,17 @@ def msa_mean_q2(omega: float, epsilon: float, noise: NoiseSpec, t) -> np.ndarray
     return osc + 0.5 * np.exp(omega**2 * S2.real * e2 * t)
 
 
-def msa_stochastic_beta2(omega: float, epsilon: float, noise: NoiseSpec, t,
-                         omega_z: float | None = None) -> np.ndarray | float:
-    """<|beta|^2> = (e^{rate eps^2 t} - 1)/2 for one noisy mode.
+def msa_stochastic_beta2(omega: float, epsilon: float, noise: NoiseSpec,
+                         t) -> np.ndarray | float:
+    """<|beta|^2> = (e^{w^2 Re S(2w) eps^2 t} - 1)/2 for one noisy mode.
 
-    rate = w^2 Re S(2w) for the plain oscillator; passing omega_z selects
-    the cavity single-mode rate 4 w_z^4 / w^2 Re S(2w).
+    The law of the plain oscillator.  A cavity mode obeys it with the
+    effective eps -> 2 eps v_kk / w_k (CavityConfig.v_matrix), which gives
+    the rate 4 v_kk^2 Re S(2w) = 4 w_z^4 / w^2 Re S(2w).
     """
     _require_stochastic(noise, "msa_stochastic_beta2")
     t = np.asarray(t, dtype=float)
-    ReS = spectrum(noise, 2.0 * omega).real
-    if omega_z is None:
-        rate = omega**2 * ReS
-    else:
-        rate = 4.0 * omega_z**4 / omega**2 * ReS
+    rate = omega**2 * spectrum(noise, 2.0 * omega).real
     return 0.5 * (np.exp(rate * epsilon**2 * t) - 1.0)
 
 

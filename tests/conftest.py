@@ -5,12 +5,15 @@ criterion; the hook below prints them at the end of the run so the
 acceptance verdict is visible regardless of capture settings.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from stochastic_dce.dynamics import (Window, _windowed, decompose, initial_data, run_batch,
                                      step_grid)
-from stochastic_dce.noise import eval_batch
+from stochastic_dce.noise import _ou_grid, bspline_coefficients, eval_batch
 
 # criterion label -> (passed, detail); filled in by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
@@ -62,6 +65,57 @@ def rk4_every_step(system, noise, integrator, horizon, initial="vacuum"):
         Q, P = Q + dt / 6 * (P + 2 * (p2 + p3) + p4), P + dt / 6 * (k1 + 2 * (k2 + k3) + k4)
         out.append((Q, P))
     return np.array([q for q, _ in out]), np.array([p for _, p in out])
+
+
+def ou_eval_row_major(batch, times, orders):
+    """OU eval_batch the row-major way: every tap gathers a strip of each
+    row of the (B, n_knots) coefficients, and the four taps are summed in
+    order 0..3; the reference for eval_batch's step-major gather."""
+    c = batch.coeffs.T
+    step = batch.grid_step
+    u = np.asarray(times, dtype=float) / step
+    n = c.shape[-1]
+    j = np.clip(np.floor(u).astype(np.intp), 0, n - 1)
+    w = u - j
+    w2 = w * w
+    w3 = w2 * w
+    taps = {
+        0: ((1.0 - w) ** 3 / 6.0, (4.0 - 6.0 * w2 + 3.0 * w3) / 6.0,
+            (1.0 + 3.0 * (w + w2 - w3)) / 6.0, w3 / 6.0),
+        1: (-0.5 * (1.0 - w) ** 2, 0.5 * w * (3.0 * w - 4.0),
+            0.5 * (1.0 + 2.0 * w - 3.0 * w2), 0.5 * w2),
+        2: (1.0 - w, 3.0 * w - 2.0, 1.0 - 3.0 * w, w),
+    }
+    out = {}
+    for o in orders:
+        total = None
+        for tap, weight in enumerate(taps[o]):
+            idx = np.abs(j + tap - 1)
+            idx = np.where(idx >= n, 2 * (n - 1) - idx, idx)
+            term = c[:, idx] * weight
+            total = term if total is None else total + term
+        out[o] = total / step**o
+    return out
+
+
+def ou_coeffs_per_seed(spec, seeds, horizon):
+    """OU spline coefficients (n_knots, B), one lfilter call and one
+    spline fit per seed: the reference for synthesize_many's block filter."""
+    n_grid, step = _ou_grid(spec, horizon)
+    a = math.exp(-step / spec.t_c)
+    cols = []
+    for seed in seeds:
+        z = np.random.default_rng(np.uint64(seed)).standard_normal(n_grid)
+        drive = spec.sigma * math.sqrt(1.0 - a * a) * z
+        drive[0] = spec.sigma * z[0]
+        cols.append(bspline_coefficients(lfilter([1.0], [1.0, -a], drive)))
+    return np.stack(cols, axis=1)
+
+
+def cavity_epsilon(cavity):
+    """The eps under which the plain single-mode law describes the cavity's
+    first mode: 2 eps v_11 / w_1, with v_11 = w_z^2 / w_1 its self-coupling."""
+    return 2.0 * cavity.epsilon * cavity.v_matrix()[0, 0] / cavity.omegas()[0]
 
 
 def bogoliubov_at(res, noise, omegas, t_stop, rest_tol):

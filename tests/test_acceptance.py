@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bogoliubov_at, record_criterion, run_every_step
+from conftest import bogoliubov_at, cavity_epsilon, record_criterion, run_every_step
 from stochastic_dce.cavity import CavityConfig, ModeIndex
 from stochastic_dce.dynamics import (
     CavityModes,
@@ -296,8 +296,7 @@ def test_a7_coupled_modes(coupled_run):
     t = np.linspace(0.0, 2000.0, 9)
     coupled = solve_occupations(slow_flow_rates(cube, lone), cube,
                                 ModeIndex(1), t).beta2_total[1:]
-    single = msa_stochastic_beta2(w1, 0.02, lone, t[1:],
-                                  omega_z=float(cube.omega_zs()[0]))
+    single = msa_stochastic_beta2(w1, cavity_epsilon(cube), lone, t[1:])
     cross = np.max(np.abs(coupled / single - 1.0))
     cross_ok = cross <= 0.10
     detail = (f"{int(ok.sum())}/5 probes within max(4*stderr, 15%), worst "

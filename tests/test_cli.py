@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
+import stochastic_dce.ensemble as ens
 from stochastic_dce.cli import PREDICT_HEADER, SERIES_HEADER, main
 from stochastic_dce.config import load_config
-from stochastic_dce.dynamics import step_grid
+from stochastic_dce.dynamics import GeometryCollapseError, step_grid
 from stochastic_dce.ensemble import derive_seed
 from stochastic_dce.theory import msa_stochastic_beta2
 from stochastic_dce.noise import NoiseKind, NoiseSpec
@@ -51,8 +52,9 @@ def coupled_data():
 
 def assert_run_facts(summary, labels):
     # the step actually used, the chunk and worker layout, the invariant
-    # margin, recorded on a pass, and the time and throughput per system
-    for key in ("dt", "nsteps", "chunk_size", "chunks", "workers",
+    # margin, recorded on a pass, the aborts, and the time and throughput
+    # per system
+    for key in ("dt", "nsteps", "chunk_size", "chunks", "workers", "abort_count",
                 "max_wronskian_drift", "simulate_s", "realization_steps_per_s"):
         assert set(summary[key]) == set(labels)
     n = summary["config"]["ensemble"]["n_realizations"]
@@ -61,6 +63,7 @@ def assert_run_facts(summary, labels):
         assert isinstance(size, int) and size >= 1
         assert summary["chunks"][label] == math.ceil(n / size)
         assert summary["workers"][label] == summary["config"]["ensemble"]["workers"]
+        assert summary["abort_count"][label] == len(summary["aborted"][label])
         assert math.isfinite(summary["dt"][label]) and summary["dt"][label] > 0
         assert isinstance(summary["nsteps"][label], int)
         assert summary["nsteps"][label] * summary["dt"][label] == pytest.approx(
@@ -212,6 +215,61 @@ def test_simulate_seed_override(tmp_path):
                  "--seed", "42", "--workers", "1"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seeds"]["master_seed"] == 42
+
+
+def test_simulate_reports_chunk_size_used(tmp_path):
+    # N = 6 at workers 2 runs two chunks of 3, with the bytes of workers 1
+    data = single_mode_data()
+    data["ensemble"]["workers"] = 2
+    cfg = write_yaml(tmp_path, data)
+    two, one = tmp_path / "two", tmp_path / "one"
+    assert main(["simulate", "--config", cfg, "--out", str(two), "--quiet"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(one), "--quiet",
+                 "--workers", "1"]) == 0
+    summary = json.loads((two / "summary.json").read_text())
+    assert summary["chunk_size"] == {"1": 3} and summary["chunks"] == {"1": 2}
+    assert_run_facts(summary, ["1"])
+    assert (two / "series.csv").read_bytes() == (one / "series.csv").read_bytes()
+
+
+def test_simulate_logs_each_chunk_unless_quiet(tmp_path, caplog):
+    data = single_mode_data()
+    data["ensemble"]["workers"] = 2
+    cfg = write_yaml(tmp_path, data)
+    out = str(tmp_path / "out")
+    with caplog.at_level(logging.INFO, logger="sdce"):
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    lines = [r.getMessage() for r in caplog.records if ": chunk " in r.getMessage()]
+    assert len(lines) == 2
+    for i, line in enumerate(lines, start=1):
+        assert line.startswith("PlainOscillator(omega=1, epsilon=0.05): "
+                               f"chunk {i}/2, 3 rows, ")
+        assert line.endswith(" s")
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="sdce"):
+        assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert not any(": chunk " in r.getMessage() for r in caplog.records)
+
+
+def test_simulate_counts_aborts(tmp_path, monkeypatch):
+    real_run_batch = ens.run_batch
+    state = {"failed": False}
+
+    def collapses_once(system, noise, *args):
+        if not state["failed"]:
+            state["failed"] = True
+            raise GeometryCollapseError([4])
+        return real_run_batch(system, noise, *args)
+
+    monkeypatch.setattr(ens, "run_batch", collapses_once)
+    data = single_mode_data()
+    data["ensemble"]["n_realizations"] = 100    # one abort is within the 1%
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_yaml(tmp_path, data),
+                 "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] == {"1": [4]} and summary["abort_count"] == {"1": 1}
+    assert summary["n_effective"] == {"1": 99}
 
 
 def test_predict_matches_closed_form(tmp_path):

@@ -108,15 +108,36 @@ def test_mean_matches_manual_reduction():
     assert stats.aborted == []
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    monkeypatch.setattr(ens, "CHUNK_SIZE", 16)
+def test_worker_count_does_not_change_results():
+    # at the default CHUNK_SIZE, workers 2 splits 64 rows into two chunks
+    # run in a pool; workers 1 runs them as one
     cfg1 = small_cfg(64, workers=1, horizon=6.0)
-    cfg3 = small_cfg(64, workers=3, horizon=6.0)
-    s1 = run_ensemble(SYS, BAND, integ(6.0), cfg1)
-    s3 = run_ensemble(SYS, BAND, integ(6.0), cfg3)
-    for key in s1.keys():
-        np.testing.assert_array_equal(s1.mean[key], s3.mean[key])
-        np.testing.assert_array_equal(s1.standard_error[key], s3.standard_error[key])
+    cfg2 = small_cfg(64, workers=2, horizon=6.0)
+    assert ens.chunk_layout(cfg1) == ([(0, 64)], 1)
+    assert ens.chunk_layout(cfg2) == ([(0, 32), (32, 64)], 2)
+    ou = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
+    for noise in (ou, BAND):
+        s1 = run_ensemble(SYS, noise, integ(6.0), cfg1)
+        s2 = run_ensemble(SYS, noise, integ(6.0), cfg2)
+        for key in s1.keys():
+            np.testing.assert_array_equal(s1.mean[key], s2.mean[key])
+            np.testing.assert_array_equal(s1.variance[key], s2.variance[key])
+        assert s1.max_wronskian_drift == s2.max_wronskian_drift
+
+
+def test_pool_has_one_process_per_chunk_at_most(monkeypatch):
+    sizes = []
+
+    class Recording(ens.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ens, "ProcessPoolExecutor", Recording)
+    cfg = small_cfg(2, workers=3, horizon=6.0)
+    assert ens.chunk_layout(cfg) == ([(0, 1), (1, 2)], 3)
+    stats = run_ensemble(SYS, BAND, integ(6.0), cfg)
+    assert sizes == [2] and stats.n_effective == 2
 
 
 @pytest.mark.parametrize("coupled", [False, True])

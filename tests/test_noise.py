@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ou_coeffs_per_seed, ou_eval_row_major
 from stochastic_dce.dynamics import BLOCK_STEPS
 from stochastic_dce.noise import (
     NoiseConfigError,
@@ -355,12 +356,39 @@ def test_synthesize_many_matches_synthesize():
         for i in (0, 1, 5, 127, 128, 200, 299):
             single = synthesize(spec, seeds[i], 10.0)
             if spec is OU:
-                np.testing.assert_array_equal(many.coeffs[i], single.coeffs[0])
+                np.testing.assert_array_equal(many.coeffs[:, i], single.coeffs[:, 0])
             else:
                 np.testing.assert_array_equal(many.frequencies[i],
                                               single.frequencies[0])
                 np.testing.assert_array_equal(many.phases[i], single.phases[0])
             np.testing.assert_array_equal(out[i], ev(single, t, 0))
+
+
+def test_ou_coeffs_match_per_seed_filter():
+    # one AR(1) filter call per 128-row block gives each seed's own bits
+    seeds = list(range(3, 303))
+    np.testing.assert_array_equal(synthesize_many(OU, seeds, 10.0).coeffs,
+                                  ou_coeffs_per_seed(OU, seeds, 10.0))
+
+
+@pytest.mark.parametrize("width", [1, 3, 128, 129])
+def test_ou_eval_matches_row_major_gather(width, rng):
+    # step-major evaluation of knot-major coefficients is bitwise the
+    # row-major gather, at t = 0, at the knots, at t = horizon and between
+    horizon = 10.0
+    batch = synthesize_many(OU, range(40, 40 + width), horizon)
+    knots = np.append(np.arange(batch.coeffs.shape[0] - 1) * batch.grid_step, horizon)
+    grids = [np.linspace(0.0, horizon, 4097), knots,
+             np.concatenate([[0.0], np.sort(rng.uniform(0.0, horizon, 500)), [horizon]])]
+    alone = synthesize(OU, 40 + width // 2, horizon)
+    for t in grids:
+        assert t[0] == 0.0 and t[-1] == horizon
+        for b in (batch, alone):
+            got = eval_batch(b, t, (0, 1, 2))
+            ref = ou_eval_row_major(b, t, (0, 1, 2))
+            for o in (0, 1, 2):
+                assert got[o].shape == (len(b), t.size)
+                np.testing.assert_array_equal(got[o], ref[o])
 
 
 def test_eval_batch_matches_individual_eval(rng):

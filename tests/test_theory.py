@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from scipy.integrate import solve_ivp
 
+from conftest import cavity_epsilon
 from stochastic_dce.cavity import CavityConfig, ModeIndex
 from stochastic_dce.noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 from stochastic_dce.theory import (
@@ -196,9 +197,8 @@ def test_msa_matches_perturbative_slope():
     # holds for any diagonal coupling since v_kk = w_z^2 / w
     cav = CavityConfig(Lx=2.0, Ly=3.0, Lz0=1.0, epsilon=0.04, nz_max=1)
     w = float(cav.omegas()[0])
-    wz = float(cav.omega_zs()[0])
     t = 1e-9
-    msa = msa_stochastic_beta2(w, cav.epsilon, OU, t, omega_z=wz)
+    msa = msa_stochastic_beta2(w, cavity_epsilon(cav), OU, t)
     with pytest.warns(UserWarning):  # T is deliberately tiny here
         pert = perturbative_beta2(cav, OU, ModeIndex(1), ModeIndex(1), t)
     assert msa == pytest.approx(float(pert), rel=1e-9)
@@ -254,10 +254,9 @@ def test_solve_occupations_initial_identity():
 def test_solve_occupations_single_mode_matches_msa():
     cav = CavityConfig(Lx=2.0, Ly=3.0, Lz0=1.0, epsilon=0.04, nz_max=1)
     w = float(cav.omegas()[0])
-    wz = float(cav.omega_zs()[0])
     t = np.linspace(0.0, 400.0, 9)
     sol = solve_occupations(slow_flow_rates(cav, OU), cav, ModeIndex(1), t)
-    expected = msa_stochastic_beta2(w, cav.epsilon, OU, t, omega_z=wz)
+    expected = msa_stochastic_beta2(w, cavity_epsilon(cav), OU, t)
     np.testing.assert_allclose(sol.beta2_total, expected, rtol=1e-8, atol=1e-12)
 
 
