@@ -25,7 +25,6 @@ from .ensemble import (
     EnsembleConfig,
     InvariantViolationError,
     TooManyAbortsError,
-    chunk_layout,
     derive_seed,
     run_ensemble,
 )
@@ -47,6 +46,10 @@ from .theory import (
 log = logging.getLogger("sdce")
 
 SERIES_HEADER = ["t", "quantity", "mode", "mean", "stderr"]
+# what summary.json reports per system, from the ensemble's record
+RECORD_KEYS = ("n_effective", "aborted", "abort_count", "dt", "nsteps",
+               "chunk_size", "chunks", "workers", "max_wronskian_drift",
+               "simulate_s", "realization_steps_per_s")
 PREDICT_HEADER = ["t", "quantity", "mode", "value"]
 
 
@@ -67,7 +70,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     changed = {}
     if args.seed is not None:
         changed["master_seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         changed["workers"] = args.workers
     if changed:
         cfg = dataclasses.replace(
@@ -114,20 +117,14 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         "scenario": cfg.scenario.value,
         "config": cfg.raw,
         "seeds": seed_info,
-        "n_effective": {},
-        "aborted": {},
-        "abort_count": {},
-        "dt": {},
-        "nsteps": {},
-        "chunk_size": {},
-        "chunks": {},
-        "workers": {},
-        "max_wronskian_drift": {},
-        "simulate_s": {},
-        "realization_steps_per_s": {},
+        **{key: {} for key in RECORD_KEYS},
         "violations": [],
     }
-    nsteps, dt, _ = step_grid(cfg.ensemble.horizon, cfg.integrator)
+
+    def report(label, record):
+        for key in RECORD_KEYS:
+            summary[key][str(label)] = record[key]
+
     started = time.time()
     code = 0
     try:
@@ -136,27 +133,17 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             ens = dataclasses.replace(cfg.ensemble, master_seed=sub)
             log.info("simulating system %d/%d (%d realizations)",
                      label, len(systems), ens.n_realizations)
-            summary["dt"][str(label)] = dt
-            summary["nsteps"][str(label)] = nsteps
-            chunks, workers = chunk_layout(ens)
-            summary["chunk_size"][str(label)] = chunks[0][1] - chunks[0][0]
-            summary["chunks"][str(label)] = len(chunks)
-            summary["workers"][str(label)] = workers
-            t0 = time.perf_counter()
-            stats = run_ensemble(system, cfg.noise, cfg.integrator, ens)
-            seconds = time.perf_counter() - t0
             seed_info["per_system"][str(label)] = {
                 "sub_master": sub,
                 "realization_seeds": [derive_seed(sub, i)
                                       for i in range(ens.n_realizations)],
             }
-            summary["n_effective"][str(label)] = stats.n_effective
-            summary["aborted"][str(label)] = stats.aborted
-            summary["abort_count"][str(label)] = len(stats.aborted)
-            summary["max_wronskian_drift"][str(label)] = stats.max_wronskian_drift
-            summary["simulate_s"][str(label)] = seconds
-            summary["realization_steps_per_s"][str(label)] = (
-                stats.n_effective * nsteps / seconds)
+            try:
+                stats = run_ensemble(system, cfg.noise, cfg.integrator, ens)
+            except (InvariantViolationError, TooManyAbortsError) as err:
+                report(label, err.record)
+                raise
+            report(label, stats.record)
             rows.extend(_series_rows(cfg, label, system, stats))
     except InvariantViolationError as err:
         summary["violations"] = err.entries

@@ -31,14 +31,6 @@ class Scenario(enum.Enum):
     COSMOLOGY = "cosmology"
 
 
-_NOISE_KINDS = {
-    "ornstein_uhlenbeck": NoiseKind.ORNSTEIN_UHLENBECK,
-    "band_limited": NoiseKind.BAND_LIMITED,
-    "spectral_lines": NoiseKind.SPECTRAL_LINES,
-    "deterministic_sinusoid": NoiseKind.DETERMINISTIC_SINUSOID,
-}
-
-
 @dataclass(frozen=True)
 class CompareTolerance:
     k_sigma: float = 4.0
@@ -200,11 +192,13 @@ def _max_frequency(scenario, omega, mass, k_grid, cavity):
 
 def _parse_noise(sec) -> NoiseSpec:
     kind_name = _take(sec, "noise", "kind", str)
-    if kind_name not in _NOISE_KINDS:
+    try:
+        kind = NoiseKind(kind_name)
+    except ValueError:
         raise ConfigError(
-            f"noise.kind must be one of {sorted(_NOISE_KINDS)}, got {kind_name!r}"
+            f"noise.kind must be one of {sorted(k.value for k in NoiseKind)}, "
+            f"got {kind_name!r}"
         )
-    kind = _NOISE_KINDS[kind_name]
     kwargs = {}
     if kind is NoiseKind.DETERMINISTIC_SINUSOID:
         kwargs["omega_drive"] = _take(sec, "noise", "omega_drive_rad_per_time",

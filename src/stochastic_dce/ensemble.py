@@ -2,21 +2,24 @@
 
 Realizations are processed in chunks sized from the ensemble and the
 worker count, so that every worker gets one; each chunk owns its noise
-synthesis and integration and deposits per-realization values into a
-staging buffer indexed by realization.  A row integrates to the same
-bits in any chunk and the final reduction is an index-ordered
-compensated sum, so the output is identical for any chunk and worker
-layout.
+synthesis and integration and returns its per-realization values, and
+the chunks' panels are joined in realization order.  A row integrates
+to the same bits in any chunk and the final reduction is an exactly
+rounded sum, so the output is identical for any chunk and worker
+layout.  Every run also reports what it ran (step, layout, aborts,
+drift, time) in one record, which a failed run's error carries too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +29,7 @@ from .dynamics import (
     IntegratorConfig,
     decompose,
     run_batch,
+    step_grid,
     wronskian,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
 from .noise import NoiseSpec, synthesize_many
@@ -71,8 +75,9 @@ def derive_seed(master_seed: int, index: int) -> int:
 class InvariantViolationError(RuntimeError):
     """A realization violated a conserved-quantity bound."""
 
-    def __init__(self, entries):
+    def __init__(self, entries, record):
         self.entries = list(entries)   # dicts: realization, kind, value, time
+        self.record = record           # the run's facts, as EnsembleStats.record
         first = self.entries[0]
         value = "non-finite" if first["value"] is None else f"{first['value']:.3e}"
         super().__init__(
@@ -84,6 +89,10 @@ class InvariantViolationError(RuntimeError):
 
 class TooManyAbortsError(RuntimeError):
     """More than the tolerated fraction of realizations collapsed."""
+
+    def __init__(self, message, record):
+        super().__init__(message)
+        self.record = record           # the run's facts, as EnsembleStats.record
 
 
 @dataclass(frozen=True)
@@ -113,6 +122,11 @@ class EnsembleStats:
 
     Arrays are keyed by (quantity, mode); mode 0 marks quantities that
     are not per-mode.  standard_error is NaN when n_effective == 1.
+    record holds what the run did, one entry per summary.json key:
+    n_effective, aborted, abort_count, dt, nsteps, chunk_size, chunks,
+    workers, max_wronskian_drift (None if not finite), simulate_s (the
+    run's wall time up to the reduction) and realization_steps_per_s
+    (kept realizations x nsteps / simulate_s).
     """
 
     times: np.ndarray
@@ -121,8 +135,8 @@ class EnsembleStats:
     standard_error: dict
     n_effective: int
     max_wronskian_drift: float  # largest symplectic defect seen (BatchResult.defect)
-    aborted: list = field(default_factory=list)
-    violation_log: list = field(default_factory=list)
+    aborted: list               # realization indices left out as collapsed
+    record: dict
 
     def keys(self):
         return list(self.mean.keys())
@@ -162,11 +176,10 @@ def _check_invariants(res):
 
 
 class _Chunk(NamedTuple):
-    """One chunk's staged results."""
+    """One chunk's results."""
 
-    kept: list                  # realization indices of the panel's rows
     keys: list
-    panel: np.ndarray           # (rows, probes, quantities)
+    panel: np.ndarray           # (kept rows in realization order, probes, quantities)
     times: np.ndarray
     violations: list
     aborted: list
@@ -175,7 +188,7 @@ class _Chunk(NamedTuple):
 
 
 def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
-    """Integrate realizations [start, stop); returns staged results."""
+    """Integrate realizations [start, stop); returns its results."""
     t0 = time.perf_counter()
     idx = list(range(start, stop))
     seeds = [derive_seed(ensemble.master_seed, i) for i in idx]
@@ -195,8 +208,8 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     for entry in violations:
         # batch rows skip aborted members; map back to indices
         entry["realization"] = idx[keep[entry["realization"]]]
-    return _Chunk([idx[i] for i in keep], keys, panel, res.times, violations,
-                  aborted, drift, time.perf_counter() - t0)
+    return _Chunk(keys, panel, res.times, violations, aborted, drift,
+                  time.perf_counter() - t0)
 
 
 def chunk_layout(ensemble: EnsembleConfig):
@@ -214,61 +227,58 @@ def chunk_layout(ensemble: EnsembleConfig):
     return [(s, min(N, s + size)) for s in range(0, N, size)], workers
 
 
-def _finished(system, chunk: _Chunk, i: int, n_chunks: int) -> _Chunk:
-    """Log one finished chunk: the progress line of a long run."""
-    log.info("%r: chunk %d/%d, %d rows, %.2f s", system, i + 1, n_chunks,
-             len(chunk.kept) + len(chunk.aborted), chunk.seconds)
-    return chunk
-
-
 def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
                  ensemble: EnsembleConfig) -> EnsembleStats:
     """Run the full ensemble and aggregate statistics.
 
     Bit-identical output for any chunk and worker layout: a row rounds
-    the same in any chunk, and the reduction folds the staging buffer in
-    realization order.  Invariant violations raise; collapsed
-    realizations are excluded (failing the run if they exceed 1% of the
-    ensemble).
+    the same in any chunk, and the reduction sums each column exactly
+    rounded.  Invariant violations raise; collapsed realizations are
+    excluded (failing the run if they exceed 1% of the ensemble).  The
+    stats' record, or the raised error's, says what the run did.
     """
+    t0 = time.perf_counter()
     N = ensemble.n_realizations
     chunks, workers = chunk_layout(ensemble)
+    nsteps, dt, _ = step_grid(ensemble.horizon, integrator)
     n = len(chunks)
-    if workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            futures = [
-                pool.submit(_run_chunk, system, noise_spec, integrator,
-                            ensemble, s, e)
-                for s, e in chunks
-            ]
-            results = [_finished(system, f.result(), i, n)
-                       for i, f in enumerate(futures)]
-    else:
-        results = [_finished(system, _run_chunk(system, noise_spec, integrator,
-                                                ensemble, s, e), i, n)
-                   for i, (s, e) in enumerate(chunks)]
+    # _run_chunk is looked up per call, so a wrapper patched over it is
+    # what the pool workers run
+    run = functools.partial(_run_chunk, system, noise_spec, integrator, ensemble)
+    pooled = workers > 1 and n > 1
+    with (ProcessPoolExecutor(max_workers=min(workers, n)) if pooled
+          else contextlib.nullcontext()) as pool:
+        results = []
+        for i, r in enumerate((pool.map if pool else map)(run, *zip(*chunks))):
+            # the progress line of a long run
+            log.info("%r: chunk %d/%d, %d rows, %.2f s", system, i + 1, n,
+                     r.panel.shape[0] + len(r.aborted), r.seconds)
+            results.append(r)
 
-    keys = results[0].keys
-    times = results[0].times
     aborted = sorted(a for r in results for a in r.aborted)
+    n_eff = N - len(aborted)
+    drift = float(np.max([r.drift for r in results]))   # NaN from any chunk
+    seconds = time.perf_counter() - t0
+    record = {
+        "n_effective": n_eff, "aborted": aborted, "abort_count": len(aborted),
+        "dt": dt, "nsteps": nsteps,
+        "chunk_size": chunks[0][1] - chunks[0][0], "chunks": n, "workers": workers,
+        "max_wronskian_drift": drift if math.isfinite(drift) else None,
+        "simulate_s": seconds, "realization_steps_per_s": n_eff * nsteps / seconds,
+    }
     violations = sorted((v for r in results for v in r.violations),
                         key=lambda v: v["realization"])
     if violations:
-        raise InvariantViolationError(violations)
+        raise InvariantViolationError(violations, record)
     if len(aborted) > MAX_ABORT_FRACTION * N:
         raise TooManyAbortsError(
             f"{len(aborted)}/{N} realizations collapsed (> "
-            f"{100 * MAX_ABORT_FRACTION:.0f}% tolerated)"
-        )
+            f"{100 * MAX_ABORT_FRACTION:.0f}% tolerated)", record)
 
-    n_eff = N - len(aborted)
+    keys = results[0].keys
+    times = results[0].times
+    staged = np.concatenate([r.panel for r in results])   # (n_eff, probes, keys)
     P = times.size
-    staged = np.empty((n_eff, P, len(keys)))
-    row = 0
-    for r in results:
-        staged[row:row + r.panel.shape[0]] = r.panel
-        row += r.panel.shape[0]
-
     mean, var, sem = {}, {}, {}
     for j, key in enumerate(keys):
         mcol = np.empty(P)
@@ -283,8 +293,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         mean[key] = mcol
         var[key] = vcol
         sem[key] = np.sqrt(vcol / n_eff)
-    drift = max(r.drift for r in results)
-    return EnsembleStats(times, mean, var, sem, n_eff, drift, aborted, violations)
+    return EnsembleStats(times, mean, var, sem, n_eff, drift, aborted, record)
 
 
 @dataclass(frozen=True)

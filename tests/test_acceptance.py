@@ -308,11 +308,10 @@ def test_a7_coupled_modes(coupled_run):
 
 def test_a8_invariants(growth_run, mean_field_run, coupled_run):
     # every completed ensemble already enforced the per-realization bounds
-    # (a violation raises); double-check the logs and measure the actual
-    # drifts on fresh sub-batches
-    logs_clean = (growth_run.violation_log == []
-                  and mean_field_run["stats"].violation_log == []
-                  and coupled_run[3].violation_log == [])
+    # (a violation raises); check the largest drift each full ensemble
+    # recorded, and measure the actual drifts on fresh sub-batches
+    ensembles_clean = all(stats.max_wronskian_drift <= 1e-8 for stats in
+                          (growth_run, mean_field_run["stats"], coupled_run[3]))
 
     reals = synthesize_many(OU_HALF, range(50), 2000.0)
     icfg = IntegratorConfig(dt=suggest_dt(W, 2000.0))
@@ -341,7 +340,7 @@ def test_a8_invariants(growth_run, mean_field_run, coupled_run):
     ratio = errs[0] / errs[1]
     ratio_ok = 12.0 <= ratio <= 20.0
 
-    ok = logs_clean and drift < 1e-8 and sum_rule < 1e-6 and ratio_ok
+    ok = ensembles_clean and drift < 1e-8 and sum_rule < 1e-6 and ratio_ok
     detail = (f"all ensembles clean; max Wronskian drift {drift:.1e} (<1e-8), "
               f"max sum-rule error {sum_rule:.1e} (<1e-6), step-halving "
               f"ratio {ratio:.1f} in [12, 20]")

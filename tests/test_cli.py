@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import stochastic_dce.ensemble as ens
-from stochastic_dce.cli import PREDICT_HEADER, SERIES_HEADER, main
+from stochastic_dce.cli import PREDICT_HEADER, RECORD_KEYS, SERIES_HEADER, main
 from stochastic_dce.config import load_config
 from stochastic_dce.dynamics import GeometryCollapseError, step_grid
 from stochastic_dce.ensemble import derive_seed
@@ -54,8 +54,7 @@ def assert_run_facts(summary, labels):
     # the step actually used, the chunk and worker layout, the invariant
     # margin, recorded on a pass, the aborts, and the time and throughput
     # per system
-    for key in ("dt", "nsteps", "chunk_size", "chunks", "workers", "abort_count",
-                "max_wronskian_drift", "simulate_s", "realization_steps_per_s"):
+    for key in RECORD_KEYS:
         assert set(summary[key]) == set(labels)
     n = summary["config"]["ensemble"]["n_realizations"]
     for label in labels:
@@ -270,6 +269,60 @@ def test_simulate_counts_aborts(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["aborted"] == {"1": [4]} and summary["abort_count"] == {"1": 1}
     assert summary["n_effective"] == {"1": 99}
+
+
+def test_failed_run_reports_its_aborts(tmp_path):
+    # a wall driven through zero: every row of the exact path collapses
+    data = {
+        "scenario": {"kind": "coupled_stochastic"},
+        "noise": {"kind": "band_limited", "sigma": 3.0,
+                  "nu_min_rad_per_time": 9.0, "nu_max_rad_per_time": 10.0,
+                  "n_components": 2},
+        "cavity": {"Lx_length": 1e6, "Ly_length": 1e6, "Lz0_length": 1.0,
+                   "epsilon": 0.5, "nz_max": 1},
+        "integrator": {"path": "exact", "dt_time": 0.02},
+        "ensemble": {"n_realizations": 8, "horizon_time": 30.0,
+                     "probes_time": [15.0, 30.0], "workers": 1},
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_yaml(tmp_path, data),
+                 "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] == {"1": list(range(8))}
+    assert summary["abort_count"] == {"1": 8}
+    assert summary["n_effective"] == {"1": 0}
+    assert summary["dt"] == {"1": 0.02} and summary["nsteps"] == {"1": 1500}
+    assert summary["chunks"] == {"1": 1}
+    assert summary["violations"][0]["kind"] == "abort_fraction"
+    assert not (out / "series.csv").exists()
+
+
+def test_failed_run_writes_non_finite_drift_as_null(tmp_path, monkeypatch):
+    real_run_batch = ens.run_batch
+
+    def bad_defect(*args):
+        res = real_run_batch(*args)
+        res.defect[0, -1] = 1e-3
+        res.defect[1, 0] = math.nan
+        return res
+
+    monkeypatch.setattr(ens, "run_batch", bad_defect)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_yaml(tmp_path, single_mode_data()),
+                 "--out", str(out), "--quiet"]) == 1
+
+    def refuse(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["violations"] == [
+        {"realization": 0, "kind": "wronskian", "value": 1e-3,
+         "time": pytest.approx(6.0)},
+        {"realization": 1, "kind": "wronskian", "value": None,
+         "time": pytest.approx(3.0)},
+    ]
+    assert summary["max_wronskian_drift"] == {"1": None}
+    assert summary["n_effective"] == {"1": 6} and summary["chunks"] == {"1": 1}
 
 
 def test_predict_matches_closed_form(tmp_path):

@@ -257,6 +257,8 @@ def test_invariant_violation_raises(monkeypatch):
     assert entry["kind"] == "wronskian"
     assert 0 <= entry["realization"] < 4
     assert entry["value"] > 1e-30
+    assert err.value.record["n_effective"] == 4
+    assert err.value.record["max_wronskian_drift"] > 1e-30
 
 
 def test_nan_drift_is_a_violation():
