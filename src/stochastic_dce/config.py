@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .cavity import CavityConfig
-from .dynamics import CavityModes, IntegratorConfig, PlainOscillator, initial_data, suggest_dt
+from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, check_integrable,
+                       initial_data, step_grid, suggest_dt)
 from .ensemble import EnsembleConfig
 from .noise import NoiseKind, NoiseSpec
 
@@ -174,9 +175,11 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"scenario.epsilon must be in [0, 1), got {epsilon}")
         cfg = RunConfig(scenario, noise, integ, ens, cavity, omega, epsilon,
                         mass, k_grid, comp, data)
+        step = step_grid(ens.horizon, integ)[1]
         for _, system in cfg.systems():
-            # building systems and initial data checks cross-section consistency
+            # systems, initial data and the integrator check consistency
             initial_data(system, ens.initial, ens.in_mode)
+            check_integrable(system, step, noise.kind is NoiseKind.ORNSTEIN_UHLENBECK)
     except ValueError as err:
         raise ConfigError(str(err))
     return cfg

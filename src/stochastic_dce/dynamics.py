@@ -20,7 +20,8 @@ sum, so a row rounds the same at any batch width.
 
 Noise values for all substeps are produced in fixed blocks of 2048
 steps and the step matrices in fixed blocks of 64; neither length
-depends on the batch width, so neither do the bits of a row.
+depends on the batch width, so neither do the bits of a row.  A row
+whose wall reaches the far mirror (exact path) is masked, not raised.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
     "CavityModes",
     "StepResolutionError",
     "DerivativeOrderError",
-    "GeometryCollapseError",
+    "check_integrable",
     "step_grid",
     "initial_data",
     "run_batch",
@@ -64,14 +65,6 @@ class StepResolutionError(ValueError):
 
 class DerivativeOrderError(ValueError):
     """Noise kind cannot supply the smooth derivatives a coupled run needs."""
-
-
-class GeometryCollapseError(RuntimeError):
-    """1 + eps*xi(t) <= 0 on the exact path: the moving wall crossed z=0."""
-
-    def __init__(self, batch_indices):
-        self.batch_indices = list(batch_indices)
-        super().__init__(f"cavity length collapsed for realizations {self.batch_indices}")
 
 
 @dataclass(frozen=True)
@@ -256,13 +249,14 @@ class CavityModes:
             lam = lam / (1.0 + self.epsilon * x0)
         return P - lam * _mix(self.gmat, Q)
 
+    def collapsed(self, x0):
+        """Rows of x0 (batch, times) with 1 + eps*xi <= 1e-12; None if linearized."""
+        return (np.any(1.0 + self.epsilon * x0 <= 1e-12, axis=1)
+                if self.path == "exact" else None)
+
     def _accel_exact(self, Q, P, x0, x1, x2):
         eps = self.epsilon
         ell = 1.0 + eps * x0
-        collapsed = ell <= 1e-12
-        if np.any(collapsed):
-            rows = collapsed.reshape(-1, collapsed.shape[-1]).any(axis=0)
-            raise GeometryCollapseError(np.flatnonzero(rows))
         lam = eps * x1 / ell
         lam_dot = eps * x2 / ell - lam**2
         nz = _per_mode(np.arange(1, self.n_modes + 1), Q.ndim)
@@ -298,7 +292,7 @@ def initial_data(system, initial: str = "vacuum", in_mode: int = 1):
 
 @dataclass
 class BatchResult:
-    """The run's solution at the probes, and the largest entry of its
+    """The run's solution at the probes, the largest entry of its
     propagator's symplectic defect (_symplectic_defect) per row and probe."""
 
     times: np.ndarray           # (n_probes,) actual grid-aligned probe times
@@ -306,6 +300,7 @@ class BatchResult:
     P: np.ndarray               # Q'
     Pi: np.ndarray              # canonical momentum; P itself for one mode
     defect: np.ndarray          # (batch, n_probes)
+    collapsed: np.ndarray       # (batch,) bool; such a row's outputs are NaN
 
 
 def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
@@ -423,6 +418,16 @@ def _symplectic_defect(Psi, T0, omegas):
     return weight * np.abs(form(Psi) - form(T0))
 
 
+def check_integrable(system, step: float, spline_noise: bool):
+    """Refuse step_grid's step if step * omega_max > 0.1, and spline (OU)
+    noise, which has no smooth xi' and xi'', for a system that needs them."""
+    if (wdt := step * float(np.max(system.omegas))) > 0.1 + 1e-12:
+        raise StepResolutionError(f"dt*omega_max = {wdt:.3g} > 0.1; refine the step")
+    if spline_noise and max(system.noise_orders) > 0:
+        raise DerivativeOrderError("coupled runs need smooth xi', xi''; "
+                                   "use a spectral-synthesis noise kind")
+
+
 def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: float,
               probe_times, initial: str = "vacuum", in_mode: int = 1) -> BatchResult:
     """Integrate every realization of a noise batch, snapshotting at the probes.
@@ -430,21 +435,14 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     The state is the propagator Phi of (Q, Q'), started at the identity,
     and the run's solution is Phi y0, y0 = initial_data(system, initial,
     in_mode).  Probe times are rounded to the step grid; the returned
-    times are the grid-aligned values actually used.  Spline (OU) noise
-    has no smooth derivatives, so it is refused for systems that need them.
+    times are the grid-aligned values actually used.  check_integrable's
+    refusals raise.  A row the system's collapsed(x0) finds in a noise
+    block runs on with zero noise and comes back masked (BatchResult.collapsed).
     """
     y0 = initial_data(system, initial, in_mode)
     nsteps, dt, probe_idx = step_grid(horizon, integrator, probe_times)
-    omega_max = float(np.max(system.omegas))
-    if dt * omega_max > 0.1 + 1e-12:
-        raise StepResolutionError(
-            f"dt*omega_max = {dt * omega_max:.3g} > 0.1; refine the step"
-        )
+    check_integrable(system, dt, noise.coeffs is not None)
     orders = system.noise_orders
-    if max(orders) > 0 and noise.coeffs is not None:
-        raise DerivativeOrderError(
-            "coupled runs need smooth xi', xi''; use a spectral-synthesis noise kind"
-        )
     batch = len(noise)
     m = system.n_modes
     Phi = np.repeat(np.eye(2 * m)[:, :, None], batch, axis=2)      # (2m, 2m, batch)
@@ -468,12 +466,18 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
     need = tuple(sorted(set(orders) | ({0} if win else set())))
+    collapsed = getattr(system, "collapsed", lambda x0: None)   # only CavityModes has one
+    dead = np.zeros(batch, dtype=bool)
     half = 0.5 * dt
     for start in range(0, nsteps, BLOCK_STEPS):
         stop = min(nsteps, start + BLOCK_STEPS)
         t_half = half * np.arange(2 * start, 2 * stop + 1)
         # (batch, half-steps) per noise order, None where not needed
         x = _windowed(eval_batch(noise, t_half, need), win, t_half, orders)
+        if (hit := collapsed(x[0])) is not None:
+            dead |= hit
+            for v in x:     # the exact path has all three orders
+                v[dead] = 0.0
         if start == 0:
             record(0, Phi, x, start)
         for lo in range(start, stop, MAP_STEPS):
@@ -492,9 +496,10 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         y = sum(rows[:, c, 1:] * y0[c] for c in np.flatnonzero(y0))
         return np.ascontiguousarray(y.transpose(2, 1, 0))       # (batch, n_probes, k)
 
+    Phis[..., dead] = Psis[..., dead] = np.nan      # a collapsed row's outputs
     defect = _symplectic_defect(Psis[:, :, 1:], Psis[:, :, :1], system.omegas)
     return BatchResult(probe_idx * dt, solution(Phis[:m]), solution(Phis[m:]),
-                       solution(Psis[m:]), np.max(defect, axis=(0, 1)).T)
+                       solution(Psis[m:]), np.max(defect, axis=(0, 1)).T, dead)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Realizations are processed in chunks sized from the ensemble and the
 worker count, so that every worker gets one; each chunk owns its noise
 synthesis and integration and returns its per-realization values, and
-the chunks' panels are joined in realization order.  A row integrates
-to the same bits in any chunk and the final reduction is an exactly
-rounded sum, so the output is identical for any chunk and worker
-layout.  Every run also reports what it ran (step, layout, aborts,
+the chunks' panels are joined in realization order, less the rows
+run_batch masks as collapsed, which are reported as aborted.  A row
+integrates to the same bits in any chunk and the final reduction is an
+exactly rounded sum, so the output is identical for any chunk and
+worker layout.  Every run also reports what it ran (step, layout, aborts,
 drift, time) in one record, which a failed run's error carries too.
 """
 
@@ -25,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    GeometryCollapseError,
     IntegratorConfig,
     decompose,
     run_batch,
@@ -134,19 +134,18 @@ class EnsembleStats:
     variance: dict
     standard_error: dict
     n_effective: int
-    max_wronskian_drift: float  # largest symplectic defect seen (BatchResult.defect)
-    aborted: list               # realization indices left out as collapsed
     record: dict
 
     def keys(self):
         return list(self.mean.keys())
 
 
-def _quantity_panel(res, system, in_mode):
-    """Per-realization quantities at each probe: (B, P, nq) plus keys."""
-    beta2 = np.stack([np.abs(decompose(res.Q[:, p], res.P[:, p], system.omegas, t)[1]) ** 2
+def _quantity_panel(res, rows, system, in_mode):
+    """Per-realization quantities of res's rows at each probe: (B, P, nq) plus keys."""
+    Q, P = res.Q[rows], res.P[rows]
+    beta2 = np.stack([np.abs(decompose(Q[:, p], P[:, p], system.omegas, t)[1]) ** 2
                       for p, t in enumerate(res.times)], axis=1)     # (B, P, m)
-    q = res.Q[:, :, in_mode - 1]
+    q = Q[:, :, in_mode - 1]
     panel = {("beta2", k + 1): beta2[:, :, k] for k in range(beta2.shape[2])}
     panel[("beta2_total", 0)] = beta2.sum(axis=2)
     for name, arr in (("q_re", q.real), ("q_im", q.imag), ("q2_re", (q * q).real),
@@ -155,21 +154,21 @@ def _quantity_panel(res, system, in_mode):
     return list(panel), np.stack(list(panel.values()), axis=2)
 
 
-def _check_invariants(res):
+def _check_invariants(drift, times):
     """The symplectic defect of the propagator, every row, every probe.
 
-    res.defect is the largest Wronskian drift over all pairs of
-    vacuum-normalised basis solutions, so every run is checked the same
-    way whatever its initial data, and a non-Hamiltonian error in any
-    mode shows.  A non-finite drift is a violation too, with value None,
-    so that summary.json stays valid JSON.  Returns the violation entries
-    (realization = row of the batch) and the largest drift.
+    drift (rows, probes at times) is BatchResult.defect: the largest
+    Wronskian drift over all pairs of vacuum-normalised basis solutions,
+    so every run is checked the same way whatever its initial data, and
+    a non-Hamiltonian error in any mode shows.  A non-finite drift is a
+    violation too, with value None, so that summary.json stays valid
+    JSON.  Returns the violation entries (realization = row of drift)
+    and the largest drift.
     """
-    drift = res.defect                  # (batch, probes)
     entries = [
         {"realization": int(b), "kind": "wronskian",
          "value": float(drift[b, p]) if np.isfinite(drift[b, p]) else None,
-         "time": float(res.times[p])}
+         "time": float(times[p])}
         for b, p in np.argwhere(~(drift <= WRONSKIAN_TOL))
     ]
     return entries, float(np.max(drift, initial=0.0))
@@ -188,26 +187,19 @@ class _Chunk(NamedTuple):
 
 
 def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
-    """Integrate realizations [start, stop); returns its results."""
+    """Integrate realizations [start, stop) in one batch; returns its
+    results, with the collapsed rows left out and listed as aborted."""
     t0 = time.perf_counter()
-    idx = list(range(start, stop))
-    seeds = [derive_seed(ensemble.master_seed, i) for i in idx]
-    aborted = []
-    while True:
-        keep = [i for i in range(len(idx)) if idx[i] not in aborted]
-        noise = synthesize_many(noise_spec, [seeds[i] for i in keep],
-                                ensemble.horizon)
-        try:
-            res = run_batch(system, noise, integrator, ensemble.horizon,
-                            ensemble.probes, ensemble.initial, ensemble.in_mode)
-            break
-        except GeometryCollapseError as err:
-            aborted.extend(idx[keep[b]] for b in err.batch_indices)
-    keys, panel = _quantity_panel(res, system, ensemble.in_mode)
-    violations, drift = _check_invariants(res)
+    seeds = [derive_seed(ensemble.master_seed, i) for i in range(start, stop)]
+    noise = synthesize_many(noise_spec, seeds, ensemble.horizon)
+    res = run_batch(system, noise, integrator, ensemble.horizon,
+                    ensemble.probes, ensemble.initial, ensemble.in_mode)
+    kept = np.flatnonzero(~res.collapsed)
+    keys, panel = _quantity_panel(res, kept, system, ensemble.in_mode)
+    violations, drift = _check_invariants(res.defect[kept], res.times)
     for entry in violations:
-        # batch rows skip aborted members; map back to indices
-        entry["realization"] = idx[keep[entry["realization"]]]
+        entry["realization"] = start + int(kept[entry["realization"]])
+    aborted = (start + np.flatnonzero(res.collapsed)).tolist()
     return _Chunk(keys, panel, res.times, violations, aborted, drift,
                   time.perf_counter() - t0)
 
@@ -233,8 +225,8 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
 
     Bit-identical output for any chunk and worker layout: a row rounds
     the same in any chunk, and the reduction sums each column exactly
-    rounded.  Invariant violations raise; collapsed realizations are
-    excluded (failing the run if they exceed 1% of the ensemble).  The
+    rounded.  Invariant violations raise; collapsed (masked) realizations
+    are excluded, failing the run if they exceed 1% of the ensemble.  The
     stats' record, or the raised error's, says what the run did.
     """
     t0 = time.perf_counter()
@@ -293,7 +285,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         mean[key] = mcol
         var[key] = vcol
         sem[key] = np.sqrt(vcol / n_eff)
-    return EnsembleStats(times, mean, var, sem, n_eff, drift, aborted, record)
+    return EnsembleStats(times, mean, var, sem, n_eff, record)
 
 
 @dataclass(frozen=True)

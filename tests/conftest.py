@@ -46,6 +46,16 @@ def run_every_step(system, noise, integrator, horizon, **kwargs):
                      np.arange(nsteps + 1) * dt, **kwargs)
 
 
+def first_collapse_step(noise, epsilon, integrator, horizon):
+    """Per row, the first step whose start, midpoint or end has
+    1 + eps*xi <= 1e-12 (the wall at the far mirror), or -1: the reference
+    for run_batch's collapse mask on an unwindowed exact-path run."""
+    nsteps, dt, _ = step_grid(horizon, integrator)
+    x0 = eval_batch(noise, 0.5 * dt * np.arange(2 * nsteps + 1), (0,))[0]
+    hit = 1.0 + epsilon * x0 <= 1e-12
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1) // 2, -1)
+
+
 def rk4_every_step(system, noise, integrator, horizon, initial="vacuum"):
     """(Q, Q') of every row at every step, shaped (steps + 1, modes, batch), by
     the plain per-step RK4 loop: the reference for run_batch's propagators."""

@@ -310,7 +310,7 @@ def test_a8_invariants(growth_run, mean_field_run, coupled_run):
     # every completed ensemble already enforced the per-realization bounds
     # (a violation raises); check the largest drift each full ensemble
     # recorded, and measure the actual drifts on fresh sub-batches
-    ensembles_clean = all(stats.max_wronskian_drift <= 1e-8 for stats in
+    ensembles_clean = all(stats.record["max_wronskian_drift"] <= 1e-8 for stats in
                           (growth_run, mean_field_run["stats"], coupled_run[3]))
 
     reals = synthesize_many(OU_HALF, range(50), 2000.0)

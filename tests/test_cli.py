@@ -12,7 +12,7 @@ import yaml
 import stochastic_dce.ensemble as ens
 from stochastic_dce.cli import PREDICT_HEADER, RECORD_KEYS, SERIES_HEADER, main
 from stochastic_dce.config import load_config
-from stochastic_dce.dynamics import GeometryCollapseError, step_grid
+from stochastic_dce.dynamics import step_grid
 from stochastic_dce.ensemble import derive_seed
 from stochastic_dce.theory import msa_stochastic_beta2
 from stochastic_dce.noise import NoiseKind, NoiseSpec
@@ -87,6 +87,22 @@ def test_missing_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(integrator={"dt_time": 1.0}),
+    lambda d: d.update(noise={"kind": "ornstein_uhlenbeck", "sigma": 1.0,
+                              "t_c_time": 0.5}),
+])
+def test_config_the_integrator_refuses_exits_2(tmp_path, capsys, mutate):
+    data = coupled_data()
+    mutate(data)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", write_yaml(tmp_path, data),
+                 "--out", str(out), "--quiet"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_spectrum_refuses_single_mode_config(tmp_path, capsys):
@@ -255,10 +271,11 @@ def test_simulate_counts_aborts(tmp_path, monkeypatch):
     state = {"failed": False}
 
     def collapses_once(system, noise, *args):
+        res = real_run_batch(system, noise, *args)
         if not state["failed"]:
             state["failed"] = True
-            raise GeometryCollapseError([4])
-        return real_run_batch(system, noise, *args)
+            res.collapsed[4] = True
+        return res
 
     monkeypatch.setattr(ens, "run_batch", collapses_once)
     data = single_mode_data()

@@ -120,6 +120,7 @@ def test_default_integrator_step_respects_fastest_mode():
     (lambda d: d.update(compare={"k_sigma": -1.0}), "tolerances"),
     (lambda d: d["noise"].update(sigma=math.nan), "noise.sigma must be finite"),
     (lambda d: d["ensemble"].update(probes_time=[5.0, math.inf]), "must be finite"),
+    (lambda d: d.update(integrator={"dt_time": 1.0}), r"dt\*omega_max"),
 ])
 def test_invalid_single_mode_configs(mutate, match):
     data = single_mode_data()
@@ -135,6 +136,22 @@ def test_invalid_single_mode_configs(mutate, match):
 ])
 def test_invalid_cosmology_configs(mutate, match):
     data = cosmology_data()
+    mutate(data)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda d: d.update(noise=single_mode_data()["noise"]), "smooth xi'"),
+    (lambda d: (d["cavity"].update(nz_max=1),
+                d.update(noise=single_mode_data()["noise"],
+                         integrator={"path": "exact"})), "smooth xi'"),
+    (lambda d: d.update(integrator={"dt_time": 0.05}), r"dt\*omega_max"),
+])
+def test_invalid_coupled_configs(mutate, match):
+    # runs the integrator refuses: OU noise where xi' and xi'' are needed,
+    # a step too coarse for the fastest mode
+    data = coupled_data()
     mutate(data)
     with pytest.raises(ConfigError, match=match):
         parse_config(data)

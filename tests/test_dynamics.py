@@ -2,19 +2,19 @@
 quantities that validate the integrator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import stochastic_dce.dynamics as dyn
-from conftest import bogoliubov_at, rk4_every_step, run_every_step
+from conftest import bogoliubov_at, first_collapse_step, rk4_every_step, run_every_step
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
     BLOCK_STEPS,
     MAP_STEPS,
     CavityModes,
     DerivativeOrderError,
-    GeometryCollapseError,
     IntegratorConfig,
     PlainOscillator,
     StepResolutionError,
@@ -176,10 +176,37 @@ def test_geometry_collapse_detected():
     seed = next(s for s in range(100)
                 if np.min(eval_batch(synthesize(noisy, s, horizon), t, (0,))[0]) < -2.2)
     real = synthesize(noisy, seed, horizon)
-    with pytest.raises(GeometryCollapseError) as err:
-        run_every_step(sys_, real, IntegratorConfig(dt=0.02, path="exact"),
-                       horizon)
-    assert err.value.batch_indices == [0]
+    res = run_every_step(sys_, real, IntegratorConfig(dt=0.02, path="exact"), horizon)
+    assert res.collapsed.tolist() == [True]
+
+
+def test_collapsed_rows_are_masked_and_leave_the_others_alone():
+    # horizon 60 at dt 0.02 is two noise blocks; rows collapse in several
+    # map blocks of the first, in the second, or never
+    noisy = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.02, nu_min=0.5,
+                      nu_max=1.5, n_components=2)
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.5, nz_max=1)
+    sys_ = CavityModes(cav, "exact")
+    icfg = IntegratorConfig(dt=0.02, path="exact")
+    horizon, probes, seeds = 60.0, (15.0, 45.0, 60.0), list(range(16))
+    first = first_collapse_step(synthesize_many(noisy, seeds, horizon), 0.5, icfg,
+                                horizon)
+    dead = first >= 0
+    assert set(first[dead] // BLOCK_STEPS) == {0, 1}
+    assert len(set(first[dead] // MAP_STEPS)) > 2 and not dead.all()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_batch(sys_, synthesize_many(noisy, seeds, horizon), icfg, horizon,
+                        probes)
+    assert res.collapsed.tolist() == dead.tolist()
+    kept = [s for s, d in zip(seeds, dead) if not d]
+    clean = run_batch(sys_, synthesize_many(noisy, kept, horizon), icfg, horizon, probes)
+    assert not clean.collapsed.any()
+    for name in ("Q", "P", "Pi", "defect"):
+        out = getattr(res, name)
+        assert out[~dead].tobytes() == getattr(clean, name).tobytes(), name
+        assert np.isnan(out[dead]).all(), name
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import stochastic_dce.ensemble as ens
-from conftest import run_every_step
+from conftest import first_collapse_step, run_every_step
 from stochastic_dce.dynamics import (
-    GeometryCollapseError,
+    MAP_STEPS,
     IntegratorConfig,
     PlainOscillator,
     CavityModes,
@@ -105,7 +105,7 @@ def test_mean_matches_manual_reduction():
     manual = np.mean(np.abs(beta[:, 0]) ** 2)
     assert stats.mean[("beta2_total", 0)][-1] == pytest.approx(manual, rel=1e-12)
     assert stats.n_effective == 8
-    assert stats.aborted == []
+    assert stats.record["aborted"] == []
 
 
 def test_worker_count_does_not_change_results():
@@ -122,7 +122,7 @@ def test_worker_count_does_not_change_results():
         for key in s1.keys():
             np.testing.assert_array_equal(s1.mean[key], s2.mean[key])
             np.testing.assert_array_equal(s1.variance[key], s2.variance[key])
-        assert s1.max_wronskian_drift == s2.max_wronskian_drift
+        assert s1.record["max_wronskian_drift"] == s2.record["max_wronskian_drift"]
 
 
 def test_pool_has_one_process_per_chunk_at_most(monkeypatch):
@@ -216,21 +216,59 @@ def test_too_many_aborts_fails_the_run():
         run_ensemble(sys_, noisy, icfg, cfg)
 
 
+def test_collapsing_chunk_is_one_pass(monkeypatch):
+    noisy = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.02, nu_min=0.5,
+                      nu_max=1.5, n_components=2)
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.5, nz_max=1)
+    sys_ = CavityModes(cav, "exact")
+    icfg = IntegratorConfig(dt=0.02, path="exact")
+    cfg = EnsembleConfig(n_realizations=40, master_seed=3, probes=(15.0, 30.0),
+                         horizon=30.0, workers=1)
+    start, stop = 8, 32
+    seeds = [derive_seed(3, i) for i in range(start, stop)]
+    first = first_collapse_step(synthesize_many(noisy, seeds, 30.0), 0.5, icfg, 30.0)
+    # rows collapse in several map blocks, so a retry per collapsing
+    # block would show as more than one call
+    assert len(set(first[first >= 0] // MAP_STEPS)) > 2 and (first < 0).any()
+
+    calls = {"synthesize_many": 0, "run_batch": 0}
+
+    def counted(name):
+        real = getattr(ens, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ens, name, counted(name))
+    monkeypatch.setattr(ens, "WRONSKIAN_TOL", 1e-30)    # every kept row violates
+    chunk = ens._run_chunk(sys_, noisy, icfg, cfg, start, stop)
+    assert calls == {"synthesize_many": 1, "run_batch": 1}
+    kept = [start + b for b in np.flatnonzero(first < 0)]
+    assert chunk.aborted == [start + b for b in np.flatnonzero(first >= 0)]
+    assert chunk.panel.shape[0] == len(kept)
+    assert np.isfinite(chunk.panel).all() and np.isfinite(chunk.drift)
+    assert sorted({v["realization"] for v in chunk.violations}) == kept
+
+
 def test_single_abort_is_excluded(monkeypatch):
     real_run_batch = ens.run_batch
     state = {"failed": False}
 
     def flaky(system, realizations, *args, **kwargs):
+        res = real_run_batch(system, realizations, *args, **kwargs)
         if not state["failed"]:
             state["failed"] = True
-            raise GeometryCollapseError([2])
-        return real_run_batch(system, realizations, *args, **kwargs)
+            res.collapsed[2] = True
+        return res
 
     monkeypatch.setattr(ens, "run_batch", flaky)
     cfg = EnsembleConfig(n_realizations=300, master_seed=7, probes=(6.0,),
                          horizon=6.0, workers=1)
     stats = run_ensemble(SYS, BAND, integ(6.0), cfg)
-    assert stats.aborted == [2]
+    assert stats.record["aborted"] == [2]
     assert stats.n_effective == 299
 
     # the surviving members match a clean run with realization 2 removed
