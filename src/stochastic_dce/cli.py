@@ -46,10 +46,6 @@ from .theory import (
 log = logging.getLogger("sdce")
 
 SERIES_HEADER = ["t", "quantity", "mode", "mean", "stderr"]
-# what summary.json reports per system, from the ensemble's record
-RECORD_KEYS = ("n_effective", "aborted", "abort_count", "dt", "nsteps",
-               "chunk_size", "chunks", "workers", "max_wronskian_drift",
-               "simulate_s", "realization_steps_per_s")
 PREDICT_HEADER = ["t", "quantity", "mode", "value"]
 
 
@@ -117,16 +113,16 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         "scenario": cfg.scenario.value,
         "config": cfg.raw,
         "seeds": seed_info,
-        **{key: {} for key in RECORD_KEYS},
-        "violations": [],
     }
 
     def report(label, record):
-        for key in RECORD_KEYS:
-            summary[key][str(label)] = record[key]
+        # one summary.json entry per key of the ensemble's record
+        for key, value in record.items():
+            summary.setdefault(key, {})[str(label)] = value
 
     started = time.time()
     code = 0
+    violations = []
     try:
         for label, system in systems:
             sub = _sub_master(cfg.ensemble.master_seed, label, len(systems))
@@ -146,13 +142,14 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
             report(label, stats.record)
             rows.extend(_series_rows(cfg, label, system, stats))
     except InvariantViolationError as err:
-        summary["violations"] = err.entries
+        violations = err.entries
         code = 1
         log.error("invariant violation: %s", err)
     except TooManyAbortsError as err:
-        summary["violations"] = [{"kind": "abort_fraction", "detail": str(err)}]
+        violations = [{"kind": "abort_fraction", "detail": str(err)}]
         code = 1
         log.error("%s", err)
+    summary["violations"] = violations
     summary["runtime_seconds"] = time.time() - started
 
     with open(out_dir / "summary.json", "w") as fh:

@@ -13,9 +13,11 @@ all be fed to the mode equations:
   phasor recurrence from exact anchors every 64 points of an evenly
   spaced time grid (Shinozuka & Deodatis, 1991);
 * the Ornstein-Uhlenbeck process is sampled exactly on a fine grid, by
-  one AR(1) filter over a block of rows, and interpolated with a C^2
-  cubic B-spline whose coefficients are stored knot-major and evaluated
-  step-major (one gathered knot row per tap and time).
+  an AR(1) recursion, and interpolated with a C^2 cubic B-spline whose
+  coefficients come from the recursive prefilter (Unser, Aldroubi & Eden,
+  1993).  Both are first-order recursions run in place over the knot
+  rows of one knot-major array, which eval_batch reads step-major (one
+  gathered knot row per tap and time).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.random import default_rng  # numpy loads it lazily: load it before pools fork
 
 __all__ = [
     "NoiseKind",
@@ -173,13 +175,30 @@ _POLE = math.sqrt(3.0) - 2.0
 def bspline_coefficients(samples: np.ndarray) -> np.ndarray:
     """Interpolating cubic B-spline coefficients, mirror boundaries.
 
-    Works along the last axis; O(n) via the standard forward/backward
+    Works along the first axis (knots first, as bspline_evaluate reads
+    them) and returns a new array; O(n) via the standard forward/backward
     recursive filter, so it stays cheap for long multi-row sample arrays.
     """
     x = np.asarray(samples, dtype=float)
-    n = x.shape[-1]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("need at least two samples")
+    c = x.reshape(x.shape[0], -1).copy()
+    _prefilter(c)
+    return c.reshape(x.shape)
+
+
+def _recurse(rows, a: float) -> None:
+    """rows[k] += a * rows[k-1] for k = 1, 2, ..., in place: the first-order
+    recursive filter y_k = x_k + a y_{k-1}, one elementwise step per row, so
+    every column rounds the same alone or in a batch."""
+    for k in range(1, len(rows)):
+        rows[k] += a * rows[k - 1]
+
+
+def _prefilter(c: np.ndarray) -> None:
+    """Samples (n, B) -> cubic B-spline coefficients, in place."""
+    n = c.shape[0]
+    rows = list(c)
     z = _POLE
     horizon = int(math.ceil(math.log(1e-17) / math.log(abs(z))))
     # causal-filter state sum_k z^k x_k over the mirror-periodized
@@ -187,17 +206,19 @@ def bspline_coefficients(samples: np.ndarray) -> np.ndarray:
     # a time: elementwise, so a row rounds the same alone or in a batch
     # (a matrix-vector product does not)
     taps = _mirror(np.arange(horizon) % (2 * (n - 1)), n)
-    init = x[..., taps[-1]]
+    init = c[taps[-1]]
     for tap in taps[-2::-1]:
-        init = init * z + x[..., tap]
-    zi = (init - x[..., 0])[..., None]
-    cplus = lfilter([1.0], [1.0, -z], x, axis=-1, zi=zi)[0]
-    # backward pass on the reversed forward output
-    last = (z / (z * z - 1.0)) * (cplus[..., -1] + z * cplus[..., -2])
-    rev = cplus[..., ::-1]
-    zi_b = (last + z * rev[..., 0])[..., None]
-    cminus = lfilter([-z], [1.0, -z], rev, axis=-1, zi=zi_b)[0][..., ::-1]
-    return 6.0 * cminus
+        init = init * z + c[tap]
+    # first output (init - x_0) + x_0, rounded as the filter with that state
+    rows[0] += init - rows[0]
+    _recurse(rows, z)
+    # anticausal pass y_k = -z x_k + z y_{k+1}, started from the mirror state
+    last = (z / (z * z - 1.0)) * (rows[-1] + z * rows[-2])
+    start = last + z * rows[-1]
+    c *= -z
+    rows[-1] += start
+    _recurse(rows[::-1], z)
+    c *= 6.0
 
 
 def _mirror(idx: np.ndarray, n: int) -> np.ndarray:
@@ -296,7 +317,7 @@ def _ou_grid(spec: NoiseSpec, horizon: float):
 def _ou_drive(spec: NoiseSpec, seed: int, n_grid: int, a: float) -> np.ndarray:
     """The AR(1) innovations of one seed; filtering by 1/(1 - a z^-1) gives
     the exact OU samples on the grid."""
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = default_rng(np.uint64(seed))
     z = rng.standard_normal(n_grid)
     drive = spec.sigma * math.sqrt(1.0 - a * a) * z
     drive[0] = spec.sigma * z[0]  # stationary start
@@ -316,13 +337,11 @@ def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
         n_grid, step = _ou_grid(spec, horizon)
         a = math.exp(-step / spec.t_c)
         coeffs = np.empty((n_grid, len(seeds)))
-        row_block = 128  # bounds the transient sample memory
-        for s in range(0, len(seeds), row_block):
-            drives = np.stack([_ou_drive(spec, sd, n_grid, a)
-                               for sd in seeds[s:s + row_block]])
-            # one filter call per block; each row is filtered on its own
-            samples = lfilter([1.0], [1.0, -a], drives, axis=-1)
-            coeffs[:, s:s + row_block] = bspline_coefficients(samples).T
+        for b, seed in enumerate(seeds):
+            coeffs[:, b] = _ou_drive(spec, seed, n_grid, a)
+        # the whole chunk filtered in place: AR(1), then the spline fit
+        _recurse(list(coeffs), a)
+        _prefilter(coeffs)
         return NoiseBatch(horizon, grid_step=step, coeffs=coeffs)
     if spec.kind is NoiseKind.DETERMINISTIC_SINUSOID:
         # xi(t) = sin(omega_drive t), independent of the seed
@@ -333,7 +352,7 @@ def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
     freqs = np.empty((len(seeds), n))
     phases = np.empty((len(seeds), n))
     for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(np.uint64(seed))
+        rng = default_rng(np.uint64(seed))
         if spec.kind is NoiseKind.BAND_LIMITED:
             # stratified frequency sampling over the flat band
             strata = (np.arange(n) + rng.random(n)) / n

@@ -3,8 +3,9 @@
 
 Every cavity law reads its couplings v_nk from CavityConfig.v_matrix().
 The coupled slow flow is linear with constant coefficients on the slow
-time, so solve_occupations evaluates its exact solution, a matrix
-exponential, at each probe.
+time, and its matrix is similar to a symmetric one, so solve_occupations
+evaluates its exact solution at each probe from one symmetric
+eigendecomposition.
 
 Conventions: S(nu) is the one-sided spectrum of the noise, tau = eps^2 t
 is the slow time for stochastic driving and eps*t for deterministic
@@ -18,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cavity import CavityConfig, ModeIndex
 from .dynamics import Window
@@ -250,8 +250,11 @@ def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: ModeIndex,
     """Solve the occupation flow T' = A T, A = -(gamma + rho^T), on tau = eps^2 t.
 
     The flow is linear with constant coefficients, so T(tau) = expm(A tau) T(0)
-    exactly; each probe's exponential is computed on its own by scaling
-    and squaring, with no error carried from one probe to the next.
+    exactly.  With D = diag(w), D A D^-1 is symmetric (v^2 and the real
+    parts of S(w_k +- w_m) are), so one eigendecomposition D A D^-1 =
+    V diag(lambda) V^T gives expm(A tau) = D^-1 V e^{lambda tau} V^T D at
+    every probe, with real rates and no error carried from one probe to
+    the next.
     Initial data T_k(0) = delta_nk / (2 w_k); the summed identity
     sum_k 2 w_k T_k = 1 + 2 sum_k <|beta_nk|^2> converts occupations to
     created particles.
@@ -262,10 +265,11 @@ def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: ModeIndex,
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be nondecreasing and nonnegative")
     A = -(np.diag(rates.gamma_k) + rates.rho.T)
+    lam, V = np.linalg.eigh(w[:, None] * A / w)
     T0 = np.zeros(w.size)
     T0[i] = 1.0 / (2.0 * w[i])
     taus = rates.epsilon**2 * t_grid
-    out = expm(taus[:, None, None] * A) @ T0
+    out = (np.exp(np.multiply.outer(taus, lam)) * (V.T @ (w * T0))) @ V.T / w
     totals = 0.5 * (out @ (2.0 * w) - 1.0)
     went_negative = bool(np.any(totals < -1e-12))
     return OccupationSolution(t_grid, out, totals, went_negative)

@@ -13,7 +13,7 @@ from scipy.signal import lfilter
 
 from stochastic_dce.dynamics import (Window, _windowed, decompose, initial_data, run_batch,
                                      step_grid)
-from stochastic_dce.noise import _ou_grid, bspline_coefficients, eval_batch
+from stochastic_dce.noise import _ou_grid, eval_batch
 
 # criterion label -> (passed, detail); filled in by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
@@ -108,9 +108,32 @@ def ou_eval_row_major(batch, times, orders):
     return out
 
 
+def lfilter_bspline_coefficients(samples):
+    """Interpolating cubic B-spline coefficients along the last axis, mirror
+    boundaries, by scipy's lfilter for the forward and backward passes: the
+    reference for the package's in-place recursive prefilter."""
+    x = np.asarray(samples, dtype=float)
+    n = x.shape[-1]
+    z = math.sqrt(3.0) - 2.0
+    horizon = int(math.ceil(math.log(1e-17) / math.log(abs(z))))
+    taps = np.arange(horizon) % (2 * (n - 1))
+    taps = np.where(taps >= n, 2 * (n - 1) - taps, taps)
+    init = x[..., taps[-1]]
+    for tap in taps[-2::-1]:
+        init = init * z + x[..., tap]
+    zi = (init - x[..., 0])[..., None]
+    cplus = lfilter([1.0], [1.0, -z], x, axis=-1, zi=zi)[0]
+    last = (z / (z * z - 1.0)) * (cplus[..., -1] + z * cplus[..., -2])
+    rev = cplus[..., ::-1]
+    zi_b = (last + z * rev[..., 0])[..., None]
+    cminus = lfilter([-z], [1.0, -z], rev, axis=-1, zi=zi_b)[0][..., ::-1]
+    return 6.0 * cminus
+
+
 def ou_coeffs_per_seed(spec, seeds, horizon):
-    """OU spline coefficients (n_knots, B), one lfilter call and one
-    spline fit per seed: the reference for synthesize_many's block filter."""
+    """OU spline coefficients (n_knots, B), one lfilter AR(1) call and one
+    lfilter spline fit per seed: the reference for synthesize_many's
+    in-place recursions over the whole batch."""
     n_grid, step = _ou_grid(spec, horizon)
     a = math.exp(-step / spec.t_c)
     cols = []
@@ -118,7 +141,7 @@ def ou_coeffs_per_seed(spec, seeds, horizon):
         z = np.random.default_rng(np.uint64(seed)).standard_normal(n_grid)
         drive = spec.sigma * math.sqrt(1.0 - a * a) * z
         drive[0] = spec.sigma * z[0]
-        cols.append(bspline_coefficients(lfilter([1.0], [1.0, -a], drive)))
+        cols.append(lfilter_bspline_coefficients(lfilter([1.0], [1.0, -a], drive)))
     return np.stack(cols, axis=1)
 
 

@@ -4,13 +4,17 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 import stochastic_dce.ensemble as ens
-from stochastic_dce.cli import PREDICT_HEADER, RECORD_KEYS, SERIES_HEADER, main
+from stochastic_dce.cli import PREDICT_HEADER, SERIES_HEADER, main
 from stochastic_dce.config import load_config
 from stochastic_dce.dynamics import step_grid
 from stochastic_dce.ensemble import derive_seed
@@ -50,12 +54,24 @@ def coupled_data():
     }
 
 
+# what summary.json reports per system, between the seeds and the violations
+RUN_FACTS = ["n_effective", "aborted", "abort_count", "dt", "nsteps", "chunk_size",
+             "chunks", "workers", "max_wronskian_drift", "simulate_s",
+             "realization_steps_per_s"]
+
+
+def assert_summary_keys(summary, labels):
+    assert list(summary) == ["version", "scenario", "config", "seeds", *RUN_FACTS,
+                             "violations", "runtime_seconds"]
+    for key in RUN_FACTS:
+        assert set(summary[key]) == set(labels)
+
+
 def assert_run_facts(summary, labels):
     # the step actually used, the chunk and worker layout, the invariant
     # margin, recorded on a pass, the aborts, and the time and throughput
     # per system
-    for key in RECORD_KEYS:
-        assert set(summary[key]) == set(labels)
+    assert_summary_keys(summary, labels)
     n = summary["config"]["ensemble"]["n_realizations"]
     for label in labels:
         size = summary["chunk_size"][label]
@@ -70,6 +86,19 @@ def assert_run_facts(summary, labels):
         assert 0.0 < summary["max_wronskian_drift"][label] < 1e-8
         for key in ("simulate_s", "realization_steps_per_s"):
             assert math.isfinite(summary[key][label]) and summary[key][label] > 0
+
+
+def test_cli_imports_numpy_random_and_no_scipy():
+    # the run path needs numpy and pyyaml alone; numpy.random is loaded at
+    # import, so that forked pool workers inherit it
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, stochastic_dce.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+             "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}
+                         ).stdout.split("\n")
+    assert out[:2] == ["[]", "True"]
 
 
 def read_csv(path):
@@ -305,6 +334,7 @@ def test_failed_run_reports_its_aborts(tmp_path):
     assert main(["simulate", "--config", write_yaml(tmp_path, data),
                  "--out", str(out), "--quiet"]) == 1
     summary = json.loads((out / "summary.json").read_text())
+    assert_summary_keys(summary, ["1"])
     assert summary["aborted"] == {"1": list(range(8))}
     assert summary["abort_count"] == {"1": 8}
     assert summary["n_effective"] == {"1": 0}
@@ -332,6 +362,7 @@ def test_failed_run_writes_non_finite_drift_as_null(tmp_path, monkeypatch):
         raise ValueError(f"summary.json holds {name}")
 
     summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert_summary_keys(summary, ["1"])
     assert summary["violations"] == [
         {"realization": 0, "kind": "wronskian", "value": 1e-3,
          "time": pytest.approx(6.0)},

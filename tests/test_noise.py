@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ou_coeffs_per_seed, ou_eval_row_major
+from conftest import lfilter_bspline_coefficients, ou_coeffs_per_seed, ou_eval_row_major
 from stochastic_dce.dynamics import BLOCK_STEPS
 from stochastic_dce.noise import (
     NoiseConfigError,
@@ -347,7 +347,7 @@ def test_ou_statistics_are_stationary():
 
 def test_synthesize_many_matches_synthesize():
     # every row is bitwise the seed drawn alone, wherever it sits in a
-    # batch wider than the 128-row synthesis block
+    # batch of 300
     t = np.linspace(0.5, 9.5, 40)
     seeds = list(range(3, 303))
     for spec in (OU, BAND):
@@ -365,10 +365,14 @@ def test_synthesize_many_matches_synthesize():
 
 
 def test_ou_coeffs_match_per_seed_filter():
-    # one AR(1) filter call per 128-row block gives each seed's own bits
-    seeds = list(range(3, 303))
-    np.testing.assert_array_equal(synthesize_many(OU, seeds, 10.0).coeffs,
-                                  ou_coeffs_per_seed(OU, seeds, 10.0))
+    # the in-place recursions over the whole batch give each seed the bits
+    # of its own lfilter AR(1) filter and lfilter spline fit
+    for horizon, knots in ((0.005, 2), (0.035, 5), (5.0, 501)):
+        for width in (1, 128, 129, 300):
+            seeds = list(range(3, 3 + width))
+            coeffs = synthesize_many(OU, seeds, horizon).coeffs
+            assert coeffs.shape == (knots, width)
+            np.testing.assert_array_equal(coeffs, ou_coeffs_per_seed(OU, seeds, horizon))
 
 
 @pytest.mark.parametrize("width", [1, 3, 128, 129])
@@ -459,6 +463,17 @@ def test_bspline_interpolates_samples(seed, n):
     coeffs = bspline_coefficients(samples)
     at_knots = bspline_evaluate(coeffs, np.arange(n, dtype=float), 0)
     np.testing.assert_allclose(at_knots, samples, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 40])
+def test_bspline_matches_lfilter_oracle(n, rng):
+    # knots on the first axis, a new array returned, the input untouched
+    samples = rng.standard_normal((n, 7))
+    kept = samples.copy()
+    coeffs = bspline_coefficients(samples)
+    np.testing.assert_array_equal(samples, kept)
+    np.testing.assert_array_equal(coeffs, lfilter_bspline_coefficients(samples.T).T)
+    np.testing.assert_array_equal(bspline_coefficients(samples[:, 3]), coeffs[:, 3])
 
 
 def test_bspline_is_c2_smooth(rng):

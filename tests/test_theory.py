@@ -3,6 +3,7 @@ consistency between the perturbative and slow-flow pictures."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from conftest import cavity_epsilon
 from stochastic_dce.cavity import CavityConfig, ModeIndex
+from stochastic_dce.config import load_config
 from stochastic_dce.noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 from stochastic_dce.theory import (
     DegenerateSpectrumError,
@@ -317,6 +320,42 @@ def test_solve_occupations_matches_independent_integration(noise, horizon, n):
         np.testing.assert_allclose(sol.beta2_total, 0.0, atol=1e-12)
     else:
         assert 0.5 < sol.beta2_total[-1] < 2.0
+
+
+COUPLED_MODES = load_config(
+    Path(__file__).resolve().parent.parent / "configs" / "coupled_modes.yaml").cavity
+
+
+@pytest.mark.parametrize("cavity", [QUASI_1D, COUPLED_MODES], ids=["quasi_1d", "coupled_modes"])
+@pytest.mark.parametrize("noise", [OU, BAND], ids=["ou", "band"])
+def test_slow_flow_is_symmetrizable(cavity, noise):
+    # the premise of solve_occupations' eigendecomposition: with D = diag(w),
+    # D A D^-1 is symmetric to rounding, so the eigenvalues of A are real
+    rates = slow_flow_rates(cavity, noise)
+    w = cavity.omegas()
+    A = -(np.diag(rates.gamma_k) + rates.rho.T)
+    S = w[:, None] * A / w
+    np.testing.assert_allclose(S, S.T, rtol=0, atol=1e-15 * np.max(np.abs(S)))
+    assert np.all(np.linalg.eigvals(A).imag == 0.0)
+
+
+@pytest.mark.parametrize("cavity", [QUASI_1D, COUPLED_MODES], ids=["quasi_1d", "coupled_modes"])
+@pytest.mark.parametrize("noise, tau_end", [(OU, 0.2), (BAND, 0.01)], ids=["ou", "band"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_occupations_matches_expm(cavity, noise, tau_end, n):
+    # the eigendecomposition against a general matrix exponential of the
+    # same flow, out to beta2 of order one
+    rates = slow_flow_rates(cavity, noise)
+    t = np.linspace(0.0, tau_end / cavity.epsilon**2, 9)
+    sol = solve_occupations(rates, cavity, ModeIndex(n), t)
+    w = cavity.omegas()
+    A = -(np.diag(rates.gamma_k) + rates.rho.T)
+    T0 = np.zeros(w.size)
+    T0[n - 1] = 1.0 / (2.0 * w[n - 1])
+    ref = expm(rates.epsilon**2 * t[:, None, None] * A) @ T0
+    np.testing.assert_allclose(sol.T, ref, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(sol.beta2_total, 0.5 * (ref @ (2.0 * w) - 1.0),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_solve_occupations_validates_inputs():
