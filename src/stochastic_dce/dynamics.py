@@ -119,8 +119,6 @@ class Window:
         w = np.ones_like(t)
         d1 = np.zeros_like(t)
         d2 = np.zeros_like(t)
-        if self.ramp == 0:
-            return w, d1, d2
         r = self.ramp
         up = t < r
         dn = t > self.horizon - r
@@ -135,7 +133,7 @@ class Window:
 def _windowed(xi: dict[int, np.ndarray], win: Window | None, t: np.ndarray,
               orders: tuple[int, ...]):
     """Apply the window to raw noise values/derivatives."""
-    if win is None or win.ramp == 0:
+    if win is None:
         return tuple(xi.get(o) for o in (0, 1, 2))
     w, w1, w2 = win.profile(t)
     x0 = w * xi[0]
@@ -152,8 +150,8 @@ def _windowed(xi: dict[int, np.ndarray], win: Window | None, t: np.ndarray,
 #
 # accel(Q, P, x0, x1, x2) and canonical_momentum(Q, P, x0, x1) take Q and
 # P mode-first, shape (m, ...), and noise values x shaped like the
-# trailing axes they broadcast over: (batch,) against (m, batch) at the
-# probes, (steps, batch) against (m, 2m, steps, batch) in a build.
+# trailing axes they broadcast over, (n, batch) against (m, 2m, n, batch):
+# n steps in a build, n snapshots for the canonical propagator.
 
 
 def _per_mode(values, ndim):
@@ -292,13 +290,12 @@ def initial_data(system, initial: str = "vacuum", in_mode: int = 1):
 
 @dataclass
 class BatchResult:
-    """The run's solution at the probes, the largest entry of its
-    propagator's symplectic defect (_symplectic_defect) per row and probe."""
+    """The run's solution (Q, Q') at the probes, and per row and probe the
+    largest entry of its propagator's symplectic defect (_symplectic_defect)."""
 
     times: np.ndarray           # (n_probes,) actual grid-aligned probe times
     Q: np.ndarray               # (batch, n_probes, n_modes) complex
     P: np.ndarray               # Q'
-    Pi: np.ndarray              # canonical momentum; P itself for one mode
     defect: np.ndarray          # (batch, n_probes)
     collapsed: np.ndarray       # (batch,) bool; such a row's outputs are NaN
 
@@ -435,7 +432,9 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     The state is the propagator Phi of (Q, Q'), started at the identity,
     and the run's solution is Phi y0, y0 = initial_data(system, initial,
     in_mode).  Probe times are rounded to the step grid; the returned
-    times are the grid-aligned values actually used.  check_integrable's
+    times are the grid-aligned values actually used.  Stretches end at
+    the probes, where the loop keeps only Phi and lam's inputs x0, x1;
+    the defect is taken from them after the loop.  check_integrable's
     refusals raise.  A row the system's collapsed(x0) finds in a noise
     block runs on with zero noise and comes back masked (BatchResult.collapsed).
     """
@@ -446,26 +445,21 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     batch = len(noise)
     m = system.n_modes
     Phi = np.repeat(np.eye(2 * m)[:, :, None], batch, axis=2)      # (2m, 2m, batch)
-    snaps = {0: [0]}        # step -> snapshot slots: t = 0, for T(0), then the probes
-    for k, i in enumerate(probe_idx, start=1):
-        snaps.setdefault(int(i), []).append(k)
-    Phis = np.empty((2 * m, 2 * m, probe_idx.size + 1, batch))
-    Psis = np.empty_like(Phis)
+    at = np.concatenate([[0], probe_idx])   # snapshot steps: t = 0, for T(0), then the probes
+    Phis = np.empty((2 * m, 2 * m, at.size, batch))
+    # x0, x1 at the snapshots, lam's inputs; None for an order the system lacks
+    lam_x = [np.empty((at.size, batch)) if o in orders else None for o in (0, 1)]
 
     def record(step, Phi, x, start):
-        """Snapshot Phi, and Psi = T Phi with T = [[I, 0], [-lam G, I]], at a
-        snapshot step; with one mode G = 0, and canonical_momentum is not called."""
-        pos = snaps.get(step)
-        if pos:
-            Phis[:, :, pos] = Psis[:, :, pos] = Phi[:, :, None]
-            if m > 1:
-                x0, x1 = (v if v is None else v[:, 2 * (step - start)] for v in x[:2])
-                Pi = system.canonical_momentum(Phi[:m], Phi[m:], x0, x1)
-                Psis[m:, :, pos] = Pi[:, :, None]
+        slots = slice(*np.searchsorted(at, [step, step + 1]))
+        Phis[:, :, slots] = Phi[:, :, None]
+        if m > 1:           # with one mode G = 0, and lam is not needed
+            for v, out in zip(x, lam_x):
+                if out is not None:
+                    out[slots] = v[:, 2 * (step - start)]
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
-    need = tuple(sorted(set(orders) | ({0} if win else set())))
     collapsed = getattr(system, "collapsed", lambda x0: None)   # only CavityModes has one
     dead = np.zeros(batch, dtype=bool)
     half = 0.5 * dt
@@ -473,7 +467,7 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         stop = min(nsteps, start + BLOCK_STEPS)
         t_half = half * np.arange(2 * start, 2 * stop + 1)
         # (batch, half-steps) per noise order, None where not needed
-        x = _windowed(eval_batch(noise, t_half, need), win, t_half, orders)
+        x = _windowed(eval_batch(noise, t_half, orders), win, t_half, orders)
         if (hit := collapsed(x[0])) is not None:
             dead |= hit
             for v in x:     # the exact path has all three orders
@@ -496,10 +490,12 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         y = sum(rows[:, c, 1:] * y0[c] for c in np.flatnonzero(y0))
         return np.ascontiguousarray(y.transpose(2, 1, 0))       # (batch, n_probes, k)
 
-    Phis[..., dead] = Psis[..., dead] = np.nan      # a collapsed row's outputs
-    defect = _symplectic_defect(Psis[:, :, 1:], Psis[:, :, :1], system.omegas)
-    return BatchResult(probe_idx * dt, solution(Phis[:m]), solution(Phis[m:]),
-                       solution(Psis[m:]), np.max(defect, axis=(0, 1)).T, dead)
+    Phis[..., dead] = np.nan        # a collapsed row's outputs
+    Q, P = solution(Phis[:m]), solution(Phis[m:])
+    if m > 1:   # Phis to Psi = T Phi in place, T = [[I, 0], [-lam G, I]]
+        Phis[m:] = system.canonical_momentum(Phis[:m], Phis[m:], *lam_x)
+    defect = _symplectic_defect(Phis[:, :, 1:], Phis[:, :, :1], system.omegas)
+    return BatchResult(probe_idx * dt, Q, P, np.max(defect, axis=(0, 1)).T, dead)
 
 
 # ---------------------------------------------------------------------------

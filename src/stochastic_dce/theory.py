@@ -19,9 +19,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .cavity import CavityConfig, ModeIndex
-from .dynamics import Window
 from .noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 
 __all__ = [
@@ -225,16 +225,17 @@ def slow_flow_rates(cavity: CavityConfig, noise: NoiseSpec) -> SlowFlowRates:
 
 
 def windowed_exposure(ramp: float, horizon: float, t) -> np.ndarray:
-    """Accumulated drive exposure int_0^t w(s)^2 ds of the on/off window.
+    """Accumulated drive exposure int_0^t w(s)^2 ds of the on/off window (ramp > 0).
 
     The window scales the noise power by w(t)^2, so the slow flow of a
-    windowed run is evaluated at this exposure instead of at t.
-    Trapezoid rule on 40000 intervals, interpolated to t.
+    windowed run is evaluated at this exposure instead of at t.  With
+    E(u) the integral of the squared smoothstep over [0, u], that is
+    r E(t/r) up the ramp, the flat middle, and r (E(1) - E((T - t)/r)) down it.
     """
-    s = np.linspace(0.0, horizon, 40001)
-    w2 = Window(ramp, horizon).profile(s)[0] ** 2
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w2[1:] + w2[:-1]) * np.diff(s))])
-    return np.interp(t, s, cum)
+    t = np.asarray(t, dtype=float)
+    E = (Polynomial([0, 0, 0, 10, -15, 6]) ** 2).integ()
+    up, down = (np.clip(u / ramp, 0.0, 1.0) for u in (t, horizon - t))
+    return ramp * (E(up) + E(1.0) - E(down)) + np.clip(t, ramp, horizon - ramp) - ramp
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def rk4_every_step(system, noise, integrator, horizon, initial="vacuum"):
     nsteps, dt, _ = step_grid(horizon, integrator)
     t = 0.5 * dt * np.arange(2 * nsteps + 1)
     win = Window(integrator.window_ramp, horizon) if integrator.window_ramp > 0 else None
-    xi = eval_batch(noise, t, tuple(sorted({0, *system.noise_orders})))
+    xi = eval_batch(noise, t, system.noise_orders)
     x = [v if v is None else v.T for v in _windowed(xi, win, t, system.noise_orders)]
     Q, P = np.split(initial_data(system, initial)[:, None] * np.ones(len(noise)), 2)
     out = [(Q, P)]
@@ -75,6 +75,15 @@ def rk4_every_step(system, noise, integrator, horizon, initial="vacuum"):
         Q, P = Q + dt / 6 * (P + 2 * (p2 + p3) + p4), P + dt / 6 * (k1 + 2 * (k2 + k3) + k4)
         out.append((Q, P))
     return np.array([q for q, _ in out]), np.array([p for _, p in out])
+
+
+def trapezoid_exposure(ramp, horizon, t):
+    """int_0^t w(s)^2 ds of the on/off window by the trapezoid rule on 40000
+    intervals, interpolated to t: the reference for theory.windowed_exposure."""
+    s = np.linspace(0.0, horizon, 40001)
+    w2 = Window(ramp, horizon).profile(s)[0] ** 2
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w2[1:] + w2[:-1]) * np.diff(s))])
+    return np.interp(t, s, cum)
 
 
 def ou_eval_row_major(batch, times, orders):

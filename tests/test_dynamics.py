@@ -203,7 +203,7 @@ def test_collapsed_rows_are_masked_and_leave_the_others_alone():
     kept = [s for s, d in zip(seeds, dead) if not d]
     clean = run_batch(sys_, synthesize_many(noisy, kept, horizon), icfg, horizon, probes)
     assert not clean.collapsed.any()
-    for name in ("Q", "P", "Pi", "defect"):
+    for name in ("Q", "P", "defect"):
         out = getattr(res, name)
         assert out[~dead].tobytes() == getattr(clean, name).tobytes(), name
         assert np.isnan(out[dead]).all(), name
@@ -280,9 +280,10 @@ def test_canonical_wronskian_conserved_for_coupled_runs(monkeypatch):
     # once the modes couple, the Wronskian on Q' drifts; the one on the
     # canonical momentum Pi = Q' - lam G Q holds, windowed or not, on
     # both paths, from the probe at t = 0 on; the short ramp ends
-    # mid-step on the plain grid, where Pi drifted by 6e-8.  The recorded
-    # symplectic defect holds too, and its (1, m + 1) entry is that
-    # vacuum run's Wronskian drift
+    # mid-step on the plain grid, where Pi drifted by 6e-8.  Pi is built
+    # here from the run's Q, Q' and the windowed noise at the probes; the
+    # recorded symplectic defect holds too, and its (1, m + 1) entry is
+    # that vacuum run's Wronskian drift
     full = []
     defect = dyn._symplectic_defect
     monkeypatch.setattr(dyn, "_symplectic_defect",
@@ -296,10 +297,15 @@ def test_canonical_wronskian_conserved_for_coupled_runs(monkeypatch):
         for path in ("linearized", "exact"):
             cfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), horizon),
                                    path=path, window_ramp=ramp)
-            res = run_batch(CavityModes(cav, path), reals, cfg, horizon,
-                            np.linspace(0.0, horizon, 7))
+            sys_ = CavityModes(cav, path)
+            res = run_batch(sys_, reals, cfg, horizon, np.linspace(0.0, horizon, 7))
             assert res.times[0] == 0.0
-            drift = np.abs(wronskian(res.Q, res.Pi) - 1j)
+            win = Window(ramp, horizon) if ramp > 0 else None
+            x0, x1, _ = dyn._windowed(eval_batch(reals, res.times, sys_.noise_orders),
+                                      win, res.times, sys_.noise_orders)
+            Q, P = (np.moveaxis(v, 2, 0) for v in (res.Q, res.P))
+            Pi = np.moveaxis(sys_.canonical_momentum(Q, P, x0, x1), 0, 2)
+            drift = np.abs(wronskian(res.Q, Pi) - 1j)
             assert np.max(drift) < 1e-8
             assert np.max(np.abs(wronskian(res.Q, res.P) - 1j)) > 1e-3
             assert np.max(res.defect) < 1e-8
@@ -432,7 +438,7 @@ def test_rows_do_not_depend_on_batch_width():
         for i, seed in enumerate(seeds):
             alone = run_batch(sys_, synthesize(BAND, seed, horizon), cfg, horizon, probes)
             for res in (wide, five) if i < 5 else (wide,):
-                for name in ("Q", "P", "Pi", "defect"):
+                for name in ("Q", "P", "defect"):
                     np.testing.assert_array_equal(getattr(res, name)[i],
                                                   getattr(alone, name)[0])
     many = synthesize_many(BAND, seeds[:5], horizon)
@@ -452,8 +458,9 @@ ORACLE_BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
 @pytest.mark.parametrize("case", ["plain_ou", "linearized_windowed", "exact_kick"])
 def test_run_batch_matches_per_step_oracle(case):
     # 2300 steps: not a multiple of either block length; probes at t = 0,
-    # inside blocks (steps 100 and 1000), on block boundaries (256 and
-    # 2048) and at the horizon
+    # inside blocks (steps 100 and 1000), one step before a block boundary
+    # (63 and 2047, which leave one-step stretches), on block boundaries
+    # (256 and 2048) and at the horizon
     horizon = 2.3
     initial = "vacuum"
     if case == "plain_ou":
@@ -466,10 +473,11 @@ def test_run_batch_matches_per_step_oracle(case):
         sys_, noise = CavityModes(ORACLE_CAV, "exact"), ORACLE_BAND
         cfg = IntegratorConfig(dt=0.001, path="exact")
         initial = "position_kick"
-    nsteps, dt, idx = step_grid(horizon, cfg, (0.0, 0.1, 0.256, 1.0, 2.048, horizon))
-    assert nsteps == 2300 and list(idx) == [0, 100, 256, 1000, 2048, 2300]
+    nsteps, dt, idx = step_grid(horizon, cfg, (0.0, 0.063, 0.1, 0.256, 1.0, 2.047,
+                                               2.048, horizon))
+    assert nsteps == 2300 and list(idx) == [0, 63, 100, 256, 1000, 2047, 2048, 2300]
     assert nsteps % MAP_STEPS and 100 % MAP_STEPS and 1000 % MAP_STEPS
-    assert 256 % MAP_STEPS == 0 and BLOCK_STEPS == 2048
+    assert 64 % MAP_STEPS == 0 and 256 % MAP_STEPS == 0 and BLOCK_STEPS == 2048
     reals = synthesize_many(noise, [3, 4, 5], horizon)
     res = run_batch(sys_, reals, cfg, horizon, idx * dt, initial=initial)
     Q, P = rk4_every_step(sys_, reals, cfg, horizon, initial=initial)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import cavity_epsilon
+from conftest import cavity_epsilon, trapezoid_exposure
 from stochastic_dce.cavity import CavityConfig, ModeIndex
 from stochastic_dce.config import load_config
 from stochastic_dce.noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
@@ -29,6 +29,7 @@ from stochastic_dce.theory import (
     perturbative_number,
     slow_flow_rates,
     solve_occupations,
+    windowed_exposure,
 )
 
 OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
@@ -395,3 +396,33 @@ def test_cosmo_massless_rate_saturates():
     assert np.all(rates < bound)
     assert rates[-1] > 0.9 * bound
     assert np.all(np.diff(rates) > 0)
+
+
+# ---------------------------------------------------------------------------
+# windowed exposure
+
+
+@pytest.mark.parametrize("ramp, horizon", [(3.0, 12.0), (10.0, 40.0), (0.5, 2.0),
+                                           (1.0, 2.0)])
+def test_windowed_exposure_matches_trapezoid_oracle(ramp, horizon):
+    # the oracle's own error is ~1e-9 of the horizon on these ramps
+    t = np.linspace(-0.5, horizon + 0.5, 1001)
+    np.testing.assert_allclose(windowed_exposure(ramp, horizon, t),
+                               trapezoid_exposure(ramp, horizon, t),
+                               rtol=0.0, atol=1e-8 * horizon)
+
+
+def test_windowed_exposure_closed_form_values():
+    # int_0^1 of the squared smoothstep is 181/462: each ramp gives r of
+    # that, the flat middle its length; the down-ramp mirrors the up-ramp,
+    # and the exposure is flat outside [0, T]; E(1) sums terms up to 38 in
+    # size, so it rounds to ~1e-14 relative
+    r, T = 3.0, 12.0
+    e = 181.0 / 462.0
+    got = windowed_exposure(r, T, np.array([-1.0, 0.0, r, 6.0, T - r, T, T + 1.0]))
+    expected = [0.0, 0.0, r * e, r * e + 6.0 - r, r * e + T - 2 * r,
+                T - 2 * r * (1 - e), T - 2 * r * (1 - e)]
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+    s = np.linspace(0.0, r, 31)
+    np.testing.assert_allclose(windowed_exposure(r, T, T) - windowed_exposure(r, T, T - s),
+                               windowed_exposure(r, T, s), rtol=1e-13, atol=1e-14)
