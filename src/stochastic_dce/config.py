@@ -1,7 +1,9 @@
 """Run configuration: YAML parsing, validation, and object assembly.
 
 Keys carry their unit in the name (t_c_time, omega_rad_per_time, ...) so
-a config file reads unambiguously.  Unknown keys are hard errors.
+a config file reads unambiguously.  Unknown keys are hard errors, and
+each scenario knows only the keys and noise kinds its simulate and
+predict both read: a key another scenario takes is unknown here too.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .cavity import CavityConfig
-from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, check_integrable,
-                       initial_data, step_grid, suggest_dt)
+from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, Window,
+                       check_integrable, initial_data, step_grid, suggest_dt)
 from .ensemble import EnsembleConfig
 from .noise import NoiseKind, NoiseSpec
 
@@ -46,6 +48,7 @@ class RunConfig:
     integrator: IntegratorConfig
     ensemble: EnsembleConfig
     cavity: CavityConfig | None = None
+    path: str | None = None             # coupled_stochastic: CavityModes' equations
     omega: float | None = None          # single-mode scenarios
     epsilon: float | None = None        # non-coupled scenarios
     mass: float | None = None           # cosmology
@@ -56,7 +59,7 @@ class RunConfig:
     def systems(self):
         """(label, system) pairs to simulate; cosmology has one per k."""
         if self.scenario is Scenario.COUPLED_STOCHASTIC:
-            return [(1, CavityModes(self.cavity, self.integrator.path))]
+            return [(1, CavityModes(self.cavity, self.path))]
         if self.scenario is Scenario.COSMOLOGY:
             return [
                 (i + 1, PlainOscillator((k**2 + self.mass**2) ** 0.5, self.epsilon))
@@ -139,6 +142,12 @@ def parse_config(data: dict) -> RunConfig:
 
     noise = _parse_noise(_section(data, "noise"))
     coupled = scenario is Scenario.COUPLED_STOCHASTIC
+    deterministic = scenario is Scenario.SINGLE_MODE_DETERMINISTIC
+    # the resonance law needs the sinusoid, every other law a noise spectrum
+    if noise.is_stochastic == deterministic:
+        wanted = "deterministic_sinusoid" if deterministic else "a stochastic kind"
+        raise ConfigError(f"noise.kind {noise.kind.value!r} does not apply to "
+                          f"{scenario.value} runs; use {wanted}")
 
     omega = epsilon = mass = None
     k_grid = ()
@@ -163,17 +172,18 @@ def parse_config(data: dict) -> RunConfig:
     elif "cavity" in data:
         raise ConfigError("section 'cavity' only applies to coupled_stochastic runs")
 
-    ens = _parse_ensemble(_section(data, "ensemble"),
-                          deterministic=scenario is Scenario.SINGLE_MODE_DETERMINISTIC)
+    ens = _parse_ensemble(_section(data, "ensemble"), scenario)
     omega_max = _max_frequency(scenario, omega, mass, k_grid, cavity)
-    integ = _parse_integrator(_section(data, "integrator", required=False),
-                              omega_max, ens.horizon)
+    integ_sec = _section(data, "integrator", required=False)
+    path = (_take(integ_sec, "integrator", "path", str, default="linearized")
+            if coupled else None)
+    integ = _parse_integrator(integ_sec, omega_max, ens.horizon, windowed=coupled)
     comp = _parse_compare(_section(data, "compare", required=False))
 
     try:
         if epsilon is not None and not 0 <= epsilon < 1:
             raise ConfigError(f"scenario.epsilon must be in [0, 1), got {epsilon}")
-        cfg = RunConfig(scenario, noise, integ, ens, cavity, omega, epsilon,
+        cfg = RunConfig(scenario, noise, integ, ens, cavity, path, omega, epsilon,
                         mass, k_grid, comp, data)
         step = step_grid(ens.horizon, integ)[1]
         for _, system in cfg.systems():
@@ -238,23 +248,23 @@ def _parse_cavity(sec) -> CavityConfig:
         raise ConfigError(f"cavity: {err}")
 
 
-def _parse_integrator(sec, omega_max, horizon) -> IntegratorConfig:
+def _parse_integrator(sec, omega_max, horizon, windowed) -> IntegratorConfig:
     dt = _take(sec, "integrator", "dt_time", float, default=None, positive=True)
     if dt is None:
         dt = suggest_dt(omega_max, horizon)
-    kwargs = dict(
-        dt=dt,
-        path=_take(sec, "integrator", "path", str, default="linearized"),
-        window_ramp=_take(sec, "integrator", "window_ramp_time", float, default=0.0),
-    )
+    ramp = (_take(sec, "integrator", "window_ramp_time", float, default=0.0)
+            if windowed else 0.0)
     _no_leftovers(sec, "integrator")
     try:
-        return IntegratorConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"integrator: {err}")
+        Window(ramp, horizon)   # the fit rule run_batch and windowed_exposure need
+    except ValueError:
+        raise ConfigError(f"integrator.window_ramp_time must be in [0, horizon_time/2]"
+                          f" = [0, {horizon / 2:g}], got {ramp:g}")
+    return IntegratorConfig(dt=dt, window_ramp=ramp)
 
 
-def _parse_ensemble(sec, deterministic=False) -> EnsembleConfig:
+def _parse_ensemble(sec, scenario) -> EnsembleConfig:
+    deterministic = scenario is Scenario.SINGLE_MODE_DETERMINISTIC
     kwargs = dict(
         n_realizations=_take(sec, "ensemble", "n_realizations", int,
                              default=1 if deterministic else ...),
@@ -262,9 +272,11 @@ def _parse_ensemble(sec, deterministic=False) -> EnsembleConfig:
         workers=_take(sec, "ensemble", "workers", int, default=0),
         horizon=_take(sec, "ensemble", "horizon_time", float, positive=True),
         probes=tuple(_take(sec, "ensemble", "probes_time", list)),
-        in_mode=_take(sec, "ensemble", "in_mode", int, default=1),
-        initial=_take(sec, "ensemble", "initial", str, default="vacuum"),
     )
+    if scenario is Scenario.COUPLED_STOCHASTIC:
+        kwargs["in_mode"] = _take(sec, "ensemble", "in_mode", int, default=1)
+    if scenario is Scenario.SINGLE_MODE_STOCHASTIC:
+        kwargs["initial"] = _take(sec, "ensemble", "initial", str, default="vacuum")
     _no_leftovers(sec, "ensemble")
     try:
         return EnsembleConfig(**kwargs)

@@ -69,15 +69,18 @@ class DerivativeOrderError(ValueError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """The RK4 step and the noise window of a run.
+
+    Which equations are integrated is the system's own setting
+    (CavityModes' path), not the integrator's.
+    """
+
     dt: float
-    path: str = "linearized"  # or "exact"
     window_ramp: float = 0.0  # C^2 on/off ramp duration at each end; 0 = none
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.path not in ("linearized", "exact"):
-            raise ValueError(f"unknown path {self.path!r}")
         if self.window_ramp < 0:
             raise ValueError("window_ramp must be >= 0")
 
@@ -205,9 +208,12 @@ class CavityModes:
     path="linearized" keeps terms first order in the wall displacement
     (static frequencies, the three driving terms); path="exact" keeps
     the full time-dependent frequency and the log-derivative couplings.
+    Any other path is refused.
     """
 
     def __init__(self, cavity: CavityConfig, path: str = "linearized"):
+        if path not in ("linearized", "exact"):
+            raise ValueError(f"path must be 'linearized' or 'exact', got {path!r}")
         self.cavity = cavity
         self.path = path
         self.n_modes = cavity.nz_max

@@ -114,6 +114,9 @@ class EnsembleConfig:
             raise ValueError("workers must be >= 0")
         if len(self.probes) == 0:
             raise ValueError("at least one probe time is required")
+        if outside := [p for p in self.probes if not 0 <= p <= self.horizon]:
+            raise ValueError(f"probes {outside} lie outside "
+                             f"[0, horizon] = [0, {self.horizon:g}]")
 
 
 @dataclass

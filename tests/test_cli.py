@@ -122,16 +122,19 @@ def test_missing_config_exits_2(tmp_path, capsys):
     lambda d: d.update(integrator={"dt_time": 1.0}),
     lambda d: d.update(noise={"kind": "ornstein_uhlenbeck", "sigma": 1.0,
                               "t_c_time": 0.5}),
+    lambda d: d.update(integrator={"window_ramp_time": 3.5}),
 ])
 def test_config_the_integrator_refuses_exits_2(tmp_path, capsys, mutate):
     data = coupled_data()
     mutate(data)
     out = tmp_path / "out"
-    code = main(["simulate", "--config", write_yaml(tmp_path, data),
-                 "--out", str(out), "--quiet"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    for command in ("simulate", "predict"):
+        code = main([command, "--config", write_yaml(tmp_path, data),
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_spectrum_refuses_single_mode_config(tmp_path, capsys):

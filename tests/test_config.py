@@ -2,6 +2,7 @@
 
 import copy
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -9,6 +10,8 @@ import yaml
 from stochastic_dce.config import ConfigError, Scenario, load_config, parse_config
 from stochastic_dce.dynamics import PlainOscillator
 from stochastic_dce.noise import NoiseKind
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def single_mode_data():
@@ -42,6 +45,22 @@ def cosmology_data():
         "ensemble": {"n_realizations": 2, "horizon_time": 10.0,
                      "probes_time": [10.0]},
     }
+
+
+def deterministic_data():
+    return {
+        "scenario": {"kind": "single_mode_deterministic",
+                     "omega_rad_per_time": 1.0, "epsilon": 0.01},
+        "noise": {"kind": "deterministic_sinusoid",
+                  "omega_drive_rad_per_time": 2.0},
+        "ensemble": {"horizon_time": 10.0, "probes_time": [10.0]},
+    }
+
+
+SCENARIOS = {"single_mode_stochastic": single_mode_data,
+             "single_mode_deterministic": deterministic_data,
+             "coupled_stochastic": coupled_data,
+             "cosmology": cosmology_data}
 
 
 def test_single_mode_parses():
@@ -81,14 +100,7 @@ def test_cosmology_parses_one_system_per_k():
 
 
 def test_deterministic_defaults_to_one_realization():
-    data = {
-        "scenario": {"kind": "single_mode_deterministic",
-                     "omega_rad_per_time": 1.0, "epsilon": 0.01},
-        "noise": {"kind": "deterministic_sinusoid",
-                  "omega_drive_rad_per_time": 2.0},
-        "ensemble": {"horizon_time": 10.0, "probes_time": [10.0]},
-    }
-    cfg = parse_config(data)
+    cfg = parse_config(deterministic_data())
     assert cfg.ensemble.n_realizations == 1
     assert cfg.noise.omega_drive == 2.0
 
@@ -147,14 +159,85 @@ def test_invalid_cosmology_configs(mutate, match):
                 d.update(noise=single_mode_data()["noise"],
                          integrator={"path": "exact"})), "smooth xi'"),
     (lambda d: d.update(integrator={"dt_time": 0.05}), r"dt\*omega_max"),
+    (lambda d: d.update(integrator={"window_ramp_time": 5.5}), "window_ramp_time"),
+    (lambda d: d.update(integrator={"window_ramp_time": -1.0}), "window_ramp_time"),
+    (lambda d: d.update(integrator={"path": "exakt"}), "path"),
 ])
 def test_invalid_coupled_configs(mutate, match):
     # runs the integrator refuses: OU noise where xi' and xi'' are needed,
-    # a step too coarse for the fastest mode
+    # a step too coarse for the fastest mode, window ramps that do not fit
+    # inside the horizon, equations that do not exist
     data = coupled_data()
     mutate(data)
     with pytest.raises(ConfigError, match=match):
         parse_config(data)
+
+
+# each key is read by one scenario's simulate and predict; the others,
+# which would run and predict as if it were absent, refuse it, whatever
+# its value
+OTHERS = [s for s in SCENARIOS if s != "coupled_stochastic"]
+
+
+@pytest.mark.parametrize("scenario, section, key, value", [
+    *[(s, "integrator", "path", "exact") for s in OTHERS],
+    *[(s, "integrator", "window_ramp_time", 1.0) for s in OTHERS],
+    *[(s, "ensemble", "in_mode", 1) for s in OTHERS],
+    *[(s, "ensemble", "initial", value) for s in SCENARIOS
+      if s != "single_mode_stochastic" for value in ("vacuum", "position_kick")],
+])
+def test_scenario_refuses_keys_it_does_not_read(scenario, section, key, value):
+    data = SCENARIOS[scenario]()
+    data.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=rf"{section}: unknown key\(s\) \['{key}'\]"):
+        parse_config(data)
+
+
+SINUSOID = deterministic_data()["noise"]
+
+
+@pytest.mark.parametrize("scenario, noise", [
+    ("single_mode_stochastic", SINUSOID),
+    ("coupled_stochastic", SINUSOID),
+    ("cosmology", SINUSOID),
+    ("single_mode_deterministic", single_mode_data()["noise"]),
+    ("single_mode_deterministic", coupled_data()["noise"]),
+])
+def test_scenario_refuses_noise_kind_it_does_not_predict(scenario, noise):
+    # the sinusoid has no spectrum for the stochastic laws, and the
+    # deterministic law is a resonance of the sinusoid alone
+    data = SCENARIOS[scenario]()
+    data["noise"] = dict(noise)
+    with pytest.raises(ConfigError, match=f"noise.kind '{noise['kind']}'"):
+        parse_config(data)
+
+
+def test_probe_outside_horizon_refused():
+    data = cosmology_data()
+    data["ensemble"]["probes_time"] = [-5.0, 5.0, 10.5]
+    with pytest.raises(ConfigError, match=r"probes \[-5.0, 10.5\] lie outside"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_config_parses_and_round_trips(path):
+    cfg = load_config(str(path))
+    assert parse_config(copy.deepcopy(cfg.raw)) == cfg
+
+
+def test_benchmark_workload_configs_parse(tmp_path, monkeypatch):
+    # every config the benchmark writes, at both sizes, is one the program takes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    cases = {**workloads.WORKLOADS, "worker_check": workloads.WORKER_CHECK}
+    for name, wl in cases.items():
+        for smoke in (False, True):
+            path = workloads.write_config(ROOT, wl, tmp_path / f"{name}_{smoke}.yaml",
+                                          7, smoke, workers=2)
+            cfg = load_config(str(path))
+            assert cfg.ensemble.master_seed == 7 and cfg.ensemble.workers == 2
 
 
 def test_ou_noise_requires_correlation_time():

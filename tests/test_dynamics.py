@@ -45,8 +45,12 @@ def resonant_drive(omega):
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=0.01, path="rk45")
+
+
+def test_cavity_modes_refuses_unknown_path():
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.01, nz_max=2)
+    with pytest.raises(ValueError, match="rk45"):
+        CavityModes(cav, "rk45")
 
 
 def test_step_resolution_guard():
@@ -176,7 +180,7 @@ def test_geometry_collapse_detected():
     seed = next(s for s in range(100)
                 if np.min(eval_batch(synthesize(noisy, s, horizon), t, (0,))[0]) < -2.2)
     real = synthesize(noisy, seed, horizon)
-    res = run_every_step(sys_, real, IntegratorConfig(dt=0.02, path="exact"), horizon)
+    res = run_every_step(sys_, real, IntegratorConfig(dt=0.02), horizon)
     assert res.collapsed.tolist() == [True]
 
 
@@ -187,7 +191,7 @@ def test_collapsed_rows_are_masked_and_leave_the_others_alone():
                       nu_max=1.5, n_components=2)
     cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.5, nz_max=1)
     sys_ = CavityModes(cav, "exact")
-    icfg = IntegratorConfig(dt=0.02, path="exact")
+    icfg = IntegratorConfig(dt=0.02)
     horizon, probes, seeds = 60.0, (15.0, 45.0, 60.0), list(range(16))
     first = first_collapse_step(synthesize_many(noisy, seeds, horizon), 0.5, icfg,
                                 horizon)
@@ -296,7 +300,7 @@ def test_canonical_wronskian_conserved_for_coupled_runs(monkeypatch):
         reals = synthesize_many(noise, range(4), horizon)
         for path in ("linearized", "exact"):
             cfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), horizon),
-                                   path=path, window_ramp=ramp)
+                                   window_ramp=ramp)
             sys_ = CavityModes(cav, path)
             res = run_batch(sys_, reals, cfg, horizon, np.linspace(0.0, horizon, 7))
             assert res.times[0] == 0.0
@@ -338,7 +342,7 @@ def test_linearized_and_exact_beta2_agree_beyond_second_order():
         for path in ("linearized", "exact"):
             cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=eps, nz_max=1)
             sys_ = CavityModes(cav, path)
-            cfg = IntegratorConfig(dt=suggest_dt(math.pi, 30.0), path=path)
+            cfg = IntegratorConfig(dt=suggest_dt(math.pi, 30.0))
             noise = synthesize(drive, 0, 30.0)
             res = run_every_step(sys_, noise, cfg, 30.0)
             _, _, beta = bogoliubov_at(res, noise, sys_.omegas, 30.0, rest_tol=1e-9)
@@ -425,7 +429,7 @@ def test_rows_do_not_depend_on_batch_width():
     horizon = 7.0
     cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
     cases = [(PlainOscillator(omega=2.0, epsilon=0.1), IntegratorConfig(dt=0.001))]
-    cases += [(CavityModes(cav, path), IntegratorConfig(dt=0.001, path=path, window_ramp=1.5))
+    cases += [(CavityModes(cav, path), IntegratorConfig(dt=0.001, window_ramp=1.5))
               for path in ("linearized", "exact")]
     seeds = [21, 22, 23, 24, 25, 26, 27]
     probes = (0.0, 2.1, 4.5, 7.0)
@@ -471,7 +475,7 @@ def test_run_batch_matches_per_step_oracle(case):
         cfg = IntegratorConfig(dt=0.001, window_ramp=0.5)
     else:
         sys_, noise = CavityModes(ORACLE_CAV, "exact"), ORACLE_BAND
-        cfg = IntegratorConfig(dt=0.001, path="exact")
+        cfg = IntegratorConfig(dt=0.001)
         initial = "position_kick"
     nsteps, dt, idx = step_grid(horizon, cfg, (0.0, 0.063, 0.1, 0.256, 1.0, 2.047,
                                                2.048, horizon))

@@ -88,6 +88,11 @@ def test_ensemble_config_validation():
     with pytest.raises(ValueError):
         EnsembleConfig(n_realizations=2, master_seed=1, probes=(1.0,), horizon=1.0,
                        workers=-1)
+    # a probe outside [0, horizon] is refused, not clipped onto the grid's ends
+    for probes in ((-0.5, 1.0), (0.5, 1.5)):
+        with pytest.raises(ValueError, match="outside"):
+            EnsembleConfig(n_realizations=2, master_seed=1, probes=probes, horizon=1.0)
+    EnsembleConfig(n_realizations=2, master_seed=1, probes=(0.0, 1.0), horizon=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,7 @@ def test_too_many_aborts_fails_the_run():
     sys_ = CavityModes(cav, "exact")
     cfg = EnsembleConfig(n_realizations=32, master_seed=0, probes=(30.0,),
                          horizon=30.0, workers=1)
-    icfg = IntegratorConfig(dt=0.02, path="exact")
+    icfg = IntegratorConfig(dt=0.02)
     with pytest.raises(TooManyAbortsError):
         run_ensemble(sys_, noisy, icfg, cfg)
 
@@ -221,7 +226,7 @@ def test_collapsing_chunk_is_one_pass(monkeypatch):
                       nu_max=1.5, n_components=2)
     cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.5, nz_max=1)
     sys_ = CavityModes(cav, "exact")
-    icfg = IntegratorConfig(dt=0.02, path="exact")
+    icfg = IntegratorConfig(dt=0.02)
     cfg = EnsembleConfig(n_realizations=40, master_seed=3, probes=(15.0, 30.0),
                          horizon=30.0, workers=1)
     start, stop = 8, 32
