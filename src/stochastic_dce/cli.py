@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed comparison or invariant violation,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import json
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cavity import ModeIndex
-from .config import ConfigError, RunConfig, Scenario, load_config
+from .config import ConfigError, RunConfig, Scenario, load_config, parse_config
 from .ensemble import (
     EnsembleConfig,
     InvariantViolationError,
@@ -63,16 +64,16 @@ def _sub_master(master: int, label: int, n_systems: int) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    changed = {}
-    if args.seed is not None:
-        changed["master_seed"] = args.seed
-    if args.workers is not None:
-        changed["workers"] = args.workers
-    if changed:
-        cfg = dataclasses.replace(
-            cfg, ensemble=dataclasses.replace(cfg.ensemble, **changed)
-        )
-    return cfg
+    """cfg with --seed and --workers written into a copy of its file's
+    ensemble section and parsed again: an override is checked like a
+    file value, and summary.json's config records the values that ran."""
+    changed = {"master_seed": args.seed, "workers": args.workers}
+    changed = {key: value for key, value in changed.items() if value is not None}
+    if not changed:
+        return cfg
+    raw = copy.deepcopy(cfg.raw)
+    raw["ensemble"].update(changed)
+    return parse_config(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +348,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_noise_dump(cfg: RunConfig, seed: int | None) -> int:
-    if seed is None:
-        seed = cfg.ensemble.master_seed
+def cmd_noise_dump(cfg: RunConfig) -> int:
+    seed = cfg.ensemble.master_seed     # --seed, if given, is already in cfg
     horizon = cfg.ensemble.horizon
     nsteps, step, _ = step_grid(horizon, cfg.integrator)
     t = np.arange(nsteps + 1) * step
     xi = eval_batch(synthesize(cfg.noise, seed, horizon), t, (0, 1, 2))
-    cols = [xi[o][0] for o in (0, 1, 2)]
+    cols = [xi[o][:, 0] for o in (0, 1, 2)]
     w = csv.writer(sys.stdout)
     w.writerow(["t", "xi", "xi_dot", "xi_ddot"])
     for i in range(t.size):
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
             return cmd_compare(cfg, sim, pre, out_dir)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
-        return cmd_noise_dump(cfg, args.seed)
+        return cmd_noise_dump(cfg)
     except ConfigError as err:
         log.error("%s", err)
         print(f"error: {err}", file=sys.stderr)

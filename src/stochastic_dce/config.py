@@ -179,13 +179,16 @@ def parse_config(data: dict) -> RunConfig:
             if coupled else None)
     integ = _parse_integrator(integ_sec, omega_max, ens.horizon, windowed=coupled)
     comp = _parse_compare(_section(data, "compare", required=False))
+    try:
+        step = step_grid(ens.horizon, integ, ens.probes)[1]
+    except ValueError as err:
+        raise ConfigError(f"ensemble.probes_time: {err}")
 
     try:
         if epsilon is not None and not 0 <= epsilon < 1:
             raise ConfigError(f"scenario.epsilon must be in [0, 1), got {epsilon}")
         cfg = RunConfig(scenario, noise, integ, ens, cavity, path, omega, epsilon,
                         mass, k_grid, comp, data)
-        step = step_grid(ens.horizon, integ)[1]
         for _, system in cfg.systems():
             # systems, initial data and the integrator check consistency
             initial_data(system, ens.initial, ens.in_mode)

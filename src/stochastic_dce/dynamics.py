@@ -16,7 +16,9 @@ probe that Phi, taken to canonical (Q, Pi) coordinates, is symplectic,
 which holds every Wronskian pair of basis solutions at once.  Systems
 work mode-first: modes on axis 0, with the noise values broadcasting
 over the trailing axes, and every mode sum is an explicit fixed-order
-sum, so a row rounds the same at any batch width.
+sum, so a row rounds the same at any batch width.  Rows are on the
+last axis, noise values to snapshots, so a map block's noise strips
+are views of eval_batch's (half-steps, batch) values, not copies.
 
 Noise values for all substeps are produced in fixed blocks of 2048
 steps and the step matrices in fixed blocks of 64; neither length
@@ -85,19 +87,21 @@ class IntegratorConfig:
             raise ValueError("window_ramp must be >= 0")
 
 
-DRIFT_BUDGET = 1e-8
+# The bound on the Wronskian drift: suggest_dt sizes the step for it,
+# and every run's invariant check enforces it.
+WRONSKIAN_TOL = 1e-8
 AMPLITUDE_MARGIN = 100.0
 
 
 def suggest_dt(omega_max: float, horizon: float) -> float:
-    """Step size keeping the RK4 Wronskian drift under DRIFT_BUDGET.
+    """Step size keeping the RK4 Wronskian drift under WRONSKIAN_TOL.
 
     RK4 damps a harmonic mode by (omega dt)^6/72 per step, so the drift
     over the run is ~ horizon * omega^6 dt^5 / 72 times the amplitude
     scale reached; AMPLITUDE_MARGIN covers the growth of the worst
     realizations.  Capped at 0.1/omega in any case.
     """
-    dt = (72.0 * DRIFT_BUDGET / (horizon * omega_max**6 * AMPLITUDE_MARGIN)) ** 0.2
+    dt = (72.0 * WRONSKIAN_TOL / (horizon * omega_max**6 * AMPLITUDE_MARGIN)) ** 0.2
     return min(dt, 0.1 / omega_max)
 
 
@@ -135,10 +139,10 @@ class Window:
 
 def _windowed(xi: dict[int, np.ndarray], win: Window | None, t: np.ndarray,
               orders: tuple[int, ...]):
-    """Apply the window to raw noise values/derivatives."""
+    """Apply the window to raw noise values/derivatives, (times, batch)."""
     if win is None:
         return tuple(xi.get(o) for o in (0, 1, 2))
-    w, w1, w2 = win.profile(t)
+    w, w1, w2 = (p[:, None] for p in win.profile(t))
     x0 = w * xi[0]
     x1 = x2 = None
     if 1 in orders:
@@ -254,8 +258,9 @@ class CavityModes:
         return P - lam * _mix(self.gmat, Q)
 
     def collapsed(self, x0):
-        """Rows of x0 (batch, times) with 1 + eps*xi <= 1e-12; None if linearized."""
-        return (np.any(1.0 + self.epsilon * x0 <= 1e-12, axis=1)
+        """Columns (rows) of x0 (times, batch) with 1 + eps*xi <= 1e-12 at
+        any time; None if linearized."""
+        return (np.any(1.0 + self.epsilon * x0 <= 1e-12, axis=0)
                 if self.path == "exact" else None)
 
     def _accel_exact(self, Q, P, x0, x1, x2):
@@ -314,8 +319,10 @@ def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
     grid: the smoothstep's third derivative jumps there, and a step that
     straddles the jump is only third-order accurate.  If no step count up
     to twice the plain one aligns them, the plain grid is kept.  Returns
-    (nsteps, step, probe_idx): probe_idx holds the sorted, distinct step
-    indices nearest the probe times, clipped to [0, nsteps].
+    (nsteps, step, probe_idx): probe_idx holds the sorted step indices
+    nearest the distinct probe times, clipped to [0, nsteps].  Two
+    distinct probe times that round to the same step raise ValueError,
+    since one of them would get no output.
     """
     nsteps = max(1, int(math.ceil(horizon / integrator.dt - 1e-9)))
     if integrator.window_ramp > 0:
@@ -325,8 +332,11 @@ def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
         if aligned.size:
             nsteps = int(counts[aligned[0]])
     step = horizon / nsteps
-    probe_idx = np.unique(np.clip(np.round(np.asarray(probe_times, float) / step)
-                                  .astype(np.intp), 0, nsteps))
+    times = np.unique(np.asarray(probe_times, float))
+    probe_idx = np.clip(np.round(times / step).astype(np.intp), 0, nsteps)
+    if (same := np.flatnonzero(np.diff(probe_idx) == 0)).size:
+        raise ValueError(f"probe times {[times[k:k + 2].tolist() for k in same]} "
+                         f"round to the same step (dt = {step:.6g})")
     return nsteps, step, probe_idx
 
 
@@ -462,7 +472,7 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         if m > 1:           # with one mode G = 0, and lam is not needed
             for v, out in zip(x, lam_x):
                 if out is not None:
-                    out[slots] = v[:, 2 * (step - start)]
+                    out[slots] = v[2 * (step - start)]
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
@@ -472,20 +482,19 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     for start in range(0, nsteps, BLOCK_STEPS):
         stop = min(nsteps, start + BLOCK_STEPS)
         t_half = half * np.arange(2 * start, 2 * stop + 1)
-        # (batch, half-steps) per noise order, None where not needed
+        # (half-steps, batch) per noise order, None where not needed
         x = _windowed(eval_batch(noise, t_half, orders), win, t_half, orders)
         if (hit := collapsed(x[0])) is not None:
             dead |= hit
             for v in x:     # the exact path has all three orders
-                v[dead] = 0.0
+                v[:, dead] = 0.0
         if start == 0:
             record(0, Phi, x, start)
         for lo in range(start, stop, MAP_STEPS):
             hi = min(stop, lo + MAP_STEPS)
             i0, i1 = 2 * (lo - start), 2 * (hi - start)
             M = _step_maps(system, dt, *(
-                [None if v is None else np.ascontiguousarray(v[:, i0 + j:i1 + j:2].T)
-                 for v in x] for j in (0, 1, 2)))
+                [None if v is None else v[i0 + j:i1 + j:2] for v in x] for j in (0, 1, 2)))
             cuts = [int(i) for i in probe_idx[(probe_idx > lo) & (probe_idx < hi)]]
             for a, b in zip([lo, *cuts], [*cuts, hi]):
                 Phi = _matmul(_chain(M[:, :, a - lo:b - lo]), Phi)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
+    WRONSKIAN_TOL,
     IntegratorConfig,
     decompose,
     run_batch,
@@ -49,8 +50,6 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1024           # the most realizations one chunk holds
-
-WRONSKIAN_TOL = 1e-8
 MAX_ABORT_FRACTION = 0.01
 
 log = logging.getLogger("sdce")
@@ -235,7 +234,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     t0 = time.perf_counter()
     N = ensemble.n_realizations
     chunks, workers = chunk_layout(ensemble)
-    nsteps, dt, _ = step_grid(ensemble.horizon, integrator)
+    nsteps, dt, _ = step_grid(ensemble.horizon, integrator, ensemble.probes)
     n = len(chunks)
     # _run_chunk is looked up per call, so a wrapper patched over it is
     # what the pool workers run

@@ -18,6 +18,10 @@ all be fed to the mode equations:
   1993).  Both are first-order recursions run in place over the knot
   rows of one knot-major array, which eval_batch reads step-major (one
   gathered knot row per tap and time).
+
+eval_batch returns every kind in one layout, times on axis 0 and rows
+on the last axis, (len(times), len(batch)): the layout of the OU
+coefficients and of every array run_batch steps with.
 """
 
 from __future__ import annotations
@@ -172,21 +176,6 @@ def spectrum(spec: NoiseSpec, nu) -> np.ndarray | complex:
 _POLE = math.sqrt(3.0) - 2.0
 
 
-def bspline_coefficients(samples: np.ndarray) -> np.ndarray:
-    """Interpolating cubic B-spline coefficients, mirror boundaries.
-
-    Works along the first axis (knots first, as bspline_evaluate reads
-    them) and returns a new array; O(n) via the standard forward/backward
-    recursive filter, so it stays cheap for long multi-row sample arrays.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    c = x.reshape(x.shape[0], -1).copy()
-    _prefilter(c)
-    return c.reshape(x.shape)
-
-
 def _recurse(rows, a: float) -> None:
     """rows[k] += a * rows[k-1] for k = 1, 2, ..., in place: the first-order
     recursive filter y_k = x_k + a y_{k-1}, one elementwise step per row, so
@@ -196,7 +185,9 @@ def _recurse(rows, a: float) -> None:
 
 
 def _prefilter(c: np.ndarray) -> None:
-    """Samples (n, B) -> cubic B-spline coefficients, in place."""
+    """Samples (n, B), n >= 2 -> interpolating cubic B-spline coefficients
+    with mirror boundaries, in place, by the forward and backward
+    recursive filters."""
     n = c.shape[0]
     rows = list(c)
     z = _POLE
@@ -287,7 +278,8 @@ class NoiseBatch:
     phases of shape (B, n).  OU: row b is the cubic B-spline with
     coefficients coeffs[:, b] on the knots t = k * grid_step; coeffs is
     knot-major, (n_knots, B), so that eval_batch gathers whole knot rows.
-    Derivatives are analytic in both cases.
+    Derivatives are analytic in both cases, and eval_batch puts row b's
+    values in column b for either kind.
     """
 
     horizon: float
@@ -367,13 +359,11 @@ def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
 def eval_batch(batch: NoiseBatch, times, orders) -> dict[int, np.ndarray]:
     """Evaluate every row of the batch on one shared 1-d time grid.
 
-    Returns {order: array (len(batch), len(times))} for each requested
-    derivative order (0, 1 or 2).  Times must lie in [0, horizon].  OU
-    values are built step-major and returned as transposed views, so a
-    row is strided and a time is contiguous.  For
-    the spectral kinds, evenly spaced times are the fast case; other
-    times are evaluated one by one, with memory O(len(times)) per
-    component.
+    Returns {order: array (len(times), len(batch))} for each requested
+    derivative order (0, 1 or 2), for every kind: step-major, with row b
+    of the batch in column b.  Times must lie in [0, horizon].  For the
+    spectral kinds, evenly spaced times are the fast case; other times
+    are evaluated one by one, with memory O(len(times)) per component.
     """
     times = np.asarray(times, dtype=float)
     tiny = 1e-9 * max(1.0, batch.horizon)
@@ -386,10 +376,9 @@ def eval_batch(batch: NoiseBatch, times, orders) -> dict[int, np.ndarray]:
         u = times / step
         out = {}
         for o in orders:
-            vals = bspline_evaluate(batch.coeffs, u, o)     # (n_t, B)
+            out[o] = bspline_evaluate(batch.coeffs, u, o)   # (n_t, B)
             if o:
-                vals /= step**o
-            out[o] = vals.T
+                out[o] /= step**o
         return out
     return _eval_spectral(batch, times, tuple(orders))
 
@@ -416,8 +405,8 @@ def _eval_spectral(batch: NoiseBatch, times: np.ndarray, orders) -> dict[int, np
     part of sum_j c_j z_j with c = (a, i a nu, -a nu^2).  With z the
     anchor phasors and w the offset table, that is one real matrix
     product per row, [Re cz, -Im cz] @ [Re w; Im w], which rounds a row
-    the same alone or in a batch.  Unevenly spaced times take K = 1:
-    each time is its own anchor.
+    the same alone or in a batch, and is written to the row's column.
+    Unevenly spaced times take K = 1: each time is its own anchor.
     """
     h = _even_step(times)
     stride = ANCHOR_STRIDE if h is not None else 1
@@ -425,7 +414,7 @@ def _eval_spectral(batch: NoiseBatch, times: np.ndarray, orders) -> dict[int, np
     offsets = np.arange(stride) * (h or 0.0)
     amps = batch.amplitudes
     n_t = times.size
-    out = {o: np.empty((len(batch), n_t)) for o in orders}
+    out = {o: np.empty((n_t, len(batch))) for o in orders}
     for i, (nu, phi) in enumerate(zip(batch.frequencies, batch.phases)):
         z = np.exp(1j * (np.multiply.outer(anchors, nu) + phi))      # (n_a, n)
         w = np.exp(1j * np.multiply.outer(nu, offsets))              # (n, K)
@@ -434,5 +423,5 @@ def _eval_spectral(batch: NoiseBatch, times: np.ndarray, orders) -> dict[int, np
         vals = np.concatenate([cz.real, -cz.imag], axis=1) @ np.concatenate([w.real, w.imag])
         vals = vals.reshape(len(orders), -1)
         for k, o in enumerate(orders):
-            out[o][i] = vals[k, :n_t]
+            out[o][:, i] = vals[k, :n_t]
     return out

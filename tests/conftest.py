@@ -51,7 +51,7 @@ def first_collapse_step(noise, epsilon, integrator, horizon):
     1 + eps*xi <= 1e-12 (the wall at the far mirror), or -1: the reference
     for run_batch's collapse mask on an unwindowed exact-path run."""
     nsteps, dt, _ = step_grid(horizon, integrator)
-    x0 = eval_batch(noise, 0.5 * dt * np.arange(2 * nsteps + 1), (0,))[0]
+    x0 = eval_batch(noise, 0.5 * dt * np.arange(2 * nsteps + 1), (0,))[0].T
     hit = 1.0 + epsilon * x0 <= 1e-12
     return np.where(hit.any(axis=1), np.argmax(hit, axis=1) // 2, -1)
 
@@ -63,7 +63,7 @@ def rk4_every_step(system, noise, integrator, horizon, initial="vacuum"):
     t = 0.5 * dt * np.arange(2 * nsteps + 1)
     win = Window(integrator.window_ramp, horizon) if integrator.window_ramp > 0 else None
     xi = eval_batch(noise, t, system.noise_orders)
-    x = [v if v is None else v.T for v in _windowed(xi, win, t, system.noise_orders)]
+    x = _windowed(xi, win, t, system.noise_orders)          # (half-steps, batch)
     Q, P = np.split(initial_data(system, initial)[:, None] * np.ones(len(noise)), 2)
     out = [(Q, P)]
     for i in range(nsteps):
@@ -89,7 +89,8 @@ def trapezoid_exposure(ramp, horizon, t):
 def ou_eval_row_major(batch, times, orders):
     """OU eval_batch the row-major way: every tap gathers a strip of each
     row of the (B, n_knots) coefficients, and the four taps are summed in
-    order 0..3; the reference for eval_batch's step-major gather."""
+    order 0..3, transposed to eval_batch's (times, rows) at the end; the
+    reference for eval_batch's step-major gather."""
     c = batch.coeffs.T
     step = batch.grid_step
     u = np.asarray(times, dtype=float) / step
@@ -113,7 +114,7 @@ def ou_eval_row_major(batch, times, orders):
             idx = np.where(idx >= n, 2 * (n - 1) - idx, idx)
             term = c[:, idx] * weight
             total = term if total is None else total + term
-        out[o] = total / step**o
+        out[o] = (total / step**o).T
     return out
 
 

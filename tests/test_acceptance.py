@@ -383,7 +383,7 @@ def test_a10_noise_statistics():
     vals = np.empty((N, times.size))
     for start in range(0, N, 2000):
         reals = synthesize_many(OU_HALF, range(start, start + 2000), 10.0)
-        vals[start:start + 2000] = eval_batch(reals, times, (0,))[0]
+        vals[start:start + 2000] = eval_batch(reals, times, (0,))[0].T
     zs = []
     for j, u in enumerate(lags):
         prod = vals[:, 0] * vals[:, j + 1]

@@ -137,6 +137,25 @@ def test_config_the_integrator_refuses_exits_2(tmp_path, capsys, mutate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, probes, args", [
+    ("workers", [3.0, 6.0], ["--workers", "-1"]),
+    ("probes_time", [3.0, 3.0001, 6.0], []),
+], ids=["workers", "probes_time"])
+def test_bad_ensemble_value_exits_2_naming_its_key(tmp_path, capsys, key, probes, args):
+    # a negative worker count, from the command line, and two probes on
+    # one grid step are refused like any bad config value
+    data = single_mode_data()
+    data["ensemble"]["probes_time"] = probes
+    out = tmp_path / "out"
+    for command in ("simulate", "predict"):
+        code = main([command, "--config", write_yaml(tmp_path, data),
+                     "--out", str(out), "--quiet", *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_spectrum_refuses_single_mode_config(tmp_path, capsys):
     cfg = write_yaml(tmp_path, single_mode_data())
     assert main(["spectrum", "--config", cfg]) == 2
@@ -256,12 +275,17 @@ def test_simulate_writes_series_and_summary(tmp_path):
 
 
 def test_simulate_seed_override(tmp_path):
-    cfg = write_yaml(tmp_path, single_mode_data())
+    # the overrides are what ran, and what summary.json's config records
+    data = single_mode_data()
+    data["ensemble"]["workers"] = 2
+    cfg = write_yaml(tmp_path, data)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet",
                  "--seed", "42", "--workers", "1"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seeds"]["master_seed"] == 42
+    assert summary["config"]["ensemble"]["master_seed"] == 42
+    assert summary["config"]["ensemble"]["workers"] == 1 == summary["workers"]["1"]
 
 
 def test_simulate_reports_chunk_size_used(tmp_path):

@@ -307,8 +307,8 @@ def test_canonical_wronskian_conserved_for_coupled_runs(monkeypatch):
             win = Window(ramp, horizon) if ramp > 0 else None
             x0, x1, _ = dyn._windowed(eval_batch(reals, res.times, sys_.noise_orders),
                                       win, res.times, sys_.noise_orders)
-            Q, P = (np.moveaxis(v, 2, 0) for v in (res.Q, res.P))
-            Pi = np.moveaxis(sys_.canonical_momentum(Q, P, x0, x1), 0, 2)
+            Q, P = (v.T for v in (res.Q, res.P))     # (modes, probes, batch)
+            Pi = sys_.canonical_momentum(Q, P, x0, x1).T
             drift = np.abs(wronskian(res.Q, Pi) - 1j)
             assert np.max(drift) < 1e-8
             assert np.max(np.abs(wronskian(res.Q, res.P) - 1j)) > 1e-3
@@ -325,6 +325,16 @@ def test_step_grid_puts_ramp_ends_on_the_grid(horizon, ramp):
     nsteps, step, _ = step_grid(horizon, IntegratorConfig(dt=dt, window_ramp=ramp))
     assert plain <= nsteps < plain + 4 and step <= dt
     assert abs(ramp / step - round(ramp / step)) < 1e-6
+
+
+def test_step_grid_refuses_probes_that_share_a_step():
+    # 3.0 and 3.02 both round to step 30 of dt 0.1; the same time given
+    # twice is one probe, and times a step apart are two
+    cfg = IntegratorConfig(dt=0.1)
+    with pytest.raises(ValueError, match=r"probe times \[\[3\.0, 3\.02\]\] round to the same"):
+        step_grid(10.0, cfg, (6.0, 3.02, 3.0))
+    assert step_grid(10.0, cfg, (6.0, 3.0, 3.0))[2].tolist() == [30, 60]
+    assert step_grid(10.0, cfg, (3.1, 3.0))[2].tolist() == [30, 31]
 
 
 def test_step_grid_keeps_plain_grid_when_ramp_cannot_align():
@@ -451,7 +461,7 @@ def test_rows_do_not_depend_on_batch_width():
     for i, seed in enumerate(seeds[:5]):
         xi_one = eval_batch(synthesize(BAND, seed, horizon), t_half, (0, 1, 2))
         for o in (0, 1, 2):
-            np.testing.assert_array_equal(xi[o][i], xi_one[o][0])
+            np.testing.assert_array_equal(xi[o][:, i], xi_one[o][:, 0])
 
 
 ORACLE_CAV = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)

@@ -16,7 +16,7 @@ from stochastic_dce.noise import (
     NoiseSpec,
     NoiseBatch,
     NotAStochasticProcessError,
-    bspline_coefficients,
+    _prefilter,
     bspline_evaluate,
     correlation,
     eval_batch,
@@ -33,7 +33,7 @@ SINUSOID = NoiseSpec(kind=NoiseKind.DETERMINISTIC_SINUSOID, omega_drive=2.0)
 
 def ev(batch, t, order):
     """Values of the first row of a batch at times t, one derivative order."""
-    return eval_batch(batch, t, (order,))[order][0]
+    return eval_batch(batch, t, (order,))[order][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +209,10 @@ def test_sinusoid_path_is_seed_independent_sine():
     t = np.linspace(0.0, 9.0, 50)
     for seed in (0, 1, 99):
         out = eval_batch(synthesize(SINUSOID, seed, 10.0), t, (0, 1, 2))
-        np.testing.assert_allclose(out[0][0], np.sin(2.0 * t), atol=1e-14)
-        np.testing.assert_allclose(out[1][0], 2.0 * np.cos(2.0 * t),
+        np.testing.assert_allclose(out[0][:, 0], np.sin(2.0 * t), atol=1e-14)
+        np.testing.assert_allclose(out[1][:, 0], 2.0 * np.cos(2.0 * t),
                                    atol=1e-13)
-        np.testing.assert_allclose(out[2][0], -4.0 * np.sin(2.0 * t),
+        np.testing.assert_allclose(out[2][:, 0], -4.0 * np.sin(2.0 * t),
                                    atol=1e-13)
 
 
@@ -310,7 +310,7 @@ def test_ou_derivatives_match_finite_differences(rng):
 
 def test_band_ensemble_mean_and_variance():
     reals = synthesize_many(BAND, range(10_000), 2.0)
-    x = eval_batch(reals, np.array([1.0]), (0,))[0][:, 0]
+    x = eval_batch(reals, np.array([1.0]), (0,))[0][0]
     assert abs(np.mean(x)) < 3.0 / math.sqrt(10_000)
     assert np.var(x) == pytest.approx(1.0, rel=0.05)
 
@@ -323,8 +323,8 @@ def test_ou_ensemble_marginals_and_lagged_correlation():
     for s in range(0, n, 2000):
         reals = synthesize_many(OU, range(s, s + 2000), 6.0)
         out = eval_batch(reals, np.array([t, t + u]), (0,))[0]
-        vals[s:s + 2000] = out[:, 0]
-        prods[s:s + 2000] = out[:, 0] * out[:, 1]
+        vals[s:s + 2000] = out[0]
+        prods[s:s + 2000] = out[0] * out[1]
     assert np.var(vals) == pytest.approx(1.0, rel=0.05)
     target = correlation(OU, u)
     stderr = np.std(prods) / math.sqrt(n)
@@ -339,7 +339,7 @@ def test_ou_statistics_are_stationary():
     for t in (2.0, 7.0):
         reals = synthesize_many(OU, range(n), 10.0)
         out = eval_batch(reals, np.array([t, t + 0.5]), (0,))[0]
-        prod = out[:, 0] * out[:, 1]
+        prod = out[0] * out[1]
         ests.append(np.mean(prod))
         errs.append(np.std(prod) / math.sqrt(n))
     assert abs(ests[0] - ests[1]) < 4.0 * math.hypot(*errs)
@@ -361,7 +361,7 @@ def test_synthesize_many_matches_synthesize():
                 np.testing.assert_array_equal(many.frequencies[i],
                                               single.frequencies[0])
                 np.testing.assert_array_equal(many.phases[i], single.phases[0])
-            np.testing.assert_array_equal(out[i], ev(single, t, 0))
+            np.testing.assert_array_equal(out[:, i], ev(single, t, 0))
 
 
 def test_ou_coeffs_match_per_seed_filter():
@@ -391,8 +391,25 @@ def test_ou_eval_matches_row_major_gather(width, rng):
             got = eval_batch(b, t, (0, 1, 2))
             ref = ou_eval_row_major(b, t, (0, 1, 2))
             for o in (0, 1, 2):
-                assert got[o].shape == (len(b), t.size)
+                assert got[o].shape == (t.size, len(b))
                 np.testing.assert_array_equal(got[o], ref[o])
+
+
+@pytest.mark.parametrize("spec", [OU, BAND, LINES, SINUSOID],
+                         ids=["ou", "band", "lines", "sinusoid"])
+def test_eval_batch_is_step_major(spec, rng):
+    # every kind and order comes back (times, rows), and column b is
+    # bitwise row b's seed synthesized and evaluated alone
+    horizon = 10.0
+    seeds = [5, 6, 7]
+    batch = synthesize_many(spec, seeds, horizon)
+    for t in (np.linspace(0.0, horizon, 301), np.sort(rng.uniform(0.0, horizon, 40))):
+        out = eval_batch(batch, t, (0, 1, 2))
+        for b, seed in enumerate(seeds):
+            alone = eval_batch(synthesize(spec, seed, horizon), t, (0, 1, 2))
+            for o in (0, 1, 2):
+                assert out[o].shape == (t.size, len(seeds))
+                np.testing.assert_array_equal(out[o][:, b], alone[o][:, 0])
 
 
 def test_eval_batch_matches_individual_eval(rng):
@@ -402,7 +419,7 @@ def test_eval_batch_matches_individual_eval(rng):
         for i in range(6):
             single = synthesize(spec, i, 10.0)
             for o in (0, 1, 2):
-                np.testing.assert_allclose(out[o][i], ev(single, t, o),
+                np.testing.assert_allclose(out[o][:, i], ev(single, t, o),
                                            rtol=1e-12, atol=1e-12)
 
 
@@ -449,7 +466,7 @@ def test_spectral_eval_matches_long_double_sums(spec, rows, rng):
         ref = _long_double_sums(batch, t)
         for o in (0, 1, 2):
             scale = np.max(np.abs(ref[o]), axis=1, keepdims=True)
-            assert np.all(np.abs(got[o] - ref[o]) <= 1e-12 * scale)
+            assert np.all(np.abs(got[o].T - ref[o]) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -459,30 +476,33 @@ def test_spectral_eval_matches_long_double_sums(spec, rows, rng):
 @settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.integers(8, 60))
 def test_bspline_interpolates_samples(seed, n):
-    samples = np.random.default_rng(seed).standard_normal(n)
-    coeffs = bspline_coefficients(samples)
+    samples = np.random.default_rng(seed).standard_normal((n, 1))
+    coeffs = samples.copy()
+    _prefilter(coeffs)
     at_knots = bspline_evaluate(coeffs, np.arange(n, dtype=float), 0)
     np.testing.assert_allclose(at_knots, samples, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 40])
 def test_bspline_matches_lfilter_oracle(n, rng):
-    # knots on the first axis, a new array returned, the input untouched
+    # knots on the first axis, filtered in place; a column rounds the same
+    # alone as in the batch
     samples = rng.standard_normal((n, 7))
-    kept = samples.copy()
-    coeffs = bspline_coefficients(samples)
-    np.testing.assert_array_equal(samples, kept)
+    coeffs = samples.copy()
+    _prefilter(coeffs)
     np.testing.assert_array_equal(coeffs, lfilter_bspline_coefficients(samples.T).T)
-    np.testing.assert_array_equal(bspline_coefficients(samples[:, 3]), coeffs[:, 3])
+    alone = samples[:, 3:4].copy()
+    _prefilter(alone)
+    np.testing.assert_array_equal(alone[:, 0], coeffs[:, 3])
 
 
 def test_bspline_is_c2_smooth(rng):
     # first and second derivatives are continuous across knots
-    samples = rng.standard_normal(40)
-    coeffs = bspline_coefficients(samples)
+    coeffs = rng.standard_normal((40, 1))
+    _prefilter(coeffs)
     h = 1e-7
     for knot in (10.0, 20.0, 31.0):
         for order in (0, 1, 2):
-            left = bspline_evaluate(coeffs, np.array([knot - h]), order)[0]
-            right = bspline_evaluate(coeffs, np.array([knot + h]), order)[0]
+            left = bspline_evaluate(coeffs, np.array([knot - h]), order)[0, 0]
+            right = bspline_evaluate(coeffs, np.array([knot + h]), order)[0, 0]
             assert abs(left - right) < 1e-4
