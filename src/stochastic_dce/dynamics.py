@@ -15,10 +15,13 @@ solution is Phi times its initial data, and every run checks at every
 probe that Phi, taken to canonical (Q, Pi) coordinates, is symplectic,
 which holds every Wronskian pair of basis solutions at once.  Systems
 work mode-first: modes on axis 0, with the noise values broadcasting
-over the trailing axes, and every mode sum is an explicit fixed-order
-sum, so a row rounds the same at any batch width.  Rows are on the
-last axis, noise values to snapshots, so a map block's noise strips
-are views of eval_batch's (half-steps, batch) values, not copies.
+over the trailing axes, and every mode sum is a fixed-order sum, never
+a BLAS product, so a row rounds the same at any batch width: _mix
+loops over the coupling table's nonzero entries, and the matrix
+products of the chain are one einsum pass each, which the tests hold
+bit for bit to the explicit loop over k.  Rows are on the last axis,
+noise values to snapshots, so a map block's noise strips are views of
+eval_batch's (half-steps, batch) values, not copies.
 
 Noise values for all substeps are produced in fixed blocks of 2048
 steps and the step matrices in fixed blocks of 64; neither length
@@ -29,6 +32,7 @@ whose wall reaches the far mirror (exact path) is masked, not raised.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,16 +143,24 @@ class Window:
 
 def _windowed(xi: dict[int, np.ndarray], win: Window | None, t: np.ndarray,
               orders: tuple[int, ...]):
-    """Apply the window to raw noise values/derivatives, (times, batch)."""
+    """Apply the window to raw noise values/derivatives, (times, batch), in place.
+
+    t must be ascending.  Only the points on a ramp (t < r or t > T - r)
+    are touched: between the ramps w = 1 and w' = w'' = 0, where the
+    product rule leaves every value as it is.
+    """
+    x0, x1, x2 = (xi.get(o) for o in (0, 1, 2))
     if win is None:
-        return tuple(xi.get(o) for o in (0, 1, 2))
-    w, w1, w2 = (p[:, None] for p in win.profile(t))
-    x0 = w * xi[0]
-    x1 = x2 = None
-    if 1 in orders:
-        x1 = w * xi[1] + w1 * xi[0]
-    if 2 in orders:
-        x2 = w * xi[2] + 2.0 * w1 * xi[1] + w2 * xi[0]
+        return x0, x1, x2
+    r = win.ramp
+    for ramp in (slice(0, np.searchsorted(t, r)),
+                 slice(np.searchsorted(t, win.horizon - r, side="right"), t.size)):
+        w, w1, w2 = (p[:, None] for p in win.profile(t[ramp]))
+        if 2 in orders:
+            x2[ramp] = w * x2[ramp] + 2.0 * w1 * x1[ramp] + w2 * x0[ramp]
+        if 1 in orders:
+            x1[ramp] = w * x1[ramp] + w1 * x0[ramp]
+        x0[ramp] = w * x0[ramp]
     return x0, x1, x2
 
 
@@ -309,6 +321,7 @@ class BatchResult:
     P: np.ndarray               # Q'
     defect: np.ndarray          # (batch, n_probes)
     collapsed: np.ndarray       # (batch,) bool; such a row's outputs are NaN
+    seconds: dict               # wall time per layer: eval_s, build_s, chain_s, extract_s
 
 
 def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
@@ -343,15 +356,13 @@ def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
 def _matmul(A, B):
     """C[r, c] = sum_k A[r, k] B[k, c] on axes 0 and 1, elementwise on the rest.
 
-    A fixed-order sum, like _mix, so a batch row rounds the same at any
-    batch width.
+    One einsum pass, not a BLAS product: every output element is the sum
+    A[r, 0] B[0, c] + A[r, 1] B[1, c] + ... taken in k order, like _mix,
+    so a batch row rounds the same at any batch width.  numpy does not
+    document einsum's summation order; tests/test_dynamics.py holds it
+    bitwise to the explicit loop over k on the shapes run_batch makes.
     """
-    C = A[:, 0, None] * B[None, 0]
-    term = np.empty_like(C)
-    for k in range(1, A.shape[1]):
-        np.multiply(A[:, k, None], B[None, k], out=term)
-        C += term
-    return C
+    return np.einsum("ik...,kj...->ij...", A, B)
 
 
 def _chain(M):
@@ -453,7 +464,18 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     the defect is taken from them after the loop.  check_integrable's
     refusals raise.  A row the system's collapsed(x0) finds in a noise
     block runs on with zero noise and comes back masked (BatchResult.collapsed).
+    BatchResult.seconds splits the call's wall time into noise evaluation
+    (window and collapse mask included), the step-map build, the chain
+    and the extraction after the loop.
     """
+    seconds = dict.fromkeys(("eval_s", "build_s", "chain_s", "extract_s"), 0.0)
+    clock = [time.perf_counter()]
+
+    def lap(layer):     # charge the time since the last lap to layer
+        now = time.perf_counter()
+        seconds[layer] += now - clock[0]
+        clock[0] = now
+
     y0 = initial_data(system, initial, in_mode)
     nsteps, dt, probe_idx = step_grid(horizon, integrator, probe_times)
     check_integrable(system, dt, noise.coeffs is not None)
@@ -490,15 +512,18 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
                 v[:, dead] = 0.0
         if start == 0:
             record(0, Phi, x, start)
+        lap("eval_s")
         for lo in range(start, stop, MAP_STEPS):
             hi = min(stop, lo + MAP_STEPS)
             i0, i1 = 2 * (lo - start), 2 * (hi - start)
             M = _step_maps(system, dt, *(
                 [None if v is None else v[i0 + j:i1 + j:2] for v in x] for j in (0, 1, 2)))
+            lap("build_s")
             cuts = [int(i) for i in probe_idx[(probe_idx > lo) & (probe_idx < hi)]]
             for a, b in zip([lo, *cuts], [*cuts, hi]):
                 Phi = _matmul(_chain(M[:, :, a - lo:b - lo]), Phi)
                 record(b, Phi, x, start)
+            lap("chain_s")
         del x, M    # free this block's arrays before the next one's are made
 
     def solution(rows):     # rows y0, a fixed-order sum over y0's nonzero entries
@@ -509,8 +534,10 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     Q, P = solution(Phis[:m]), solution(Phis[m:])
     if m > 1:   # Phis to Psi = T Phi in place, T = [[I, 0], [-lam G, I]]
         Phis[m:] = system.canonical_momentum(Phis[:m], Phis[m:], *lam_x)
-    defect = _symplectic_defect(Phis[:, :, 1:], Phis[:, :, :1], system.omegas)
-    return BatchResult(probe_idx * dt, Q, P, np.max(defect, axis=(0, 1)).T, dead)
+    defect = np.max(_symplectic_defect(Phis[:, :, 1:], Phis[:, :, :1], system.omegas),
+                    axis=(0, 1)).T
+    lap("extract_s")
+    return BatchResult(probe_idx * dt, Q, P, defect, dead, seconds)
 
 
 # ---------------------------------------------------------------------------

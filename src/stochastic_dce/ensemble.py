@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1024           # the most realizations one chunk holds
+# a run's wall time per layer, summed over its chunks: noise synthesis,
+# noise evaluation, step-map build, chain, extraction
+LAYERS = ("synthesis_s", "eval_s", "build_s", "chain_s", "extract_s")
 MAX_ABORT_FRACTION = 0.01
 
 log = logging.getLogger("sdce")
@@ -79,10 +82,13 @@ class InvariantViolationError(RuntimeError):
         self.record = record           # the run's facts, as EnsembleStats.record
         first = self.entries[0]
         value = "non-finite" if first["value"] is None else f"{first['value']:.3e}"
+        hint = record.get("drift_law_dt")
         super().__init__(
             f"{len(self.entries)} invariant violation(s); first: "
             f"{first['kind']}={value} at t={first['time']} "
             f"(realization {first['realization']})"
+            + ("" if hint is None else
+               f"; by RK4's dt^5 drift law the bound holds at dt = {hint:.3g}")
         )
 
 
@@ -127,8 +133,10 @@ class EnsembleStats:
     record holds what the run did, one entry per summary.json key:
     n_effective, aborted, abort_count, dt, nsteps, chunk_size, chunks,
     workers, max_wronskian_drift (None if not finite), simulate_s (the
-    run's wall time up to the reduction) and realization_steps_per_s
-    (kept realizations x nsteps / simulate_s).
+    run's wall time up to the reduction), realization_steps_per_s
+    (kept realizations x nsteps / simulate_s) and the LAYERS seconds.  A
+    run that violates the drift bound adds drift_law_dt, the step at
+    which RK4's dt^5 drift law puts its largest finite drift at the bound.
     """
 
     times: np.ndarray
@@ -164,8 +172,8 @@ def _check_invariants(drift, times):
     so every run is checked the same way whatever its initial data, and
     a non-Hamiltonian error in any mode shows.  A non-finite drift is a
     violation too, with value None, so that summary.json stays valid
-    JSON.  Returns the violation entries (realization = row of drift)
-    and the largest drift.
+    JSON.  Returns the violation entries (realization = row of drift),
+    the largest drift (NaN if any is) and the largest finite drift.
     """
     entries = [
         {"realization": int(b), "kind": "wronskian",
@@ -173,7 +181,8 @@ def _check_invariants(drift, times):
          "time": float(times[p])}
         for b, p in np.argwhere(~(drift <= WRONSKIAN_TOL))
     ]
-    return entries, float(np.max(drift, initial=0.0))
+    return (entries, float(np.max(drift, initial=0.0)),
+            float(np.max(drift, initial=0.0, where=np.isfinite(drift))))
 
 
 class _Chunk(NamedTuple):
@@ -185,7 +194,9 @@ class _Chunk(NamedTuple):
     violations: list
     aborted: list
     drift: float
+    finite_drift: float
     seconds: float
+    layers: dict                # wall time per layer, LAYERS keys
 
 
 def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
@@ -194,16 +205,21 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     t0 = time.perf_counter()
     seeds = [derive_seed(ensemble.master_seed, i) for i in range(start, stop)]
     noise = synthesize_many(noise_spec, seeds, ensemble.horizon)
+    t1 = time.perf_counter()
     res = run_batch(system, noise, integrator, ensemble.horizon,
                     ensemble.probes, ensemble.initial, ensemble.in_mode)
+    t2 = time.perf_counter()
     kept = np.flatnonzero(~res.collapsed)
     keys, panel = _quantity_panel(res, kept, system, ensemble.in_mode)
-    violations, drift = _check_invariants(res.defect[kept], res.times)
+    violations, drift, finite_drift = _check_invariants(res.defect[kept], res.times)
     for entry in violations:
         entry["realization"] = start + int(kept[entry["realization"]])
     aborted = (start + np.flatnonzero(res.collapsed)).tolist()
-    return _Chunk(keys, panel, res.times, violations, aborted, drift,
-                  time.perf_counter() - t0)
+    t3 = time.perf_counter()
+    layers = {"synthesis_s": t1 - t0, **res.seconds}
+    layers["extract_s"] += t3 - t2
+    return _Chunk(keys, panel, res.times, violations, aborted, drift, finite_drift,
+                  t3 - t0, layers)
 
 
 def chunk_layout(ensemble: EnsembleConfig):
@@ -260,9 +276,15 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         "max_wronskian_drift": drift if math.isfinite(drift) else None,
         "simulate_s": seconds, "realization_steps_per_s": n_eff * nsteps / seconds,
     }
+    for layer in LAYERS:
+        record[layer] = sum(r.layers[layer] for r in results)
     violations = sorted((v for r in results for v in r.violations),
                         key=lambda v: v["realization"])
     if violations:
+        finite = max(r.finite_drift for r in results)
+        if finite > WRONSKIAN_TOL:
+            # RK4's drift scales as dt^5 (suggest_dt)
+            record["drift_law_dt"] = dt * (WRONSKIAN_TOL / finite) ** 0.2
         raise InvariantViolationError(violations, record)
     if len(aborted) > MAX_ABORT_FRACTION * N:
         raise TooManyAbortsError(

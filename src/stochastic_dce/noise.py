@@ -405,23 +405,43 @@ def _eval_spectral(batch: NoiseBatch, times: np.ndarray, orders) -> dict[int, np
     part of sum_j c_j z_j with c = (a, i a nu, -a nu^2).  With z the
     anchor phasors and w the offset table, that is one real matrix
     product per row, [Re cz, -Im cz] @ [Re w; Im w], which rounds a row
-    the same alone or in a batch, and is written to the row's column.
-    Unevenly spaced times take K = 1: each time is its own anchor.
+    the same alone or in a batch.  Each c is real or pure imaginary, so
+    the block [Re cz, -Im cz] is built from the cos and sin tables of z
+    in real arithmetic, with the same roundings as the complex products.
+    Rows' values go to a row-major scratch, 64 rows at a time, and each
+    order's block of rows is transposed once into the (times, rows)
+    output.  Unevenly spaced times take K = 1: each time is its own
+    anchor.
     """
     h = _even_step(times)
     stride = ANCHOR_STRIDE if h is not None else 1
     anchors = times[::stride]
     offsets = np.arange(stride) * (h or 0.0)
     amps = batch.amplitudes
-    n_t = times.size
+    n_t, n_a, n = times.size, anchors.size, amps.size
     out = {o: np.empty((n_t, len(batch))) for o in orders}
-    for i, (nu, phi) in enumerate(zip(batch.frequencies, batch.phases)):
-        z = np.exp(1j * (np.multiply.outer(anchors, nu) + phi))      # (n_a, n)
-        w = np.exp(1j * np.multiply.outer(nu, offsets))              # (n, K)
-        coef = {0: amps, 1: 1j * amps * nu, 2: -amps * nu**2}
-        cz = np.concatenate([coef[o] * z for o in orders])
-        vals = np.concatenate([cz.real, -cz.imag], axis=1) @ np.concatenate([w.real, w.imag])
-        vals = vals.reshape(len(orders), -1)
+    lhs = np.empty((len(orders), n_a, 2 * n))      # [Re cz, -Im cz] per order
+    # row-major values of up to 64 rows, so the scratch stays small at any width
+    scratch = np.empty((len(orders), min(64, len(batch)), n_a * stride))
+    for lo in range(0, len(batch), scratch.shape[1]):
+        hi = min(len(batch), lo + scratch.shape[1])
+        for g, (nu, phi) in enumerate(zip(batch.frequencies[lo:hi], batch.phases[lo:hi])):
+            theta = np.multiply.outer(anchors, nu) + phi
+            cos, sin = np.cos(theta), np.sin(theta)                  # Re z, Im z: (n_a, n)
+            arg = np.multiply.outer(nu, offsets)
+            w = np.concatenate([np.cos(arg), np.sin(arg)])           # [Re w; Im w]: (2n, K)
+            coef = {0: amps, 1: amps * nu, 2: -amps * nu**2}
+            for k, o in enumerate(orders):
+                re, im = lhs[k, :, :n], lhs[k, :, n:]
+                if o == 1:      # c = i a nu: Re cz = -(a nu sin), -Im cz = -(a nu cos)
+                    np.negative(np.multiply(coef[o], sin, out=re), out=re)
+                    np.multiply(coef[o], cos, out=im)
+                else:           # c real: Re cz = c cos, -Im cz = -(c sin)
+                    np.multiply(coef[o], cos, out=re)
+                    np.multiply(coef[o], sin, out=im)
+                np.negative(im, out=im)
+            vals = lhs.reshape(-1, 2 * n) @ w                         # (orders * n_a, K)
+            scratch[:, g] = vals.reshape(len(orders), -1)
         for k, o in enumerate(orders):
-            out[o][:, i] = vals[k, :n_t]
+            out[o][:, lo:hi] = scratch[k, :hi - lo, :n_t].T
     return out

@@ -13,7 +13,7 @@ from scipy.signal import lfilter
 
 from stochastic_dce.dynamics import (Window, _windowed, decompose, initial_data, run_batch,
                                      step_grid)
-from stochastic_dce.noise import _ou_grid, eval_batch
+from stochastic_dce.noise import ANCHOR_STRIDE, _even_step, _ou_grid, eval_batch
 
 # criterion label -> (passed, detail); filled in by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
@@ -175,3 +175,66 @@ def bogoliubov_at(res, noise, omegas, t_stop, rest_tol):
     assert abs(xi) <= rest_tol, f"wall displaced (xi={xi:.3g}) at t={t}"
     alpha, beta = decompose(res.Q[0, p], res.P[0, p], omegas, t)
     return t, alpha, beta
+
+
+def assert_same_bits(got, ref):
+    """Equal shapes and equal bytes: unlike assert_array_equal, this also
+    tells -0.0 from 0.0 and compares NaN payloads."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def matmul_loop(A, B):
+    """C[r, c] = sum_k A[r, k] B[k, c] on axes 0 and 1 as an explicit loop,
+    C = A[:, 0] B[0], then C += A[:, k] B[k] for k = 1, 2, ...: the
+    reference for dynamics._matmul's einsum."""
+    C = A[:, 0, None] * B[None, 0]
+    term = np.empty_like(C)
+    for k in range(1, A.shape[1]):
+        np.multiply(A[:, k, None], B[None, k], out=term)
+        C += term
+    return C
+
+
+def eval_spectral_complex(batch, times, orders):
+    """The spectral eval_batch in complex arithmetic: per row, the anchor
+    phasors z = exp(i(nu t_a + phi)), the offset table w = exp(i nu r h),
+    cz = c z with complex c = (a, i a nu, -a nu^2), and the real product
+    [Re cz, -Im cz] @ [Re w; Im w], written into the row's column of the
+    (times, rows) output: the reference for noise._eval_spectral."""
+    times = np.asarray(times, dtype=float)
+    h = _even_step(times)
+    stride = ANCHOR_STRIDE if h is not None else 1
+    anchors = times[::stride]
+    offsets = np.arange(stride) * (h or 0.0)
+    amps = batch.amplitudes
+    n_t = times.size
+    out = {o: np.empty((n_t, len(batch))) for o in orders}
+    for i, (nu, phi) in enumerate(zip(batch.frequencies, batch.phases)):
+        z = np.exp(1j * (np.multiply.outer(anchors, nu) + phi))
+        w = np.exp(1j * np.multiply.outer(nu, offsets))
+        coef = {0: amps, 1: 1j * amps * nu, 2: -amps * nu**2}
+        cz = np.concatenate([coef[o] * z for o in orders])
+        vals = np.concatenate([cz.real, -cz.imag], axis=1) @ np.concatenate([w.real, w.imag])
+        vals = vals.reshape(len(orders), -1)
+        for k, o in enumerate(orders):
+            out[o][:, i] = vals[k, :n_t]
+    return out
+
+
+def windowed_full_profile(xi, win, t, orders):
+    """The windowed noise (times, batch) from the window profile at every
+    time, w xi, w xi' + w' xi and w xi'' + 2 w' xi' + w'' xi, in new
+    arrays: the reference for dynamics._windowed, which touches the ramps
+    only."""
+    if win is None:
+        return tuple(xi.get(o) for o in (0, 1, 2))
+    w, w1, w2 = (p[:, None] for p in win.profile(t))
+    x0 = w * xi[0]
+    x1 = x2 = None
+    if 1 in orders:
+        x1 = w * xi[1] + w1 * xi[0]
+    if 2 in orders:
+        x2 = w * xi[2] + 2.0 * w1 * xi[1] + w2 * xi[0]
+    return x0, x1, x2

@@ -55,22 +55,24 @@ def coupled_data():
 
 
 # what summary.json reports per system, between the seeds and the violations
+LAYER_FACTS = ["synthesis_s", "eval_s", "build_s", "chain_s", "extract_s"]
 RUN_FACTS = ["n_effective", "aborted", "abort_count", "dt", "nsteps", "chunk_size",
              "chunks", "workers", "max_wronskian_drift", "simulate_s",
-             "realization_steps_per_s"]
+             "realization_steps_per_s", *LAYER_FACTS]
 
 
-def assert_summary_keys(summary, labels):
+def assert_summary_keys(summary, labels, extra=()):
+    # extra: the keys a failed run adds after the facts every run reports
     assert list(summary) == ["version", "scenario", "config", "seeds", *RUN_FACTS,
-                             "violations", "runtime_seconds"]
-    for key in RUN_FACTS:
+                             *extra, "violations", "runtime_seconds"]
+    for key in [*RUN_FACTS, *extra]:
         assert set(summary[key]) == set(labels)
 
 
 def assert_run_facts(summary, labels):
     # the step actually used, the chunk and worker layout, the invariant
-    # margin, recorded on a pass, the aborts, and the time and throughput
-    # per system
+    # margin, recorded on a pass, the aborts, and the time, throughput and
+    # seconds per layer per system
     assert_summary_keys(summary, labels)
     n = summary["config"]["ensemble"]["n_realizations"]
     for label in labels:
@@ -86,6 +88,10 @@ def assert_run_facts(summary, labels):
         assert 0.0 < summary["max_wronskian_drift"][label] < 1e-8
         for key in ("simulate_s", "realization_steps_per_s"):
             assert math.isfinite(summary[key][label]) and summary[key][label] > 0
+        layers = [summary[key][label] for key in LAYER_FACTS]
+        assert all(math.isfinite(s) and s >= 0 for s in layers)
+        # summed over chunks, which run side by side on up to `workers` processes
+        assert sum(layers) <= summary["simulate_s"][label] * summary["workers"][label]
 
 
 def test_cli_imports_numpy_random_and_no_scipy():
@@ -371,6 +377,36 @@ def test_failed_run_reports_its_aborts(tmp_path):
     assert not (out / "series.csv").exists()
 
 
+def test_drift_violation_names_the_step_the_drift_law_passes(tmp_path, caplog):
+    # a step too coarse for the drift bound with no wall near the far
+    # mirror (sigma 0.3 at dt 0.02, ROADMAP "Measured"): the error and
+    # summary.json give dt (WRONSKIAN_TOL / drift)^(1/5) from the largest drift
+    data = {
+        "scenario": {"kind": "coupled_stochastic"},
+        "noise": {"kind": "band_limited", "sigma": 0.3,
+                  "nu_min_rad_per_time": 0.5, "nu_max_rad_per_time": 1.5,
+                  "n_components": 2},
+        "cavity": {"Lx_length": 1e6, "Ly_length": 1e6, "Lz0_length": 1.0,
+                   "epsilon": 0.5, "nz_max": 1},
+        "integrator": {"path": "exact", "dt_time": 0.02},
+        "ensemble": {"n_realizations": 256, "master_seed": 3, "horizon_time": 30.0,
+                     "probes_time": [15.0, 30.0], "workers": 1},
+    }
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="sdce"):
+        assert main(["simulate", "--config", write_yaml(tmp_path, data),
+                     "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert_summary_keys(summary, ["1"], extra=["drift_law_dt"])
+    assert summary["abort_count"] == {"1": 0}
+    drift = summary["max_wronskian_drift"]["1"]
+    assert drift == max(v["value"] for v in summary["violations"])
+    step = summary["drift_law_dt"]["1"]
+    assert step == pytest.approx(0.02 * (1e-8 / drift) ** 0.2, rel=1e-12)
+    assert 0.006 < step < 0.008
+    assert any(f"dt = {step:.3g}" in r.getMessage() for r in caplog.records)
+
+
 def test_failed_run_writes_non_finite_drift_as_null(tmp_path, monkeypatch):
     real_run_batch = ens.run_batch
 
@@ -389,7 +425,7 @@ def test_failed_run_writes_non_finite_drift_as_null(tmp_path, monkeypatch):
         raise ValueError(f"summary.json holds {name}")
 
     summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
-    assert_summary_keys(summary, ["1"])
+    assert_summary_keys(summary, ["1"], extra=["drift_law_dt"])
     assert summary["violations"] == [
         {"realization": 0, "kind": "wronskian", "value": 1e-3,
          "time": pytest.approx(6.0)},
@@ -397,6 +433,9 @@ def test_failed_run_writes_non_finite_drift_as_null(tmp_path, monkeypatch):
          "time": pytest.approx(3.0)},
     ]
     assert summary["max_wronskian_drift"] == {"1": None}
+    # the step hint comes from the largest finite drift
+    assert summary["drift_law_dt"]["1"] == pytest.approx(
+        summary["dt"]["1"] * (1e-8 / 1e-3) ** 0.2, rel=1e-12)
     assert summary["n_effective"] == {"1": 6} and summary["chunks"] == {"1": 1}
 
 

@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 import stochastic_dce.dynamics as dyn
-from conftest import bogoliubov_at, first_collapse_step, rk4_every_step, run_every_step
+import stochastic_dce.noise as noise_mod
+from conftest import (
+    assert_same_bits,
+    bogoliubov_at,
+    eval_spectral_complex,
+    first_collapse_step,
+    matmul_loop,
+    rk4_every_step,
+    run_every_step,
+    windowed_full_profile,
+)
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
     BLOCK_STEPS,
@@ -469,26 +479,31 @@ ORACLE_BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
                         nu_max=10.0, n_components=16)
 
 
-@pytest.mark.parametrize("case", ["plain_ou", "linearized_windowed", "exact_kick"])
-def test_run_batch_matches_per_step_oracle(case):
-    # 2300 steps: not a multiple of either block length; probes at t = 0,
-    # inside blocks (steps 100 and 1000), one step before a block boundary
-    # (63 and 2047, which leave one-step stretches), on block boundaries
-    # (256 and 2048) and at the horizon
-    horizon = 2.3
-    initial = "vacuum"
+ORACLE_CASES = ["plain_ou", "linearized_windowed", "exact_kick"]
+# 2300 steps: not a multiple of either block length; probes at t = 0,
+# inside blocks (steps 100 and 1000), one step before a block boundary
+# (63 and 2047, which leave one-step stretches), on block boundaries
+# (256 and 2048) and at the horizon
+ORACLE_HORIZON = 2.3
+ORACLE_PROBES = (0.0, 0.063, 0.1, 0.256, 1.0, 2.047, 2.048, ORACLE_HORIZON)
+
+
+def oracle_case(case):
+    """(system, noise spec, integrator, initial data) of an oracle case."""
     if case == "plain_ou":
-        sys_, noise = PlainOscillator(omega=2.0, epsilon=0.1), OU
-        cfg = IntegratorConfig(dt=0.001)
-    elif case == "linearized_windowed":
-        sys_, noise = CavityModes(ORACLE_CAV), ORACLE_BAND
-        cfg = IntegratorConfig(dt=0.001, window_ramp=0.5)
-    else:
-        sys_, noise = CavityModes(ORACLE_CAV, "exact"), ORACLE_BAND
-        cfg = IntegratorConfig(dt=0.001)
-        initial = "position_kick"
-    nsteps, dt, idx = step_grid(horizon, cfg, (0.0, 0.063, 0.1, 0.256, 1.0, 2.047,
-                                               2.048, horizon))
+        return PlainOscillator(omega=2.0, epsilon=0.1), OU, IntegratorConfig(dt=0.001), "vacuum"
+    if case == "linearized_windowed":
+        return (CavityModes(ORACLE_CAV), ORACLE_BAND,
+                IntegratorConfig(dt=0.001, window_ramp=0.5), "vacuum")
+    return (CavityModes(ORACLE_CAV, "exact"), ORACLE_BAND, IntegratorConfig(dt=0.001),
+            "position_kick")
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_run_batch_matches_per_step_oracle(case):
+    horizon = ORACLE_HORIZON
+    sys_, noise, cfg, initial = oracle_case(case)
+    nsteps, dt, idx = step_grid(horizon, cfg, ORACLE_PROBES)
     assert nsteps == 2300 and list(idx) == [0, 63, 100, 256, 1000, 2047, 2048, 2300]
     assert nsteps % MAP_STEPS and 100 % MAP_STEPS and 1000 % MAP_STEPS
     assert 64 % MAP_STEPS == 0 and 256 % MAP_STEPS == 0 and BLOCK_STEPS == 2048
@@ -498,3 +513,76 @@ def test_run_batch_matches_per_step_oracle(case):
     for got, ref in ((res.Q, Q[idx]), (res.P, P[idx])):
         ref = ref.transpose(2, 0, 1)            # (batch, probes, modes)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# the fused kernels against the loops they replace, bit for bit: numpy does
+# not document einsum's summation order, so these tests are the contract
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_matmul_matches_loop_oracle(m):
+    # the operands run_batch hands _matmul: _chain's odd and even halves as
+    # strided views and as the contiguous copies it takes, a stretch's
+    # product (a strided (d, d, batch) view) times Phi, and
+    # _symplectic_defect's swapped axes against the J-rotated snapshots;
+    # one-step, odd and full map blocks at every batch width tested
+    rng = np.random.default_rng(m)
+    d = 2 * m
+    for n in (1, 2, 3, 7, MAP_STEPS):
+        for width in (1, 2, 3, 32, 257):
+            M = rng.standard_normal((d, d, n, width))
+            Phi = rng.standard_normal((d, d, width))
+            pairs = [(M, M), (M[:, :, 0], Phi),
+                     (np.swapaxes(M, 0, 1), np.concatenate([M[m:], -M[:m]]))]
+            if n > 1:
+                odd, even = M[:, :, 1:n:2], M[:, :, 0:n - 1:2]
+                pairs += [(odd, even),
+                          (np.ascontiguousarray(odd), np.ascontiguousarray(even))]
+            for A, B in pairs:
+                assert_same_bits(dyn._matmul(A, B), matmul_loop(A, B))
+
+
+@pytest.mark.parametrize("orders", [(0,), (0, 1, 2)])
+def test_windowed_matches_full_profile(orders):
+    # run_batch's half-step blocks of a windowed run (the first one holds
+    # the up ramp, the last the down ramp, and the ramp ends sit on the
+    # grid), ramps that meet at mid-horizon, and unevenly spaced probes
+    rng = np.random.default_rng(11)
+    grids = []
+    for ramp, horizon in ((3.0, 12.0), (6.0, 12.0), (0.5, 2.3)):
+        nsteps, dt, _ = step_grid(horizon, IntegratorConfig(dt=0.003, window_ramp=ramp))
+        win = Window(ramp, horizon)
+        grids += [(win, 0.5 * dt * np.arange(2 * s, 2 * min(nsteps, s + BLOCK_STEPS) + 1))
+                  for s in range(0, nsteps, BLOCK_STEPS)]
+        probes = np.sort(rng.uniform(0.0, horizon, 50))
+        grids.append((win, np.concatenate([[0.0], probes, [horizon]])))
+    for win, t in grids:
+        for width in (1, 2, 3, 32, 257):
+            xi = {o: rng.standard_normal((t.size, width)) for o in orders}
+            ref = windowed_full_profile(xi, win, t, orders)
+            got = dyn._windowed({o: v.copy() for o, v in xi.items()}, win, t, orders)
+            for g, r in zip(got, ref):
+                assert (g is None) == (r is None)
+                if g is not None:
+                    assert_same_bits(g, r)
+
+
+@pytest.mark.parametrize("width", [1, 3, 32])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_run_batch_bits_match_reference_kernels(case, width, monkeypatch):
+    # the whole run with the loop _matmul, the complex spectral kernel and
+    # the full-profile window in place of the fused ones: the same bits
+    sys_, spec, cfg, initial = oracle_case(case)
+    reals = synthesize_many(spec, range(3, 3 + width), ORACLE_HORIZON)
+
+    def run():
+        return run_batch(sys_, reals, cfg, ORACLE_HORIZON, ORACLE_PROBES, initial=initial)
+
+    fused = run()
+    monkeypatch.setattr(dyn, "_matmul", matmul_loop)
+    monkeypatch.setattr(dyn, "_windowed", windowed_full_profile)
+    monkeypatch.setattr(noise_mod, "_eval_spectral", eval_spectral_complex)
+    reference = run()
+    for name in ("times", "Q", "P", "defect", "collapsed"):
+        assert_same_bits(getattr(fused, name), getattr(reference, name))

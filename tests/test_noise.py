@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lfilter_bspline_coefficients, ou_coeffs_per_seed, ou_eval_row_major
+from conftest import (
+    assert_same_bits,
+    eval_spectral_complex,
+    lfilter_bspline_coefficients,
+    ou_coeffs_per_seed,
+    ou_eval_row_major,
+)
 from stochastic_dce.dynamics import BLOCK_STEPS
 from stochastic_dce.noise import (
     NoiseConfigError,
@@ -467,6 +473,31 @@ def test_spectral_eval_matches_long_double_sums(spec, rows, rng):
         for o in (0, 1, 2):
             scale = np.max(np.abs(ref[o]), axis=1, keepdims=True)
             assert np.all(np.abs(got[o].T - ref[o]) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("spec,rows", SPECTRAL_BATCHES,
+                         ids=["band", "lines", "sinusoid"])
+def test_spectral_eval_matches_complex_oracle(spec, rows, rng):
+    # the real-arithmetic kernel rounds like the complex products it
+    # replaced, bit for bit: on one of run_batch's half-step blocks at
+    # every batch width tested, and at width 3 for each order set on that
+    # block, on an even grid whose length is not a multiple of the anchor
+    # stride and on sorted and unsorted uneven times
+    horizon = 40.0
+    half = 0.5 * horizon / (3 * BLOCK_STEPS + 1500)
+    grids = [half * np.arange(2 * BLOCK_STEPS, 4 * BLOCK_STEPS + 1),
+             np.linspace(0.0, horizon, 130),
+             np.sort(rng.uniform(0.0, horizon, 300)),
+             rng.uniform(0.0, horizon, 300)]
+    cases = [(width, grids[0], (0, 1, 2)) for width in (1, 2, 32, 257)]
+    cases += [(3, t, orders) for t in grids for orders in ((0,), (1,), (0, 1, 2))]
+    for width, t, orders in cases:
+        batch = synthesize_many(spec, range(7, 7 + width), horizon)
+        got = eval_batch(batch, t, orders)
+        ref = eval_spectral_complex(batch, t, orders)
+        assert list(got) == list(orders)
+        for o in orders:
+            assert_same_bits(got[o], ref[o])
 
 
 # ---------------------------------------------------------------------------
