@@ -38,7 +38,6 @@ class Scenario(enum.Enum):
 class CompareTolerance:
     k_sigma: float = 4.0
     rel_tol: float = 0.1
-    abs_tol: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -291,9 +290,8 @@ def _parse_compare(sec) -> CompareTolerance:
     out = CompareTolerance(
         k_sigma=_take(sec, "compare", "k_sigma", float, default=4.0),
         rel_tol=_take(sec, "compare", "rel_tol", float, default=0.1),
-        abs_tol=_take(sec, "compare", "abs_tol", float, default=0.0),
     )
     _no_leftovers(sec, "compare")
-    if out.k_sigma <= 0 or out.rel_tol < 0 or out.abs_tol < 0:
+    if out.k_sigma <= 0 or out.rel_tol < 0:
         raise ConfigError("compare tolerances must be positive")
     return out

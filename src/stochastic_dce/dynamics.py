@@ -43,6 +43,7 @@ from .noise import NoiseBatch, eval_batch
 __all__ = [
     "IntegratorConfig",
     "suggest_dt",
+    "drift_law_dt",
     "Window",
     "PlainOscillator",
     "CavityModes",
@@ -107,6 +108,12 @@ def suggest_dt(omega_max: float, horizon: float) -> float:
     """
     dt = (72.0 * WRONSKIAN_TOL / (horizon * omega_max**6 * AMPLITUDE_MARGIN)) ** 0.2
     return min(dt, 0.1 / omega_max)
+
+
+def drift_law_dt(dt: float, drift: float) -> float:
+    """The step at which a run at dt with Wronskian drift `drift` would
+    meet WRONSKIAN_TOL, by the dt^5 law of suggest_dt."""
+    return dt * (WRONSKIAN_TOL / drift) ** 0.2
 
 
 # ---------------------------------------------------------------------------

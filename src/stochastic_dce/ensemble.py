@@ -2,13 +2,17 @@
 
 Realizations are processed in chunks sized from the ensemble and the
 worker count, so that every worker gets one; each chunk owns its noise
-synthesis and integration and returns its per-realization values, and
-the chunks' panels are joined in realization order, less the rows
-run_batch masks as collapsed, which are reported as aborted.  A row
-integrates to the same bits in any chunk and the final reduction is an
-exactly rounded sum, so the output is identical for any chunk and
-worker layout.  Every run also reports what it ran (step, layout, aborts,
-drift, time) in one record, which a failed run's error carries too.
+synthesis and integration and returns raw per-row facts: the values
+and symplectic defect of the rows it kept, and their realization
+indices (run_batch masks a collapsed row, and the chunk leaves it out).
+run_ensemble joins the chunks in realization order and checks the run
+once: the rows not kept are the aborts, and one _check_invariants call
+over every kept row's defect gives the violations and the largest
+drift.  A row integrates to the same bits in any chunk and the final
+reduction is an exactly rounded sum, so the output, checks included,
+is identical for any chunk and worker layout.  Every run also reports
+what it ran (step, layout, aborts, drift, time) in one record, which a
+failed run's error (a RunFailure) carries too.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .dynamics import (
     WRONSKIAN_TOL,
     IntegratorConfig,
     decompose,
+    drift_law_dt,
     run_batch,
     step_grid,
     wronskian,  # noqa: F401  perfbench/tracer.py counts calls through this name
@@ -39,6 +44,7 @@ __all__ = [
     "CHUNK_SIZE",
     "EnsembleConfig",
     "EnsembleStats",
+    "RunFailure",
     "InvariantViolationError",
     "TooManyAbortsError",
     "derive_seed",
@@ -49,10 +55,7 @@ __all__ = [
     "ConvergenceReport",
 ]
 
-CHUNK_SIZE = 1024           # the most realizations one chunk holds
-# a run's wall time per layer, summed over its chunks: noise synthesis,
-# noise evaluation, step-map build, chain, extraction
-LAYERS = ("synthesis_s", "eval_s", "build_s", "chain_s", "extract_s")
+CHUNK_SIZE = 256            # the most realizations one chunk holds
 MAX_ABORT_FRACTION = 0.01
 
 log = logging.getLogger("sdce")
@@ -74,30 +77,37 @@ def derive_seed(master_seed: int, index: int) -> int:
     return splitmix64((master_seed + index * _GOLDEN) & _MASK64)
 
 
-class InvariantViolationError(RuntimeError):
+class RunFailure(RuntimeError):
+    """A run that failed a check, with what summary.json reports of it."""
+
+    def __init__(self, message, violations, record):
+        super().__init__(message)
+        self.violations = violations   # summary.json's "violations" entries
+        self.record = record           # the run's facts, as EnsembleStats.record
+
+
+class InvariantViolationError(RunFailure):
     """A realization violated a conserved-quantity bound."""
 
     def __init__(self, entries, record):
-        self.entries = list(entries)   # dicts: realization, kind, value, time
-        self.record = record           # the run's facts, as EnsembleStats.record
-        first = self.entries[0]
+        first = entries[0]             # dicts: realization, kind, value, time
         value = "non-finite" if first["value"] is None else f"{first['value']:.3e}"
         hint = record.get("drift_law_dt")
         super().__init__(
-            f"{len(self.entries)} invariant violation(s); first: "
+            f"{len(entries)} invariant violation(s); first: "
             f"{first['kind']}={value} at t={first['time']} "
             f"(realization {first['realization']})"
             + ("" if hint is None else
-               f"; by RK4's dt^5 drift law the bound holds at dt = {hint:.3g}")
-        )
+               f"; by RK4's drift law the bound holds at dt = {hint:.3g}"),
+            entries, record)
 
 
-class TooManyAbortsError(RuntimeError):
+class TooManyAbortsError(RunFailure):
     """More than the tolerated fraction of realizations collapsed."""
 
     def __init__(self, message, record):
-        super().__init__(message)
-        self.record = record           # the run's facts, as EnsembleStats.record
+        super().__init__(message, [{"kind": "abort_fraction", "detail": message}],
+                         record)
 
 
 @dataclass(frozen=True)
@@ -134,9 +144,11 @@ class EnsembleStats:
     n_effective, aborted, abort_count, dt, nsteps, chunk_size, chunks,
     workers, max_wronskian_drift (None if not finite), simulate_s (the
     run's wall time up to the reduction), realization_steps_per_s
-    (kept realizations x nsteps / simulate_s) and the LAYERS seconds.  A
-    run that violates the drift bound adds drift_law_dt, the step at
-    which RK4's dt^5 drift law puts its largest finite drift at the bound.
+    (kept realizations x nsteps / simulate_s) and the seconds per layer,
+    summed over chunks: synthesis_s, then run_batch's eval_s, build_s,
+    chain_s and extract_s.  A run that violates the drift bound adds
+    drift_law_dt, the step at which RK4's drift law
+    (dynamics.drift_law_dt) puts its largest finite drift at the bound.
     """
 
     times: np.ndarray
@@ -164,19 +176,21 @@ def _quantity_panel(res, rows, system, in_mode):
     return list(panel), np.stack(list(panel.values()), axis=2)
 
 
-def _check_invariants(drift, times):
-    """The symplectic defect of the propagator, every row, every probe.
+def _check_invariants(drift, times, realizations):
+    """The symplectic defect of the propagator, every kept row, every probe.
 
-    drift (rows, probes at times) is BatchResult.defect: the largest
-    Wronskian drift over all pairs of vacuum-normalised basis solutions,
-    so every run is checked the same way whatever its initial data, and
-    a non-Hamiltonian error in any mode shows.  A non-finite drift is a
-    violation too, with value None, so that summary.json stays valid
-    JSON.  Returns the violation entries (realization = row of drift),
-    the largest drift (NaN if any is) and the largest finite drift.
+    Called once per run, on every chunk's kept rows joined in
+    realization order.  drift (rows, probes at times) is
+    BatchResult.defect: the largest Wronskian drift over all pairs of
+    vacuum-normalised basis solutions, so every run is checked the same
+    way whatever its initial data, and a non-Hamiltonian error in any
+    mode shows.  A non-finite drift is a violation too, with value None,
+    so that summary.json stays valid JSON.  Returns the violation
+    entries in realization order (realizations[b] names row b), the
+    largest drift (NaN if any is) and the largest finite drift.
     """
     entries = [
-        {"realization": int(b), "kind": "wronskian",
+        {"realization": int(realizations[b]), "kind": "wronskian",
          "value": float(drift[b, p]) if np.isfinite(drift[b, p]) else None,
          "time": float(times[p])}
         for b, p in np.argwhere(~(drift <= WRONSKIAN_TOL))
@@ -186,22 +200,20 @@ def _check_invariants(drift, times):
 
 
 class _Chunk(NamedTuple):
-    """One chunk's results."""
+    """One chunk's raw per-row facts; run_ensemble does every check."""
 
     keys: list
     panel: np.ndarray           # (kept rows in realization order, probes, quantities)
     times: np.ndarray
-    violations: list
-    aborted: list
-    drift: float
-    finite_drift: float
+    kept: np.ndarray            # the kept rows' realization indices
+    defect: np.ndarray          # (kept rows, probes) symplectic defect
     seconds: float
-    layers: dict                # wall time per layer, LAYERS keys
+    layers: dict                # wall time per layer: synthesis_s, then run_batch's
 
 
 def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     """Integrate realizations [start, stop) in one batch; returns its
-    results, with the collapsed rows left out and listed as aborted."""
+    results, with the collapsed rows left out."""
     t0 = time.perf_counter()
     seeds = [derive_seed(ensemble.master_seed, i) for i in range(start, stop)]
     noise = synthesize_many(noise_spec, seeds, ensemble.horizon)
@@ -211,14 +223,10 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     t2 = time.perf_counter()
     kept = np.flatnonzero(~res.collapsed)
     keys, panel = _quantity_panel(res, kept, system, ensemble.in_mode)
-    violations, drift, finite_drift = _check_invariants(res.defect[kept], res.times)
-    for entry in violations:
-        entry["realization"] = start + int(kept[entry["realization"]])
-    aborted = (start + np.flatnonzero(res.collapsed)).tolist()
     t3 = time.perf_counter()
     layers = {"synthesis_s": t1 - t0, **res.seconds}
     layers["extract_s"] += t3 - t2
-    return _Chunk(keys, panel, res.times, violations, aborted, drift, finite_drift,
+    return _Chunk(keys, panel, res.times, start + kept, res.defect[kept],
                   t3 - t0, layers)
 
 
@@ -262,12 +270,15 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         for i, r in enumerate((pool.map if pool else map)(run, *zip(*chunks))):
             # the progress line of a long run
             log.info("%r: chunk %d/%d, %d rows, %.2f s", system, i + 1, n,
-                     r.panel.shape[0] + len(r.aborted), r.seconds)
+                     chunks[i][1] - chunks[i][0], r.seconds)
             results.append(r)
 
-    aborted = sorted(a for r in results for a in r.aborted)
-    n_eff = N - len(aborted)
-    drift = float(np.max([r.drift for r in results]))   # NaN from any chunk
+    times = results[0].times
+    kept = np.concatenate([r.kept for r in results])
+    aborted = np.setdiff1d(np.arange(N), kept).tolist()
+    n_eff = kept.size
+    violations, drift, finite = _check_invariants(
+        np.concatenate([r.defect for r in results]), times, kept)
     seconds = time.perf_counter() - t0
     record = {
         "n_effective": n_eff, "aborted": aborted, "abort_count": len(aborted),
@@ -276,15 +287,11 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         "max_wronskian_drift": drift if math.isfinite(drift) else None,
         "simulate_s": seconds, "realization_steps_per_s": n_eff * nsteps / seconds,
     }
-    for layer in LAYERS:
+    for layer in results[0].layers:
         record[layer] = sum(r.layers[layer] for r in results)
-    violations = sorted((v for r in results for v in r.violations),
-                        key=lambda v: v["realization"])
     if violations:
-        finite = max(r.finite_drift for r in results)
         if finite > WRONSKIAN_TOL:
-            # RK4's drift scales as dt^5 (suggest_dt)
-            record["drift_law_dt"] = dt * (WRONSKIAN_TOL / finite) ** 0.2
+            record["drift_law_dt"] = drift_law_dt(dt, finite)
         raise InvariantViolationError(violations, record)
     if len(aborted) > MAX_ABORT_FRACTION * N:
         raise TooManyAbortsError(
@@ -292,7 +299,6 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
             f"{100 * MAX_ABORT_FRACTION:.0f}% tolerated)", record)
 
     keys = results[0].keys
-    times = results[0].times
     staged = np.concatenate([r.panel for r in results])   # (n_eff, probes, keys)
     P = times.size
     mean, var, sem = {}, {}, {}

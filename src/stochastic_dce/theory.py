@@ -26,7 +26,6 @@ from .noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 
 __all__ = [
     "DegenerateSpectrumError",
-    "FlaggedValue",
     "SlowFlowRates",
     "OccupationSolution",
     "perturbative_beta2",
@@ -47,15 +46,6 @@ class DegenerateSpectrumError(ValueError):
     """Slow-flow rates assume a nondegenerate mode spectrum."""
 
 
-class FlaggedValue(float):
-    """Float carrying a validity flag for perturbative estimates."""
-
-    def __new__(cls, value, perturbative_ok=True):
-        obj = super().__new__(cls, value)
-        obj.perturbative_ok = bool(perturbative_ok)
-        return obj
-
-
 def _require_stochastic(noise: NoiseSpec, what: str):
     if noise.kind is NoiseKind.DETERMINISTIC_SINUSOID:
         raise NotAStochasticProcessError(
@@ -65,11 +55,10 @@ def _require_stochastic(noise: NoiseSpec, what: str):
 
 
 def perturbative_beta2(cavity: CavityConfig, noise: NoiseSpec, n: ModeIndex,
-                       k: ModeIndex, T: float) -> FlaggedValue:
+                       k: ModeIndex, T: float) -> float:
     """Short-time pair creation 2 eps^2 T v_nk^2 Re S(w_n + w_k).
 
-    Linear in T; valid while eps^2 w T stays below order one (flagged on
-    the returned value).
+    Linear in T; valid while eps^2 w T stays below order one.
     """
     _require_stochastic(noise, "perturbative_beta2")
     i, j = cavity.index(n), cavity.index(k)
@@ -81,15 +70,13 @@ def perturbative_beta2(cavity: CavityConfig, noise: NoiseSpec, n: ModeIndex,
             stacklevel=2,
         )
     vnk = cavity.v_matrix()[i, j]
-    val = 2.0 * cavity.epsilon**2 * T * vnk**2 * spectrum(noise, wn + wk).real
-    return FlaggedValue(val, cavity.epsilon**2 * max(wn, wk) * T <= 1.0)
+    return float(2.0 * cavity.epsilon**2 * T * vnk**2 * spectrum(noise, wn + wk).real)
 
 
 def perturbative_number(cavity: CavityConfig, noise: NoiseSpec, k: ModeIndex,
-                        T: float) -> FlaggedValue:
+                        T: float) -> float:
     """N_k = sum_n <|beta_nk|^2> over the retained family."""
-    terms = [perturbative_beta2(cavity, noise, n, k, T) for n in cavity.modes()]
-    return FlaggedValue(sum(terms), all(t.perturbative_ok for t in terms))
+    return sum(perturbative_beta2(cavity, noise, n, k, T) for n in cavity.modes())
 
 
 def deterministic_beta2(cavity: CavityConfig, Omega: float, n: ModeIndex,
@@ -243,7 +230,6 @@ class OccupationSolution:
     times: np.ndarray          # fast-time grid of the request
     T: np.ndarray              # (nt, m) occupations T_k
     beta2_total: np.ndarray    # (nt,) sum_k <|beta_nk|^2>
-    went_negative: bool        # numerical underflow flag on totals
 
 
 def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: ModeIndex,
@@ -272,5 +258,4 @@ def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: ModeIndex,
     taus = rates.epsilon**2 * t_grid
     out = (np.exp(np.multiply.outer(taus, lam)) * (V.T @ (w * T0))) @ V.T / w
     totals = 0.5 * (out @ (2.0 * w) - 1.0)
-    went_negative = bool(np.any(totals < -1e-12))
-    return OccupationSolution(t_grid, out, totals, went_negative)
+    return OccupationSolution(t_grid, out, totals)

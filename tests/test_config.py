@@ -175,7 +175,7 @@ def test_invalid_coupled_configs(mutate, match):
 
 # each key is read by one scenario's simulate and predict; the others,
 # which would run and predict as if it were absent, refuse it, whatever
-# its value
+# its value.  compare.abs_tol is read by none.
 OTHERS = [s for s in SCENARIOS if s != "coupled_stochastic"]
 
 
@@ -185,6 +185,7 @@ OTHERS = [s for s in SCENARIOS if s != "coupled_stochastic"]
     *[(s, "ensemble", "in_mode", 1) for s in OTHERS],
     *[(s, "ensemble", "initial", value) for s in SCENARIOS
       if s != "single_mode_stochastic" for value in ("vacuum", "position_kick")],
+    *[(s, "compare", "abs_tol", 0.0) for s in SCENARIOS],
 ])
 def test_scenario_refuses_keys_it_does_not_read(scenario, section, key, value):
     data = SCENARIOS[scenario]()
@@ -257,10 +258,9 @@ def test_band_noise_requires_valid_band():
 
 def test_compare_tolerances_parsed():
     data = single_mode_data()
-    data["compare"] = {"k_sigma": 3.0, "rel_tol": 0.2, "abs_tol": 1e-6}
+    data["compare"] = {"k_sigma": 3.0, "rel_tol": 0.2}
     cfg = parse_config(data)
-    assert (cfg.compare.k_sigma, cfg.compare.rel_tol, cfg.compare.abs_tol) == \
-        (3.0, 0.2, 1e-6)
+    assert (cfg.compare.k_sigma, cfg.compare.rel_tol) == (3.0, 0.2)
 
 
 def test_raw_round_trips():

@@ -23,6 +23,7 @@ from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
     BLOCK_STEPS,
     MAP_STEPS,
+    WRONSKIAN_TOL,
     CavityModes,
     DerivativeOrderError,
     IntegratorConfig,
@@ -30,6 +31,7 @@ from stochastic_dce.dynamics import (
     StepResolutionError,
     Window,
     decompose,
+    drift_law_dt,
     initial_data,
     run_batch,
     step_grid,
@@ -73,6 +75,12 @@ def test_step_resolution_guard():
 def test_suggest_dt_respects_resolution_cap():
     for w in (0.5, 1.0, 7.0):
         assert suggest_dt(w, 100.0) * w <= 0.1 + 1e-15
+
+
+def test_drift_law_dt_follows_the_fifth_power():
+    # RK4's drift goes as dt^5: 32 times the bound asks for half the step
+    assert drift_law_dt(0.02, 32 * WRONSKIAN_TOL) == pytest.approx(0.01, rel=1e-15)
+    assert drift_law_dt(0.02, WRONSKIAN_TOL) == 0.02
 
 
 def test_ou_noise_refused_for_coupled_runs():

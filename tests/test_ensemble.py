@@ -227,14 +227,15 @@ def test_collapsing_chunk_is_one_pass(monkeypatch):
     cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.5, nz_max=1)
     sys_ = CavityModes(cav, "exact")
     icfg = IntegratorConfig(dt=0.02)
-    cfg = EnsembleConfig(n_realizations=40, master_seed=3, probes=(15.0, 30.0),
-                         horizon=30.0, workers=1)
     start, stop = 8, 32
-    seeds = [derive_seed(3, i) for i in range(start, stop)]
+    cfg = EnsembleConfig(n_realizations=stop, master_seed=3, probes=(15.0, 30.0),
+                         horizon=30.0, workers=1)
+    seeds = [derive_seed(3, i) for i in range(stop)]
     first = first_collapse_step(synthesize_many(noisy, seeds, 30.0), 0.5, icfg, 30.0)
     # rows collapse in several map blocks, so a retry per collapsing
     # block would show as more than one call
     assert len(set(first[first >= 0] // MAP_STEPS)) > 2 and (first < 0).any()
+    kept, aborted = np.flatnonzero(first < 0), np.flatnonzero(first >= 0)
 
     calls = {"synthesize_many": 0, "run_batch": 0}
 
@@ -248,14 +249,23 @@ def test_collapsing_chunk_is_one_pass(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(ens, name, counted(name))
-    monkeypatch.setattr(ens, "WRONSKIAN_TOL", 1e-30)    # every kept row violates
+    # a chunk of [start, stop) keeps its finite rows, named by realization
     chunk = ens._run_chunk(sys_, noisy, icfg, cfg, start, stop)
     assert calls == {"synthesize_many": 1, "run_batch": 1}
-    kept = [start + b for b in np.flatnonzero(first < 0)]
-    assert chunk.aborted == [start + b for b in np.flatnonzero(first >= 0)]
-    assert chunk.panel.shape[0] == len(kept)
-    assert np.isfinite(chunk.panel).all() and np.isfinite(chunk.drift)
-    assert sorted({v["realization"] for v in chunk.violations}) == kept
+    assert chunk.kept.tolist() == kept[kept >= start].tolist()
+    assert chunk.panel.shape[0] == chunk.defect.shape[0] == chunk.kept.size
+    assert np.isfinite(chunk.panel).all() and np.isfinite(chunk.defect).all()
+
+    # and a run of [0, stop), one chunk, reports the other rows as aborts
+    calls.update(synthesize_many=0, run_batch=0)
+    monkeypatch.setattr(ens, "WRONSKIAN_TOL", 1e-30)    # every kept row violates
+    with pytest.raises(InvariantViolationError) as err:
+        run_ensemble(sys_, noisy, icfg, cfg)
+    assert calls == {"synthesize_many": 1, "run_batch": 1}
+    record = err.value.record
+    assert record["aborted"] == aborted.tolist()
+    assert record["max_wronskian_drift"] is not None
+    assert sorted({v["realization"] for v in err.value.violations}) == kept.tolist()
 
 
 def test_single_abort_is_excluded(monkeypatch):
@@ -296,7 +306,7 @@ def test_invariant_violation_raises(monkeypatch):
     monkeypatch.setattr(ens, "WRONSKIAN_TOL", 1e-30)
     with pytest.raises(InvariantViolationError) as err:
         run_ensemble(SYS, BAND, integ(6.0), small_cfg(4, horizon=6.0))
-    entry = err.value.entries[0]
+    entry = err.value.violations[0]
     assert entry["kind"] == "wronskian"
     assert 0 <= entry["realization"] < 4
     assert entry["value"] > 1e-30
@@ -309,10 +319,48 @@ def test_nan_drift_is_a_violation():
                           nu_min=1.5, nu_max=2.5, n_components=16)
     with pytest.raises(InvariantViolationError, match="non-finite") as err:
         run_ensemble(SYS, nan_noise, integ(6.0), small_cfg(2, horizon=6.0))
-    entries = err.value.entries
+    entries = err.value.violations
     assert {e["kind"] for e in entries} == {"wronskian"}
     assert all(e["value"] is None for e in entries)
     json.dumps(entries, allow_nan=False)    # what summary.json records
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.02, 3.0],
+                         ids=["drift", "drift_and_aborts", "all_abort"])
+def test_run_checks_do_not_depend_on_the_chunk_layout(monkeypatch, sigma):
+    # the exact path at a coarse step: every row drifts past the bound
+    # (sigma 0.3), some walls reach the far mirror and the rows kept
+    # drift (1.02), or every row collapses (3.0).  One chunk, workers 2
+    # (two pooled chunks) and chunks of 3 report the same failure.
+    noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=sigma, nu_min=0.5,
+                      nu_max=1.5, n_components=2)
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.5, nz_max=1)
+    sys_ = CavityModes(cav, "exact")
+    icfg = IntegratorConfig(dt=0.02)
+    cfg = EnsembleConfig(n_realizations=16, master_seed=3, probes=(15.0, 30.0),
+                         horizon=30.0, workers=1)
+
+    def failure(cfg):
+        with pytest.raises(ens.RunFailure) as err:
+            run_ensemble(sys_, noise, icfg, cfg)
+        record = err.value.record
+        facts = (type(err.value), err.value.violations, record["aborted"],
+                 record["max_wronskian_drift"], record.get("drift_law_dt"))
+        return record["chunks"], facts
+
+    one = failure(cfg)
+    two = failure(dataclasses.replace(cfg, workers=2))
+    monkeypatch.setattr(ens, "CHUNK_SIZE", 3)
+    three = failure(cfg)
+    assert (one[0], two[0], three[0]) == (1, 2, 6)
+    assert one[1] == two[1] == three[1]
+    kind, violations, aborted, _, hint = one[1]
+    if sigma == 3.0:
+        assert kind is TooManyAbortsError and aborted == list(range(16))
+    else:
+        assert kind is InvariantViolationError and hint is not None
+        assert bool(aborted) == (sigma > 1.0)
+        assert violations == sorted(violations, key=lambda v: v["realization"])
 
 
 class DropsVelocityCoupling(CavityModes):
@@ -340,7 +388,7 @@ def test_broken_coupled_integrator_is_caught(ramp):
         with pytest.raises(InvariantViolationError) as err:
             run_ensemble(DropsVelocityCoupling(cav), noise, icfg,
                          dataclasses.replace(small_cfg(2, horizon=6.0), initial=initial))
-        assert {e["kind"] for e in err.value.entries} == {"wronskian"}
+        assert {e["kind"] for e in err.value.violations} == {"wronskian"}
 
 
 class DampsSecondMode:
@@ -371,7 +419,7 @@ def test_damped_other_mode_is_caught(initial):
     cfg = dataclasses.replace(small_cfg(2, horizon=10.0), initial=initial)
     with pytest.raises(InvariantViolationError) as err:
         run_ensemble(DampsSecondMode(), noise, IntegratorConfig(dt=0.01), cfg)
-    assert {e["kind"] for e in err.value.entries} == {"wronskian"}
+    assert {e["kind"] for e in err.value.violations} == {"wronskian"}
 
 
 # ---------------------------------------------------------------------------
