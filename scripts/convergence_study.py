@@ -8,7 +8,8 @@ log-log slope of the standard error, which should sit near -1/2.
 import argparse
 
 from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, suggest_dt
-from stochastic_dce.ensemble import EnsembleConfig, convergence_report, run_ensemble
+from stochastic_dce.ensemble import (EnsembleConfig, convergence_report, run_ensemble,
+                                    shared_pool)
 from stochastic_dce.noise import NoiseKind, NoiseSpec
 
 
@@ -24,14 +25,15 @@ def main():
     system = PlainOscillator(1.0, 0.05)
     icfg = IntegratorConfig(dt=suggest_dt(1.0, args.horizon))
     stats = []
-    for n in args.sizes:
-        ens = EnsembleConfig(n_realizations=n, master_seed=args.seed,
-                             probes=(args.horizon,), horizon=args.horizon)
-        s = run_ensemble(system, noise, icfg, ens)
-        err = s.standard_error[("beta2_total", 0)][-1]
-        print(f"N={n:6d}  <|beta|^2> = {s.mean[('beta2_total', 0)][-1]:.6f} "
-              f"+- {err:.6f}")
-        stats.append(s)
+    with shared_pool():     # one set of workers for every N
+        for n in args.sizes:
+            ens = EnsembleConfig(n_realizations=n, master_seed=args.seed,
+                                 probes=(args.horizon,), horizon=args.horizon)
+            s = run_ensemble(system, noise, icfg, ens)
+            err = s.standard_error[("beta2_total", 0)][-1]
+            print(f"N={n:6d}  <|beta|^2> = {s.mean[('beta2_total', 0)][-1]:.6f} "
+                  f"+- {err:.6f}")
+            stats.append(s)
 
     rep = convergence_report(stats)
     verdict = "ok" if rep.scaling_ok else "NOT 1/sqrt(N)"

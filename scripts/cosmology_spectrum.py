@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, suggest_dt
-from stochastic_dce.ensemble import EnsembleConfig, derive_seed, run_ensemble
+from stochastic_dce.ensemble import EnsembleConfig, derive_seed, run_ensemble, shared_pool
 from stochastic_dce.noise import NoiseKind, NoiseSpec, spectrum
 from stochastic_dce.theory import cosmo_beta2
 
@@ -33,19 +33,20 @@ def main():
     noise = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=args.t_c)
     print(f"{'k':>6} {'omega':>8} {'ReS(2w)':>9} {'MC':>10} {'stderr':>9} "
           f"{'theory':>10}")
-    for i, k in enumerate(args.k):
-        w = math.sqrt(k**2 + args.mass**2)
-        ens = EnsembleConfig(n_realizations=args.n,
-                             master_seed=derive_seed(args.seed, i),
-                             probes=(args.eta,), horizon=args.eta)
-        icfg = IntegratorConfig(dt=suggest_dt(w, args.eta))
-        stats = run_ensemble(PlainOscillator(w, args.epsilon), noise, icfg, ens)
-        mc = stats.mean[("beta2_total", 0)][-1]
-        se = stats.standard_error[("beta2_total", 0)][-1]
-        th = float(cosmo_beta2(k, args.mass, args.epsilon, noise,
-                               np.array(stats.times)[-1]))
-        print(f"{k:6.2f} {w:8.4f} {spectrum(noise, 2 * w).real:9.4f} "
-              f"{mc:10.5f} {se:9.5f} {th:10.5f}")
+    with shared_pool():     # one set of workers for every k
+        for i, k in enumerate(args.k):
+            w = math.sqrt(k**2 + args.mass**2)
+            ens = EnsembleConfig(n_realizations=args.n,
+                                 master_seed=derive_seed(args.seed, i),
+                                 probes=(args.eta,), horizon=args.eta)
+            icfg = IntegratorConfig(dt=suggest_dt(w, args.eta))
+            stats = run_ensemble(PlainOscillator(w, args.epsilon), noise, icfg, ens)
+            mc = stats.mean[("beta2_total", 0)][-1]
+            se = stats.standard_error[("beta2_total", 0)][-1]
+            th = float(cosmo_beta2(k, args.mass, args.epsilon, noise,
+                                   np.array(stats.times)[-1]))
+            print(f"{k:6.2f} {w:8.4f} {spectrum(noise, 2 * w).real:9.4f} "
+                  f"{mc:10.5f} {se:9.5f} {th:10.5f}")
 
 
 if __name__ == "__main__":

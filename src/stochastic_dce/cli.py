@@ -27,6 +27,7 @@ from .ensemble import (
     RunFailure,
     derive_seed,
     run_ensemble,
+    shared_pool,
 )
 from .dynamics import step_grid
 from .noise import eval_batch, synthesize
@@ -123,26 +124,28 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     started = time.time()
     code = 0
     violations = []
-    for label, system in systems:
-        sub = _sub_master(cfg.ensemble.master_seed, label, len(systems))
-        ens = dataclasses.replace(cfg.ensemble, master_seed=sub)
-        log.info("simulating system %d/%d (%d realizations)",
-                 label, len(systems), ens.n_realizations)
-        seed_info["per_system"][str(label)] = {
-            "sub_master": sub,
-            "realization_seeds": [derive_seed(sub, i)
-                                  for i in range(ens.n_realizations)],
-        }
-        try:
-            stats = run_ensemble(system, cfg.noise, cfg.integrator, ens)
-        except RunFailure as err:
-            report(label, err.record)
-            violations = err.violations
-            code = 1
-            log.error("%s", err)
-            break
-        report(label, stats.record)
-        rows.extend(_series_rows(cfg, label, system, stats))
+    # every system's pooled run reuses one set of workers
+    with shared_pool():
+        for label, system in systems:
+            sub = _sub_master(cfg.ensemble.master_seed, label, len(systems))
+            ens = dataclasses.replace(cfg.ensemble, master_seed=sub)
+            log.info("simulating system %d/%d (%d realizations)",
+                     label, len(systems), ens.n_realizations)
+            seed_info["per_system"][str(label)] = {
+                "sub_master": sub,
+                "realization_seeds": [derive_seed(sub, i)
+                                      for i in range(ens.n_realizations)],
+            }
+            try:
+                stats = run_ensemble(system, cfg.noise, cfg.integrator, ens)
+            except RunFailure as err:
+                report(label, err.record)
+                violations = err.violations
+                code = 1
+                log.error("%s", err)
+                break
+            report(label, stats.record)
+            rows.extend(_series_rows(cfg, label, system, stats))
     summary["violations"] = violations
     summary["runtime_seconds"] = time.time() - started
 

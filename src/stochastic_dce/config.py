@@ -18,7 +18,7 @@ from .cavity import CavityConfig
 from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, Window,
                        check_integrable, initial_data, step_grid, suggest_dt)
 from .ensemble import EnsembleConfig
-from .noise import NoiseKind, NoiseSpec
+from .noise import OU_GRID_PER_TC, NoiseKind, NoiseSpec, max_step
 
 __all__ = ["ConfigError", "Scenario", "RunConfig", "load_config", "parse_config"]
 
@@ -176,7 +176,8 @@ def parse_config(data: dict) -> RunConfig:
     integ_sec = _section(data, "integrator", required=False)
     path = (_take(integ_sec, "integrator", "path", str, default="linearized")
             if coupled else None)
-    integ = _parse_integrator(integ_sec, omega_max, ens.horizon, windowed=coupled)
+    cell = max_step(noise, ens.horizon)
+    integ = _parse_integrator(integ_sec, omega_max, ens.horizon, cell, windowed=coupled)
     comp = _parse_compare(_section(data, "compare", required=False))
     try:
         step = step_grid(ens.horizon, integ, ens.probes)[1]
@@ -194,6 +195,11 @@ def parse_config(data: dict) -> RunConfig:
             check_integrable(system, step, noise.kind is NoiseKind.ORNSTEIN_UHLENBECK)
     except ValueError as err:
         raise ConfigError(str(err))
+    if step > cell * (1.0 + 1e-9):     # a step of one cell passes, to rounding
+        raise ConfigError(
+            f"integrator.dt_time: the step {step:.6g} is longer than the OU "
+            f"noise's knot cell {cell:.6g} (t_c_time/{OU_GRID_PER_TC}); a step "
+            f"across a knot loses RK4's order")
     return cfg
 
 
@@ -250,10 +256,11 @@ def _parse_cavity(sec) -> CavityConfig:
         raise ConfigError(f"cavity: {err}")
 
 
-def _parse_integrator(sec, omega_max, horizon, windowed) -> IntegratorConfig:
+def _parse_integrator(sec, omega_max, horizon, cell, windowed) -> IntegratorConfig:
     dt = _take(sec, "integrator", "dt_time", float, default=None, positive=True)
     if dt is None:
-        dt = suggest_dt(omega_max, horizon)
+        # the drift law's step, at most one knot cell of OU noise
+        dt = min(suggest_dt(omega_max, horizon), cell)
     ramp = (_take(sec, "integrator", "window_ramp_time", float, default=0.0)
             if windowed else 0.0)
     _no_leftovers(sec, "integrator")

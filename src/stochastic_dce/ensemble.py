@@ -13,6 +13,10 @@ reduction is an exactly rounded sum, so the output, checks included,
 is identical for any chunk and worker layout.  Every run also reports
 what it ran (step, layout, aborts, drift, time) in one record, which a
 failed run's error (a RunFailure) carries too.
+
+More than one chunk and worker run in a process pool: the run's own,
+shut down before it returns, or, inside a shared_pool() block, the
+block's, which serves every run in it and shuts down when it exits.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .dynamics import (
     step_grid,
     wronskian,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
-from .noise import NoiseSpec, synthesize_many
+from .noise import NoiseSpec, max_step, synthesize_many
 
 __all__ = [
     "CHUNK_SIZE",
@@ -51,6 +55,7 @@ __all__ = [
     "splitmix64",
     "chunk_layout",
     "run_ensemble",
+    "shared_pool",
     "convergence_report",
     "ConvergenceReport",
 ]
@@ -148,7 +153,8 @@ class EnsembleStats:
     summed over chunks: synthesis_s, then run_batch's eval_s, build_s,
     chain_s and extract_s.  A run that violates the drift bound adds
     drift_law_dt, the step at which RK4's drift law
-    (dynamics.drift_law_dt) puts its largest finite drift at the bound.
+    (dynamics.drift_law_dt) puts its largest finite drift at the bound,
+    capped at the noise's noise.max_step (one knot cell of OU noise).
     """
 
     times: np.ndarray
@@ -245,6 +251,47 @@ def chunk_layout(ensemble: EnsembleConfig):
     return [(s, min(N, s + size)) for s in range(0, N, size)], workers
 
 
+# The innermost shared_pool() block's open pools by process count, or
+# None outside any block.  Ambient, not an argument, so that
+# run_ensemble's signature stays the one its callers wrap.
+_shared_pools: dict | None = None
+
+
+@contextlib.contextmanager
+def shared_pool():
+    """A block whose pooled runs share their worker processes.
+
+    Each run_ensemble inside the block that runs in a pool takes the
+    block's pool of its size, min(workers, chunks), opening it on first
+    use; the block shuts every pool down, waiting for its workers, when
+    it exits, whether normally or by an exception.  Workers fork when a
+    pool opens, so code patched before that runs in them too.
+    """
+    global _shared_pools
+    outer, _shared_pools = _shared_pools, {}
+    try:
+        yield
+    finally:
+        pools, _shared_pools = _shared_pools, outer
+        for pool in pools.values():
+            pool.shutdown(wait=True)
+
+
+@contextlib.contextmanager
+def _pool(size: int):
+    """The pool of `size` processes a run uses: None for one process,
+    else the shared_pool() block's or one of the run's own."""
+    if size <= 1:
+        yield None
+    elif _shared_pools is None:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            yield pool
+    else:
+        if size not in _shared_pools:
+            _shared_pools[size] = ProcessPoolExecutor(max_workers=size)
+        yield _shared_pools[size]
+
+
 def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
                  ensemble: EnsembleConfig) -> EnsembleStats:
     """Run the full ensemble and aggregate statistics.
@@ -253,7 +300,9 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     the same in any chunk, and the reduction sums each column exactly
     rounded.  Invariant violations raise; collapsed (masked) realizations
     are excluded, failing the run if they exceed 1% of the ensemble.  The
-    stats' record, or the raised error's, says what the run did.
+    stats' record, or the raised error's, says what the run did.  Pooled
+    chunks run in the enclosing shared_pool() block's pool, which stays
+    open, or else in one of the run's own, shut down before it returns.
     """
     t0 = time.perf_counter()
     N = ensemble.n_realizations
@@ -263,9 +312,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     # _run_chunk is looked up per call, so a wrapper patched over it is
     # what the pool workers run
     run = functools.partial(_run_chunk, system, noise_spec, integrator, ensemble)
-    pooled = workers > 1 and n > 1
-    with (ProcessPoolExecutor(max_workers=min(workers, n)) if pooled
-          else contextlib.nullcontext()) as pool:
+    with _pool(min(workers, n)) as pool:
         results = []
         for i, r in enumerate((pool.map if pool else map)(run, *zip(*chunks))):
             # the progress line of a long run
@@ -291,7 +338,8 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         record[layer] = sum(r.layers[layer] for r in results)
     if violations:
         if finite > WRONSKIAN_TOL:
-            record["drift_law_dt"] = drift_law_dt(dt, finite)
+            record["drift_law_dt"] = min(drift_law_dt(dt, finite),
+                                         max_step(noise_spec, ensemble.horizon))
         raise InvariantViolationError(violations, record)
     if len(aborted) > MAX_ABORT_FRACTION * N:
         raise TooManyAbortsError(

@@ -43,12 +43,18 @@ __all__ = [
     "synthesize",
     "synthesize_many",
     "eval_batch",
+    "max_step",
     "NoiseBatch",
 ]
 
 # Exact marginals on a grid of t_c/50, interpolation error is bounded by
 # the sub-grid roughness of the path (irrelevant at the drive frequencies).
 OU_GRID_PER_TC = 50
+
+# Seeds whose OU drives are stacked and written into the knot-major
+# array together: one transposed block copy per group, not one strided
+# column per seed.
+DRIVE_GROUP = 16
 
 # Points per exact anchor when the spectral sums are evaluated on an
 # evenly spaced grid; the recurrence's rounding stays near 1e-14.
@@ -306,6 +312,15 @@ def _ou_grid(spec: NoiseSpec, horizon: float):
     return n_grid, horizon / (n_grid - 1)
 
 
+def max_step(spec: NoiseSpec, horizon: float) -> float:
+    """The longest RK4 step a run to horizon keeps to: one knot cell of
+    the OU spline, whose third derivative jumps at every knot, so that a
+    longer step loses RK4's order (inf for the spectral kinds)."""
+    if spec.kind is NoiseKind.ORNSTEIN_UHLENBECK:
+        return _ou_grid(spec, horizon)[1]
+    return math.inf
+
+
 def _ou_drive(spec: NoiseSpec, seed: int, n_grid: int, a: float) -> np.ndarray:
     """The AR(1) innovations of one seed; filtering by 1/(1 - a z^-1) gives
     the exact OU samples on the grid."""
@@ -329,8 +344,12 @@ def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
         n_grid, step = _ou_grid(spec, horizon)
         a = math.exp(-step / spec.t_c)
         coeffs = np.empty((n_grid, len(seeds)))
-        for b, seed in enumerate(seeds):
-            coeffs[:, b] = _ou_drive(spec, seed, n_grid, a)
+        group = np.empty((min(DRIVE_GROUP, len(seeds)), n_grid))
+        for g in range(0, len(seeds), DRIVE_GROUP):
+            rows = seeds[g:g + DRIVE_GROUP]
+            for i, seed in enumerate(rows):
+                group[i] = _ou_drive(spec, seed, n_grid, a)
+            coeffs[:, g:g + len(rows)] = group[:len(rows)].T
         # the whole chunk filtered in place: AR(1), then the spline fit
         _recurse(list(coeffs), a)
         _prefilter(coeffs)

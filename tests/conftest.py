@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import stochastic_dce.ensemble as ens
 from stochastic_dce.dynamics import (Window, _windowed, decompose, initial_data, run_batch,
                                      step_grid)
-from stochastic_dce.noise import ANCHOR_STRIDE, _even_step, _ou_grid, eval_batch
+from stochastic_dce.noise import (ANCHOR_STRIDE, _even_step, _ou_drive, _ou_grid,
+                                  _prefilter, _recurse, eval_batch)
 
 # criterion label -> (passed, detail); filled in by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
@@ -37,6 +39,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Every process pool run_ensemble builds, in order: each with its
+    size, and, once shut down, its worker processes and whether the
+    shutdown waited for them."""
+    built = []
+
+    class Recording(ens.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(self)
+            self.size, self.workers, self.waited = max_workers, [], None
+            super().__init__(max_workers)
+
+        def shutdown(self, wait=True, **kwargs):
+            self.workers += (self._processes or {}).values()
+            self.waited = wait
+            super().shutdown(wait, **kwargs)
+
+    monkeypatch.setattr(ens, "ProcessPoolExecutor", Recording)
+    return built
 
 
 def run_every_step(system, noise, integrator, horizon, **kwargs):
@@ -153,6 +177,21 @@ def ou_coeffs_per_seed(spec, seeds, horizon):
         drive[0] = spec.sigma * z[0]
         cols.append(lfilter_bspline_coefficients(lfilter([1.0], [1.0, -a], drive)))
     return np.stack(cols, axis=1)
+
+
+def ou_coeffs_by_columns(spec, seeds, horizon):
+    """OU spline coefficients (n_knots, B) with each seed's drive written
+    into its strided column of the knot-major array one at a time, then
+    the in-place AR(1) and spline fit over the whole array: the reference
+    for synthesize_many's writes of the drives in seed groups."""
+    n_grid, step = _ou_grid(spec, horizon)
+    a = math.exp(-step / spec.t_c)
+    coeffs = np.empty((n_grid, len(seeds)))
+    for b, seed in enumerate(seeds):
+        coeffs[:, b] = _ou_drive(spec, seed, n_grid, a)
+    _recurse(list(coeffs), a)
+    _prefilter(coeffs)
+    return coeffs
 
 
 def cavity_epsilon(cavity):

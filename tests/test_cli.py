@@ -162,6 +162,21 @@ def test_bad_ensemble_value_exits_2_naming_its_key(tmp_path, capsys, key, probes
     assert not out.exists()
 
 
+def test_ou_step_past_a_knot_cell_exits_2_naming_dt_time(tmp_path, capsys):
+    # a step longer than one knot cell of the OU spline (0.01 at t_c 0.5)
+    # is refused before anything runs
+    data = single_mode_data()
+    data["noise"] = {"kind": "ornstein_uhlenbeck", "sigma": 1.0, "t_c_time": 0.5}
+    data["integrator"] = {"dt_time": 0.02}
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", write_yaml(tmp_path, data),
+                 "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "integrator.dt_time" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_spectrum_refuses_single_mode_config(tmp_path, capsys):
     cfg = write_yaml(tmp_path, single_mode_data())
     assert main(["spectrum", "--config", cfg]) == 2
@@ -535,6 +550,32 @@ def test_coupled_truncation_warning(tmp_path, caplog):
                      "--quiet"]) == 0
     assert any("highest retained mode" in rec.message for rec in caplog.records)
     assert_run_facts(json.loads((out / "summary.json").read_text()), ["1"])
+
+
+def test_cosmology_sweep_runs_in_one_pool(tmp_path, recorded_pools):
+    # four k-systems at workers 2, two chunks each: one pool of two
+    # processes serves every system and is shut down, its workers gone,
+    # before simulate returns; series.csv is the workers-1 bytes
+    data = {
+        "scenario": {"kind": "cosmology", "mass_rad_per_time": 1.0,
+                     "k_grid_rad_per_time": [0.0, 0.5, 1.0, 2.0], "epsilon": 0.05},
+        "noise": {"kind": "ornstein_uhlenbeck", "sigma": 1.0, "t_c_time": 0.5},
+        "ensemble": {"n_realizations": 8, "horizon_time": 2.0,
+                     "probes_time": [1.0, 2.0], "workers": 2},
+    }
+    cfg = write_yaml(tmp_path, data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "w2"),
+                 "--quiet"]) == 0
+    [pool] = recorded_pools
+    assert pool.size == 2 and pool.waited is True and len(pool.workers) == 2
+    assert not any(w.is_alive() for w in pool.workers)
+    summary = json.loads((tmp_path / "w2" / "summary.json").read_text())
+    assert summary["chunks"] == {label: 2 for label in ("1", "2", "3", "4")}
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "w1"),
+                 "--workers", "1", "--quiet"]) == 0
+    assert len(recorded_pools) == 1
+    assert ((tmp_path / "w2" / "series.csv").read_bytes()
+            == (tmp_path / "w1" / "series.csv").read_bytes())
 
 
 def test_cosmology_simulate_labels_modes_by_k(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from stochastic_dce.config import ConfigError, Scenario, load_config, parse_config
-from stochastic_dce.dynamics import PlainOscillator
+from stochastic_dce.dynamics import PlainOscillator, suggest_dt
 from stochastic_dce.noise import NoiseKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,11 +133,27 @@ def test_default_integrator_step_respects_fastest_mode():
     (lambda d: d["noise"].update(sigma=math.nan), "noise.sigma must be finite"),
     (lambda d: d["ensemble"].update(probes_time=[5.0, math.inf]), "must be finite"),
     (lambda d: d.update(integrator={"dt_time": 1.0}), r"dt\*omega_max"),
+    (lambda d: d.update(integrator={"dt_time": 0.02}), r"integrator\.dt_time"),
 ])
 def test_invalid_single_mode_configs(mutate, match):
     data = single_mode_data()
     mutate(data)
     with pytest.raises(ConfigError, match=match):
+        parse_config(data)
+
+
+def test_ou_steps_stay_inside_one_knot_cell():
+    # OU noise with t_c 0.5 has knots 0.01 apart.  At horizon 6 the drift
+    # law's step is 1.6 cells, and parse caps the default at one cell; a
+    # dt_time of one cell parses, and one whose step is longer is refused
+    data = single_mode_data()
+    data["ensemble"].update(horizon_time=6.0, probes_time=[3.0, 6.0])
+    assert suggest_dt(1.0, 6.0) > 0.015
+    assert parse_config(copy.deepcopy(data)).integrator.dt <= 0.01
+    data["integrator"] = {"dt_time": 0.01}
+    assert parse_config(copy.deepcopy(data)).integrator.dt == 0.01
+    data["integrator"] = {"dt_time": 0.0101}
+    with pytest.raises(ConfigError, match=r"integrator\.dt_time.*knot cell 0\.01\b"):
         parse_config(data)
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import stochastic_dce.dynamics as dynamics
 import stochastic_dce.ensemble as ens
 from conftest import first_collapse_step, run_every_step
 from stochastic_dce.dynamics import (
@@ -29,7 +30,8 @@ from stochastic_dce.ensemble import (
     run_ensemble,
     splitmix64,
 )
-from stochastic_dce.noise import NoiseKind, NoiseSpec, synthesize, synthesize_many
+from stochastic_dce.noise import (NoiseKind, NoiseSpec, max_step, synthesize,
+                                  synthesize_many)
 
 BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=1.5, nu_max=2.5,
                  n_components=16)
@@ -143,6 +145,62 @@ def test_pool_has_one_process_per_chunk_at_most(monkeypatch):
     assert ens.chunk_layout(cfg) == ([(0, 1), (1, 2)], 3)
     stats = run_ensemble(SYS, BAND, integ(6.0), cfg)
     assert sizes == [2] and stats.n_effective == 2
+
+
+# a run's record entries that time it, and those of its chunk layout
+TIMINGS = {"simulate_s", "realization_steps_per_s", "synthesis_s", "eval_s",
+           "build_s", "chain_s", "extract_s"}
+LAYOUT = {"chunk_size", "chunks", "workers"}
+
+
+def run_facts(stats, skip=TIMINGS):
+    """A run's means and variances as bytes, and its record without skip."""
+    arrays = {key: (stats.mean[key].tobytes(), stats.variance[key].tobytes())
+              for key in stats.keys()}
+    return arrays, {k: v for k, v in stats.record.items() if k not in skip}
+
+
+def test_runs_in_a_shared_pool_block_reuse_one_pool(recorded_pools):
+    # two pooled runs of two processes inside one block build one pool,
+    # which the block shuts down and waits for; they give the bytes of
+    # the same runs, each in a pool of its own, and of the runs at workers 1
+    ou = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
+    runs = [(BAND, small_cfg(2, workers=3, horizon=6.0)),
+            (ou, small_cfg(64, workers=2, horizon=6.0))]
+    with ens.shared_pool():
+        shared = [run_ensemble(SYS, noise, integ(6.0), cfg) for noise, cfg in runs]
+        assert len(recorded_pools) == 1 and recorded_pools[0].waited is None
+    pool = recorded_pools[0]
+    assert pool.size == 2 and pool.waited is True and len(pool.workers) == 2
+    assert not any(w.is_alive() for w in pool.workers)
+    alone = [run_ensemble(SYS, noise, integ(6.0), cfg) for noise, cfg in runs]
+    assert [p.size for p in recorded_pools] == [2, 2, 2]
+    serial = [run_ensemble(SYS, noise, integ(6.0), dataclasses.replace(cfg, workers=1))
+              for noise, cfg in runs]
+    assert len(recorded_pools) == 3
+    for s, a, one in zip(shared, alone, serial):
+        assert s.record["chunks"] == 2
+        assert run_facts(s) == run_facts(a)
+        assert run_facts(s, TIMINGS | LAYOUT) == run_facts(one, TIMINGS | LAYOUT)
+
+
+def test_a_failed_run_leaves_no_worker_of_a_shared_pool(recorded_pools):
+    # the exact-path sigma 1.02 run of the chunk-layout test below, at
+    # workers 2: its RunFailure leaves the block, which still shuts the
+    # pool down and waits for every worker
+    noise = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.02, nu_min=0.5,
+                      nu_max=1.5, n_components=2)
+    cav = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.5, nz_max=1)
+    cfg = EnsembleConfig(n_realizations=16, master_seed=3, probes=(15.0, 30.0),
+                         horizon=30.0, workers=2)
+    with pytest.raises(InvariantViolationError) as err:
+        with ens.shared_pool():
+            run_ensemble(CavityModes(cav, "exact"), noise, IntegratorConfig(dt=0.02),
+                         cfg)
+    assert err.value.record["aborted"] and err.value.record["chunks"] == 2
+    [pool] = recorded_pools
+    assert pool.waited is True and len(pool.workers) == 2
+    assert not any(w.is_alive() for w in pool.workers)
 
 
 @pytest.mark.parametrize("coupled", [False, True])
@@ -312,6 +370,21 @@ def test_invariant_violation_raises(monkeypatch):
     assert entry["value"] > 1e-30
     assert err.value.record["n_effective"] == 4
     assert err.value.record["max_wronskian_drift"] > 1e-30
+
+
+def test_ou_drift_hint_stays_inside_one_knot_cell(monkeypatch):
+    # an OU run at two knot cells a step, with the bound just under its
+    # drift: the drift law's step is past the cell (0.01 at t_c 0.5), and
+    # the hint is the cell
+    ou = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
+    icfg, cfg = IntegratorConfig(dt=0.02), small_cfg(4, horizon=6.0)
+    drift = run_ensemble(SYS, ou, icfg, cfg).record["max_wronskian_drift"]
+    monkeypatch.setattr(ens, "WRONSKIAN_TOL", 0.5 * drift)
+    monkeypatch.setattr(dynamics, "WRONSKIAN_TOL", 0.5 * drift)
+    assert dynamics.drift_law_dt(0.02, drift) > 0.015
+    with pytest.raises(InvariantViolationError) as err:
+        run_ensemble(SYS, ou, icfg, cfg)
+    assert err.value.record["drift_law_dt"] == max_step(ou, 6.0) == 0.01
 
 
 def test_nan_drift_is_a_violation():

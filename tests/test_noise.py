@@ -12,6 +12,7 @@ from conftest import (
     assert_same_bits,
     eval_spectral_complex,
     lfilter_bspline_coefficients,
+    ou_coeffs_by_columns,
     ou_coeffs_per_seed,
     ou_eval_row_major,
 )
@@ -379,6 +380,16 @@ def test_ou_coeffs_match_per_seed_filter():
             coeffs = synthesize_many(OU, seeds, horizon).coeffs
             assert coeffs.shape == (knots, width)
             np.testing.assert_array_equal(coeffs, ou_coeffs_per_seed(OU, seeds, horizon))
+
+
+@pytest.mark.parametrize("width", [1, 3, 16, 17, 128])
+def test_ou_drives_in_seed_groups_match_column_writes(width):
+    # the drives written a seed group at a time, a full group, a partial
+    # one or both, give the bytes of one strided column per seed
+    for horizon in (0.005, 0.3, 6.0, 25.0):
+        seeds = list(range(11, 11 + width))
+        assert_same_bits(synthesize_many(OU, seeds, horizon).coeffs,
+                         ou_coeffs_by_columns(OU, seeds, horizon))
 
 
 @pytest.mark.parametrize("width", [1, 3, 128, 129])
