@@ -7,7 +7,7 @@ log-log slope of the standard error, which should sit near -1/2.
 
 import argparse
 
-from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, suggest_dt
+from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, default_dt
 from stochastic_dce.ensemble import (EnsembleConfig, convergence_report, run_ensemble,
                                     shared_pool)
 from stochastic_dce.noise import NoiseKind, NoiseSpec
@@ -23,7 +23,7 @@ def main():
 
     noise = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
     system = PlainOscillator(1.0, 0.05)
-    icfg = IntegratorConfig(dt=suggest_dt(1.0, args.horizon))
+    icfg = IntegratorConfig(dt=default_dt(1.0, noise, args.horizon))
     stats = []
     with shared_pool():     # one set of workers for every N
         for n in args.sizes:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, suggest_dt
+from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, default_dt
 from stochastic_dce.ensemble import EnsembleConfig, derive_seed, run_ensemble, shared_pool
 from stochastic_dce.noise import NoiseKind, NoiseSpec, spectrum
 from stochastic_dce.theory import cosmo_beta2
@@ -39,7 +39,7 @@ def main():
             ens = EnsembleConfig(n_realizations=args.n,
                                  master_seed=derive_seed(args.seed, i),
                                  probes=(args.eta,), horizon=args.eta)
-            icfg = IntegratorConfig(dt=suggest_dt(w, args.eta))
+            icfg = IntegratorConfig(dt=default_dt(w, noise, args.eta))
             stats = run_ensemble(PlainOscillator(w, args.epsilon), noise, icfg, ens)
             mc = stats.mean[("beta2_total", 0)][-1]
             se = stats.standard_error[("beta2_total", 0)][-1]

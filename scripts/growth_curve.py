@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, suggest_dt
+from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, default_dt
 from stochastic_dce.ensemble import EnsembleConfig, run_ensemble
 from stochastic_dce.noise import NoiseKind, NoiseSpec
 from stochastic_dce.theory import msa_stochastic_beta2
@@ -33,7 +33,7 @@ def main():
                                args.probes))
     ens = EnsembleConfig(n_realizations=args.n, master_seed=args.seed,
                          probes=probes, horizon=args.horizon)
-    icfg = IntegratorConfig(dt=suggest_dt(args.omega, args.horizon))
+    icfg = IntegratorConfig(dt=default_dt(args.omega, noise, args.horizon))
     stats = run_ensemble(PlainOscillator(args.omega, args.epsilon), noise,
                          icfg, ens)
 

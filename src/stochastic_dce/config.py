@@ -16,7 +16,7 @@ import yaml
 
 from .cavity import CavityConfig
 from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, Window,
-                       check_integrable, initial_data, step_grid, suggest_dt)
+                       check_integrable, default_dt, initial_data, step_grid)
 from .ensemble import EnsembleConfig
 from .noise import OU_GRID_PER_TC, NoiseKind, NoiseSpec, max_step
 
@@ -176,8 +176,7 @@ def parse_config(data: dict) -> RunConfig:
     integ_sec = _section(data, "integrator", required=False)
     path = (_take(integ_sec, "integrator", "path", str, default="linearized")
             if coupled else None)
-    cell = max_step(noise, ens.horizon)
-    integ = _parse_integrator(integ_sec, omega_max, ens.horizon, cell, windowed=coupled)
+    integ = _parse_integrator(integ_sec, omega_max, ens.horizon, noise, windowed=coupled)
     comp = _parse_compare(_section(data, "compare", required=False))
     try:
         step = step_grid(ens.horizon, integ, ens.probes)[1]
@@ -195,6 +194,7 @@ def parse_config(data: dict) -> RunConfig:
             check_integrable(system, step, noise.kind is NoiseKind.ORNSTEIN_UHLENBECK)
     except ValueError as err:
         raise ConfigError(str(err))
+    cell = max_step(noise, ens.horizon)
     if step > cell * (1.0 + 1e-9):     # a step of one cell passes, to rounding
         raise ConfigError(
             f"integrator.dt_time: the step {step:.6g} is longer than the OU "
@@ -256,11 +256,10 @@ def _parse_cavity(sec) -> CavityConfig:
         raise ConfigError(f"cavity: {err}")
 
 
-def _parse_integrator(sec, omega_max, horizon, cell, windowed) -> IntegratorConfig:
+def _parse_integrator(sec, omega_max, horizon, noise, windowed) -> IntegratorConfig:
     dt = _take(sec, "integrator", "dt_time", float, default=None, positive=True)
     if dt is None:
-        # the drift law's step, at most one knot cell of OU noise
-        dt = min(suggest_dt(omega_max, horizon), cell)
+        dt = default_dt(omega_max, noise, horizon)
     ramp = (_take(sec, "integrator", "window_ramp_time", float, default=0.0)
             if windowed else 0.0)
     _no_leftovers(sec, "integrator")

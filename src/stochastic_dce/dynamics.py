@@ -38,11 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityConfig
-from .noise import NoiseBatch, eval_batch
+from .noise import NoiseBatch, NoiseSpec, eval_batch, max_step
 
 __all__ = [
     "IntegratorConfig",
     "suggest_dt",
+    "default_dt",
     "drift_law_dt",
     "Window",
     "PlainOscillator",
@@ -96,6 +97,9 @@ class IntegratorConfig:
 # and every run's invariant check enforces it.
 WRONSKIAN_TOL = 1e-8
 AMPLITUDE_MARGIN = 100.0
+# The largest drift the dt^5 law speaks for: past it the law's step is
+# below a tenth of the step run, and the drift is not the step's error
+DRIFT_LAW_MAX = 1e-3
 
 
 def suggest_dt(omega_max: float, horizon: float) -> float:
@@ -110,9 +114,16 @@ def suggest_dt(omega_max: float, horizon: float) -> float:
     return min(dt, 0.1 / omega_max)
 
 
+def default_dt(omega_max: float, noise: NoiseSpec, horizon: float) -> float:
+    """The step of a run that sets none: suggest_dt's drift-law step, at
+    most noise.max_step (one knot cell of OU noise)."""
+    return min(suggest_dt(omega_max, horizon), max_step(noise, horizon))
+
+
 def drift_law_dt(dt: float, drift: float) -> float:
     """The step at which a run at dt with Wronskian drift `drift` would
-    meet WRONSKIAN_TOL, by the dt^5 law of suggest_dt."""
+    meet WRONSKIAN_TOL, by the dt^5 law of suggest_dt (which speaks for
+    drifts up to DRIFT_LAW_MAX)."""
     return dt * (WRONSKIAN_TOL / drift) ** 0.2
 
 
@@ -185,19 +196,29 @@ def _per_mode(values, ndim):
     return np.reshape(values, (-1,) + (1,) * (ndim - 1))
 
 
-def _mix(mat, X):
-    """(mat X)[k] = sum_j mat[k, j] X[j] over the mode axis.
+def _terms(mat):
+    """Per row k of mat, its nonzero entries (j, mat[k, j]) in j order."""
+    return [[(j, row[j]) for j in np.flatnonzero(row)] for row in mat]
+
+
+def _mix(terms, X):
+    """(mat X)[k] = sum_j mat[k, j] X[j] over the mode axis, with terms =
+    _terms(mat).
 
     An explicit sum over the nonzero entries in a fixed order, not a BLAS
-    product, so that every element rounds the same at any batch width.
+    product, so that every element rounds the same at any batch width.  A
+    row with no nonzero entry is zero.
     """
-    out = np.zeros((mat.shape[0],) + X.shape[1:], dtype=X.dtype)
+    out = np.empty((len(terms),) + X.shape[1:], dtype=X.dtype)
     term = np.empty_like(out[0])
-    for k, row in enumerate(mat):
-        for n, j in enumerate(np.flatnonzero(row)):
-            np.multiply(row[j], X[j], out=term if n else out[k])
-            if n:
-                out[k] += term
+    for dst, row in zip(out, terms):
+        if not row:
+            dst.fill(0.0)
+            continue
+        (j, g), *rest = row
+        np.multiply(g, X[j], out=dst)
+        for j, g in rest:
+            dst += np.multiply(g, X[j], out=term)
     return out
 
 
@@ -244,7 +265,8 @@ class CavityModes:
         self.omegas = cavity.omegas()
         self.omega_zs = cavity.omega_zs()
         self.gmat = cavity.g_matrix()
-        self.gg = self.gmat.T @ self.gmat  # sum_l g_lk g_lj
+        self.gmat_terms = _terms(self.gmat)
+        self.gg_terms = _terms(self.gmat.T @ self.gmat)  # sum_l g_lk g_lj
         if path == "exact" or self.n_modes > 1:
             self.noise_orders = (0, 1, 2)
         else:
@@ -261,7 +283,7 @@ class CavityModes:
              + (2.0 * eps) * x0 * _per_mode(self.omega_zs**2, Q.ndim)) * Q
         if self.n_modes > 1:
             # 2 eps xi' G Q' + eps xi'' G Q, with one pass over G
-            a += _mix(self.gmat, (2.0 * eps) * x1 * P + eps * x2 * Q)
+            a += _mix(self.gmat_terms, (2.0 * eps) * x1 * P + eps * x2 * Q)
         return a
 
     def canonical_momentum(self, Q, P, x0, x1):
@@ -274,7 +296,7 @@ class CavityModes:
         lam = self.epsilon * x1
         if self.path == "exact":
             lam = lam / (1.0 + self.epsilon * x0)
-        return P - lam * _mix(self.gmat, Q)
+        return P - lam * _mix(self.gmat_terms, Q)
 
     def collapsed(self, x0):
         """Columns (rows) of x0 (times, batch) with 1 + eps*xi <= 1e-12 at
@@ -291,8 +313,8 @@ class CavityModes:
         w2 = np.pi**2 * (self.cavity.transverse_sq + (nz / (self.cavity.Lz0 * ell)) ** 2)
         # pi^2 transverse part is constant; z part scales with 1/Lz(t)^2
         a = -w2 * Q
-        a += _mix(self.gmat, 2.0 * lam * P + lam_dot * Q)
-        a += lam**2 * _mix(self.gg, Q)
+        a += _mix(self.gmat_terms, 2.0 * lam * P + lam_dot * Q)
+        a += lam**2 * _mix(self.gg_terms, Q)
         return a
 
 

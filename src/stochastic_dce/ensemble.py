@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
+    DRIFT_LAW_MAX,
     WRONSKIAN_TOL,
     IntegratorConfig,
     decompose,
@@ -154,7 +155,8 @@ class EnsembleStats:
     chain_s and extract_s.  A run that violates the drift bound adds
     drift_law_dt, the step at which RK4's drift law
     (dynamics.drift_law_dt) puts its largest finite drift at the bound,
-    capped at the noise's noise.max_step (one knot cell of OU noise).
+    capped at the noise's noise.max_step (one knot cell of OU noise),
+    while that drift is within the law's range, dynamics.DRIFT_LAW_MAX.
     """
 
     times: np.ndarray
@@ -337,7 +339,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     for layer in results[0].layers:
         record[layer] = sum(r.layers[layer] for r in results)
     if violations:
-        if finite > WRONSKIAN_TOL:
+        if WRONSKIAN_TOL < finite <= DRIFT_LAW_MAX:
             record["drift_law_dt"] = min(drift_law_dt(dt, finite),
                                          max_step(noise_spec, ensemble.horizon))
         raise InvariantViolationError(violations, record)

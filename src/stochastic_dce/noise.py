@@ -16,7 +16,10 @@ all be fed to the mode equations:
   an AR(1) recursion, and interpolated with a C^2 cubic B-spline whose
   coefficients come from the recursive prefilter (Unser, Aldroubi & Eden,
   1993).  Both are first-order recursions run in place over the knot
-  rows of one knot-major array, which eval_batch reads step-major (one
+  rows of one knot-major array: the AR(1) pass as one loop, each
+  prefilter pass as 16 pieces side by side, every piece after the first
+  restarted 64 knots early, which keeps the loop's bits.  eval_batch
+  reads the array step-major, in time tiles of about 256 KB (one
   gathered knot row per tap and time).
 
 eval_batch returns every kind in one layout, times on axis 0 and rows
@@ -55,6 +58,17 @@ OU_GRID_PER_TC = 50
 # array together: one transposed block copy per group, not one strided
 # column per seed.
 DRIVE_GROUP = 16
+
+# Bytes of one tile array of the OU evaluation (a tile of gathered knot
+# rows, the output tile): small enough to stay in cache, so 256 points
+# at 128 rows, 1024 at 32.
+TILE_BYTES = 256 * 1024
+
+# The B-spline prefilter's passes run as this many pieces side by side,
+# each later piece started by this many steps over the rows before it:
+# the pole's |z|^64 is about 1e-37.
+SEGMENTS = 16
+WARMUP = 64
 
 # Points per exact anchor when the spectral sums are evaluated on an
 # evenly spaced grid; the recurrence's rounding stays near 1e-14.
@@ -190,12 +204,46 @@ def _recurse(rows, a: float) -> None:
         rows[k] += a * rows[k - 1]
 
 
+def _recurse_segmented(x: np.ndarray, a: float) -> None:
+    """_recurse over the rows of x (n, B), |a| < 1, as SEGMENTS pieces side
+    by side: one elementwise step updates a (SEGMENTS, B) slice.
+
+    The first piece continues from x[0] exactly.  Each later piece starts
+    from the state that WARMUP zero-started steps over the raw rows before
+    it reach; the true state differs from it by a^WARMUP times the state
+    WARMUP rows earlier (about 1e-37 relative at the spline pole), far
+    below one rounding, so the pieces give the bits of the plain loop
+    (tests/conftest.py keeps the loop as the oracle).  Arrays too short
+    for pieces of WARMUP rows take the plain loop.
+    """
+    n = x.shape[0]
+    size = n // SEGMENTS
+    if size < WARMUP:
+        _recurse(list(x), a)
+        return
+    head = n - SEGMENTS * size          # < SEGMENTS rows, run by the plain loop
+    pieces = x[head:].reshape((SEGMENTS, size) + x.shape[1:])   # a view
+    # each later piece's start state, from raw rows, before any is overwritten
+    state = pieces[:-1, size - WARMUP].copy()
+    for k in range(size - WARMUP + 1, size):
+        state *= a
+        state += pieces[:-1, k]
+    _recurse(list(x[:head + 1]), a)     # the first piece's first row, exactly
+    state *= a
+    steps = list(pieces.swapaxes(0, 1))  # steps[k]: row k of every piece
+    steps[0][1:] += state
+    _recurse(steps, a)
+
+
 def _prefilter(c: np.ndarray) -> None:
     """Samples (n, B), n >= 2 -> interpolating cubic B-spline coefficients
     with mirror boundaries, in place, by the forward and backward
-    recursive filters."""
+    recursive filters.
+
+    Each pass starts from its exact mirror state and runs in pieces side
+    by side (_recurse_segmented): the causal pass from the first knot row,
+    the anticausal pass from the last."""
     n = c.shape[0]
-    rows = list(c)
     z = _POLE
     horizon = int(math.ceil(math.log(1e-17) / math.log(abs(z))))
     # causal-filter state sum_k z^k x_k over the mirror-periodized
@@ -207,14 +255,14 @@ def _prefilter(c: np.ndarray) -> None:
     for tap in taps[-2::-1]:
         init = init * z + c[tap]
     # first output (init - x_0) + x_0, rounded as the filter with that state
-    rows[0] += init - rows[0]
-    _recurse(rows, z)
+    c[0] += init - c[0]
+    _recurse_segmented(c, z)
     # anticausal pass y_k = -z x_k + z y_{k+1}, started from the mirror state
-    last = (z / (z * z - 1.0)) * (rows[-1] + z * rows[-2])
-    start = last + z * rows[-1]
+    last = (z / (z * z - 1.0)) * (c[-1] + z * c[-2])
+    start = last + z * c[-1]
     c *= -z
-    rows[-1] += start
-    _recurse(rows[::-1], z)
+    c[-1] += start
+    _recurse_segmented(c[::-1], z)
     c *= 6.0
 
 
@@ -223,51 +271,68 @@ def _mirror(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(idx >= n, 2 * (n - 1) - idx, idx)
 
 
-def bspline_evaluate(coeffs: np.ndarray, u: np.ndarray, order: int = 0) -> np.ndarray:
-    """Evaluate the spline (or a derivative) at grid coordinates u.
-
-    coeffs has the knots on its first axis, knot-major, so that a batch
-    is one column per row; u is in grid units.  Returns an array of
-    shape u.shape + coeffs.shape[1:], step-major: each tap gathers whole
-    knot rows.  Derivatives are per grid unit (caller rescales by the
-    grid step).
-    """
-    c = np.asarray(coeffs)
-    u = np.asarray(u, dtype=float)
-    n = c.shape[0]
-    j = np.floor(u).astype(np.intp)
-    j = np.clip(j, 0, n - 1)
-    w = u - j
+def _tap_weights(w: np.ndarray, order: int) -> tuple:
+    """The four cubic B-spline tap weights (or their derivatives) at the
+    offsets w in [0, 1) from each point's knot."""
     if order == 0:
         w2 = w * w
         w3 = w2 * w
-        b = (
+        return (
             (1.0 - w) ** 3 / 6.0,
             (4.0 - 6.0 * w2 + 3.0 * w3) / 6.0,
             (1.0 + 3.0 * (w + w2 - w3)) / 6.0,
             w3 / 6.0,
         )
-    elif order == 1:
+    if order == 1:
         w2 = w * w
-        b = (
+        return (
             -0.5 * (1.0 - w) ** 2,
             0.5 * w * (3.0 * w - 4.0),
             0.5 * (1.0 + 2.0 * w - 3.0 * w2),
             0.5 * w2,
         )
-    elif order == 2:
-        b = (1.0 - w, 3.0 * w - 2.0, 1.0 - 3.0 * w, w)
-    else:
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    # each tap is a gathered knot row times its weight, and the taps are
-    # summed in order 0..3, so every point rounds as it would alone
-    col = w.shape + (1,) * (c.ndim - 1)
-    out = c[_mirror(j - 1, n)]
-    out *= b[0].reshape(col)
-    for tap in (1, 2, 3):
-        term = c[_mirror(j + tap - 1, n)]
-        term *= b[tap].reshape(col)
-        out += term
+    if order == 2:
+        return (1.0 - w, 3.0 * w - 2.0, 1.0 - 3.0 * w, w)
+    raise ValueError(f"order must be 0, 1 or 2, got {order}")
+
+
+def bspline_evaluate(c: np.ndarray, u: np.ndarray, orders, step: float = 1.0) -> dict:
+    """Evaluate the spline and its derivatives at grid coordinates u.
+
+    c (n, B) has the knots on its first axis, knot-major, so that a batch
+    is one column per row; u is 1-d, in grid units.  Returns {order:
+    (len(u), B)}, step-major, with derivatives per unit of step.
+
+    The output is filled in tiles of about TILE_BYTES per array: each tap
+    gathers one tile's knot rows, which every order reads, and each point
+    sums its four taps in order 0..3 and is divided by step^order, so a
+    point rounds as it would alone.  The weights are computed once for
+    all of u.
+    """
+    n, width = c.shape
+    j = np.clip(np.floor(u).astype(np.intp), 0, n - 1)
+    w = u - j
+    weights = {o: _tap_weights(w, o) for o in orders}
+    idx = [_mirror(j + tap - 1, n) for tap in range(4)]
+    out = {o: np.empty((u.size, width)) for o in orders}
+    tile = max(1, TILE_BYTES // (c.itemsize * width))
+    rows = np.empty((min(tile, u.size), width))
+    term = np.empty_like(rows)
+    for lo in range(0, u.size, tile):
+        hi = min(u.size, lo + tile)
+        g, t = rows[:hi - lo], term[:hi - lo]
+        dst = {o: out[o][lo:hi] for o in orders}
+        for tap in range(4):
+            np.take(c, idx[tap][lo:hi], axis=0, out=g, mode="clip")  # idx is in range
+            for o in orders:
+                wt = weights[o][tap][lo:hi, None]
+                if tap:
+                    dst[o] += np.multiply(g, wt, out=t)
+                else:
+                    np.multiply(g, wt, out=dst[o])
+        for o in orders:
+            if o:
+                dst[o] /= step**o
     return out
 
 
@@ -380,7 +445,9 @@ def eval_batch(batch: NoiseBatch, times, orders) -> dict[int, np.ndarray]:
 
     Returns {order: array (len(times), len(batch))} for each requested
     derivative order (0, 1 or 2), for every kind: step-major, with row b
-    of the batch in column b.  Times must lie in [0, horizon].  For the
+    of the batch in column b.  Times must lie in [0, horizon].  OU values
+    are filled in time tiles of about TILE_BYTES per array, whatever the
+    number of times, and each point rounds as it would alone.  For the
     spectral kinds, evenly spaced times are the fast case; other times
     are evaluated one by one, with memory O(len(times)) per component.
     """
@@ -392,13 +459,7 @@ def eval_batch(batch: NoiseBatch, times, orders) -> dict[int, np.ndarray]:
         raise ValueError(f"orders must be among 0, 1, 2, got {orders}")
     if batch.coeffs is not None:
         step = batch.grid_step
-        u = times / step
-        out = {}
-        for o in orders:
-            out[o] = bspline_evaluate(batch.coeffs, u, o)   # (n_t, B)
-            if o:
-                out[o] /= step**o
-        return out
+        return bspline_evaluate(batch.coeffs, times / step, tuple(orders), step)
     return _eval_spectral(batch, times, tuple(orders))
 
 

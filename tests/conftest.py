@@ -14,8 +14,8 @@ from scipy.signal import lfilter
 import stochastic_dce.ensemble as ens
 from stochastic_dce.dynamics import (Window, _windowed, decompose, initial_data, run_batch,
                                      step_grid)
-from stochastic_dce.noise import (ANCHOR_STRIDE, _even_step, _ou_drive, _ou_grid,
-                                  _prefilter, _recurse, eval_batch)
+from stochastic_dce.noise import (ANCHOR_STRIDE, _even_step, _mirror, _ou_drive, _ou_grid,
+                                  _recurse, eval_batch)
 
 # criterion label -> (passed, detail); filled in by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
@@ -190,8 +190,63 @@ def ou_coeffs_by_columns(spec, seeds, horizon):
     for b, seed in enumerate(seeds):
         coeffs[:, b] = _ou_drive(spec, seed, n_grid, a)
     _recurse(list(coeffs), a)
-    _prefilter(coeffs)
+    prefilter_sequential(coeffs)
     return coeffs
+
+
+def prefilter_sequential(c):
+    """The B-spline prefilter with both passes as one loop over every knot
+    row, each started from its exact mirror state: the reference for
+    noise._prefilter, whose passes run in pieces side by side."""
+    n = c.shape[0]
+    rows = list(c)
+    z = math.sqrt(3.0) - 2.0
+    horizon = int(math.ceil(math.log(1e-17) / math.log(abs(z))))
+    taps = _mirror(np.arange(horizon) % (2 * (n - 1)), n)
+    init = c[taps[-1]]
+    for tap in taps[-2::-1]:
+        init = init * z + c[tap]
+    rows[0] += init - rows[0]
+    _recurse(rows, z)
+    last = (z / (z * z - 1.0)) * (rows[-1] + z * rows[-2])
+    start = last + z * rows[-1]
+    c *= -z
+    rows[-1] += start
+    _recurse(rows[::-1], z)
+    c *= 6.0
+
+
+def ou_eval_untiled(batch, times, orders):
+    """OU eval_batch in one piece per order: each tap gathers the knot rows
+    of every time at once, the taps are summed in order 0..3, and the sum
+    is divided by step^order; the reference for eval_batch's tiles."""
+    c = batch.coeffs
+    step = batch.grid_step
+    u = np.asarray(times, dtype=float) / step
+    n = c.shape[0]
+    j = np.clip(np.floor(u).astype(np.intp), 0, n - 1)
+    w = u - j
+    w2 = w * w
+    w3 = w2 * w
+    taps = {
+        0: ((1.0 - w) ** 3 / 6.0, (4.0 - 6.0 * w2 + 3.0 * w3) / 6.0,
+            (1.0 + 3.0 * (w + w2 - w3)) / 6.0, w3 / 6.0),
+        1: (-0.5 * (1.0 - w) ** 2, 0.5 * w * (3.0 * w - 4.0),
+            0.5 * (1.0 + 2.0 * w - 3.0 * w2), 0.5 * w2),
+        2: (1.0 - w, 3.0 * w - 2.0, 1.0 - 3.0 * w, w),
+    }
+    out = {}
+    for o in orders:
+        total = c[_mirror(j - 1, n)]
+        total *= taps[o][0][:, None]
+        for tap in (1, 2, 3):
+            term = c[_mirror(j + tap - 1, n)]
+            term *= taps[o][tap][:, None]
+            total += term
+        if o:
+            total /= step**o
+        out[o] = total
+    return out
 
 
 def cavity_epsilon(cavity):

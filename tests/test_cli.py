@@ -422,6 +422,34 @@ def test_drift_violation_names_the_step_the_drift_law_passes(tmp_path, caplog):
     assert any(f"dt = {step:.3g}" in r.getMessage() for r in caplog.records)
 
 
+def test_drift_past_the_drift_law_names_no_step(tmp_path, caplog):
+    # sigma 1.02 at dt 0.02: some walls reach the far mirror, and the rows
+    # kept drift by far more than DRIFT_LAW_MAX, where the drift is not
+    # the step's; neither the error nor summary.json names drift_law_dt
+    data = {
+        "scenario": {"kind": "coupled_stochastic"},
+        "noise": {"kind": "band_limited", "sigma": 1.02,
+                  "nu_min_rad_per_time": 0.5, "nu_max_rad_per_time": 1.5,
+                  "n_components": 2},
+        "cavity": {"Lx_length": 1e6, "Ly_length": 1e6, "Lz0_length": 1.0,
+                   "epsilon": 0.5, "nz_max": 1},
+        "integrator": {"path": "exact", "dt_time": 0.02},
+        "ensemble": {"n_realizations": 64, "master_seed": 3, "horizon_time": 30.0,
+                     "probes_time": [15.0, 30.0], "workers": 1},
+    }
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="sdce"):
+        assert main(["simulate", "--config", write_yaml(tmp_path, data),
+                     "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert_summary_keys(summary, ["1"])
+    assert summary["abort_count"]["1"] > 0
+    assert summary["max_wronskian_drift"]["1"] > 1e-3
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("invariant violation" in m for m in messages)
+    assert not any("drift law" in m for m in messages)
+
+
 def test_failed_run_writes_non_finite_drift_as_null(tmp_path, monkeypatch):
     real_run_batch = ens.run_batch
 

@@ -431,7 +431,8 @@ def test_run_checks_do_not_depend_on_the_chunk_layout(monkeypatch, sigma):
     if sigma == 3.0:
         assert kind is TooManyAbortsError and aborted == list(range(16))
     else:
-        assert kind is InvariantViolationError and hint is not None
+        # the drift of the rows kept at sigma 1.02 is past the drift law's range
+        assert kind is InvariantViolationError and (hint is None) == (sigma > 1.0)
         assert bool(aborted) == (sigma > 1.0)
         assert violations == sorted(violations, key=lambda v: v["realization"])
 

@@ -15,7 +15,10 @@ from conftest import (
     ou_coeffs_by_columns,
     ou_coeffs_per_seed,
     ou_eval_row_major,
+    ou_eval_untiled,
+    prefilter_sequential,
 )
+from stochastic_dce import noise
 from stochastic_dce.dynamics import BLOCK_STEPS
 from stochastic_dce.noise import (
     NoiseConfigError,
@@ -24,6 +27,7 @@ from stochastic_dce.noise import (
     NoiseBatch,
     NotAStochasticProcessError,
     _prefilter,
+    _recurse,
     bspline_evaluate,
     correlation,
     eval_batch,
@@ -412,6 +416,52 @@ def test_ou_eval_matches_row_major_gather(width, rng):
                 np.testing.assert_array_equal(got[o], ref[o])
 
 
+# the shortest array whose prefilter passes run in pieces
+SEGMENTED = noise.SEGMENTS * noise.WARMUP
+
+
+@pytest.mark.parametrize("width", [1, 3, 17, 128, 256])
+def test_segmented_prefilter_matches_sequential_loop(width):
+    # both passes in pieces side by side give the bytes of one loop over
+    # every knot row: white and OU-correlated samples, many seeds, knot
+    # counts around the length that starts the pieces, a cosmo_sweep
+    # chunk's 2,501 and 20,001
+    a = math.exp(-1.0 / noise.OU_GRID_PER_TC)
+    cases = [(n, range(8)) for n in (2, 5, SEGMENTED - 1, SEGMENTED, SEGMENTED + 1,
+                                     SEGMENTED + noise.SEGMENTS - 1, 2501)]
+    cases.append((20001, range(2)))
+    for n, seeds in cases:
+        for seed in seeds:
+            white = np.random.default_rng(seed).standard_normal((n, width))
+            correlated = white.copy()
+            _recurse(list(correlated), a)
+            for samples in (white, correlated):
+                got, ref = samples.copy(), samples.copy()
+                _prefilter(got)
+                prefilter_sequential(ref)
+                assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("width", [1, 3, 17, 128, 256])
+def test_tiled_ou_eval_matches_untiled(width, rng):
+    # the tiles give the bytes of one gather per tap over all times, for
+    # every order set: one point, a tile, a point past it, several tiles
+    # and a partial one, and uneven times across tile edges
+    horizon = 25.0
+    batch = synthesize_many(OU, range(60, 60 + width), horizon)
+    tile = noise.TILE_BYTES // (8 * width)
+    grids = [np.array([horizon]), np.linspace(0.0, horizon, tile),
+             np.linspace(0.0, horizon, tile + 1), np.linspace(0.0, horizon, 3 * tile + 5),
+             np.sort(rng.uniform(0.0, horizon, 2 * tile + 7))]
+    for t in grids:
+        for orders in ((0,), (1,), (2,), (0, 1, 2)):
+            got = eval_batch(batch, t, orders)
+            ref = ou_eval_untiled(batch, t, orders)
+            assert list(got) == list(orders)
+            for o in orders:
+                assert_same_bits(got[o], ref[o])
+
+
 @pytest.mark.parametrize("spec", [OU, BAND, LINES, SINUSOID],
                          ids=["ou", "band", "lines", "sinusoid"])
 def test_eval_batch_is_step_major(spec, rng):
@@ -521,7 +571,7 @@ def test_bspline_interpolates_samples(seed, n):
     samples = np.random.default_rng(seed).standard_normal((n, 1))
     coeffs = samples.copy()
     _prefilter(coeffs)
-    at_knots = bspline_evaluate(coeffs, np.arange(n, dtype=float), 0)
+    at_knots = bspline_evaluate(coeffs, np.arange(n, dtype=float), (0,))[0]
     np.testing.assert_allclose(at_knots, samples, rtol=0, atol=1e-9)
 
 
@@ -545,6 +595,6 @@ def test_bspline_is_c2_smooth(rng):
     h = 1e-7
     for knot in (10.0, 20.0, 31.0):
         for order in (0, 1, 2):
-            left = bspline_evaluate(coeffs, np.array([knot - h]), order)[0, 0]
-            right = bspline_evaluate(coeffs, np.array([knot + h]), order)[0, 0]
+            left = bspline_evaluate(coeffs, np.array([knot - h]), (order,))[order][0, 0]
+            right = bspline_evaluate(coeffs, np.array([knot + h]), (order,))[order][0, 0]
             assert abs(left - right) < 1e-4
