@@ -110,10 +110,15 @@ def _no_leftovers(sec, secname):
         raise ConfigError(f"{secname}: unknown key(s) {sorted(sec)}")
 
 
+# libyaml's safe loader when PyYAML was built with it: the same data,
+# about seven times faster than the pure-Python one
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as err:

@@ -8,12 +8,17 @@ The mode equations are linear in (Q, Q') with real coefficients, so one
 RK4 step is a real 2m x 2m matrix.  run_batch builds these matrices for
 a whole block of steps and every realization at once, by applying the
 RK4 stage formulas, through the system's own accel, to the 2m unit
-vectors; it then multiplies the matrices of each stretch between probes
-by pairwise products and applies the product to the state.  The state
-is the propagator Phi of (Q, Q'), started at the identity: a run's
-solution is Phi times its initial data, and every run checks at every
-probe that Phi, taken to canonical (Q, Pi) coordinates, is symplectic,
-which holds every Wronskian pair of basis solutions at once.  Systems
+vectors.  A one-mode system (n_modes 1) must have an accel c(t) Q that
+ignores Q', and its 2 x 2 matrices are written out from c at each
+step's start, midpoint and end (_one_mode_maps): one accel call per
+half-step, in place of four on the unit vectors.  The scheme, the grid
+and the chain are the same for every m.  run_batch then multiplies the
+matrices of each stretch between probes by pairwise products and
+applies the product to the state.  The state is the propagator Phi of
+(Q, Q'), started at the identity: a run's solution is Phi times its
+initial data, and every run checks at every probe that Phi, taken to
+canonical (Q, Pi) coordinates, is symplectic, which holds every
+Wronskian pair of basis solutions at once.  Systems
 work mode-first: modes on axis 0, with the noise values broadcasting
 over the trailing axes, and every mode sum is a fixed-order sum, never
 a BLAS product, so a row rounds the same at any batch width: _mix
@@ -26,7 +31,10 @@ eval_batch's (half-steps, batch) values, not copies.
 Noise values for all substeps are produced in fixed blocks of 2048
 steps and the step matrices in fixed blocks of 64; neither length
 depends on the batch width, so neither do the bits of a row.  A row
-whose wall reaches the far mirror (exact path) is masked, not raised.
+whose wall reaches the far mirror (exact path) is masked, not raised,
+and the exact path's moving wall, which raises the top frequency above
+the static one check_integrable bounds, is measured on the half-steps
+(BatchResult.top_omega).
 """
 
 from __future__ import annotations
@@ -96,6 +104,8 @@ class IntegratorConfig:
 # The bound on the Wronskian drift: suggest_dt sizes the step for it,
 # and every run's invariant check enforces it.
 WRONSKIAN_TOL = 1e-8
+# The largest step phase dt * omega_max that check_integrable accepts
+OMEGA_DT_MAX = 0.1
 AMPLITUDE_MARGIN = 100.0
 # The largest drift the dt^5 law speaks for: past it the law's step is
 # below a tenth of the step run, and the drift is not the step's error
@@ -108,10 +118,10 @@ def suggest_dt(omega_max: float, horizon: float) -> float:
     RK4 damps a harmonic mode by (omega dt)^6/72 per step, so the drift
     over the run is ~ horizon * omega^6 dt^5 / 72 times the amplitude
     scale reached; AMPLITUDE_MARGIN covers the growth of the worst
-    realizations.  Capped at 0.1/omega in any case.
+    realizations.  Capped at OMEGA_DT_MAX/omega in any case.
     """
     dt = (72.0 * WRONSKIAN_TOL / (horizon * omega_max**6 * AMPLITUDE_MARGIN)) ** 0.2
-    return min(dt, 0.1 / omega_max)
+    return min(dt, OMEGA_DT_MAX / omega_max)
 
 
 def default_dt(omega_max: float, noise: NoiseSpec, horizon: float) -> float:
@@ -304,6 +314,18 @@ class CavityModes:
         return (np.any(1.0 + self.epsilon * x0 <= 1e-12, axis=0)
                 if self.path == "exact" else None)
 
+    def top_omega(self, x0):
+        """Per column (row) of x0 (times, batch), the largest instantaneous
+        top frequency pi sqrt(T + (nz_max / (Lz0 ell))^2), ell = 1 + eps*xi,
+        over its times; None if linearized.  It falls as ell grows, so it
+        is taken at the least ell, which a row that has not collapsed
+        keeps above 0."""
+        if self.path != "exact":
+            return None
+        ell = np.min(1.0 + self.epsilon * x0, axis=0)
+        return np.pi * np.sqrt(self.cavity.transverse_sq
+                               + (self.n_modes / (self.cavity.Lz0 * ell)) ** 2)
+
     def _accel_exact(self, Q, P, x0, x1, x2):
         eps = self.epsilon
         ell = 1.0 + eps * x0
@@ -351,6 +373,8 @@ class BatchResult:
     defect: np.ndarray          # (batch, n_probes)
     collapsed: np.ndarray       # (batch,) bool; such a row's outputs are NaN
     seconds: dict               # wall time per layer: eval_s, build_s, chain_s, extract_s
+    top_omega: np.ndarray | None    # (batch,) the system's top_omega over the run, or
+                                    # None if it has none; NaN for a collapsed row
 
 
 def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
@@ -415,6 +439,9 @@ def _step_maps(system, dt, xA, xB, xC):
     given by the RK4 stage formulas through the system's accel; xA, xB
     and xC hold (x0, x1, x2) at the steps' starts, midpoints and ends,
     each (steps, batch) or None.  Stage sums accumulate in place.
+    run_batch builds the maps of m >= 2 modes here; those of one mode
+    are written out by _one_mode_maps, which the tests hold to this
+    build to a few ulp.
     """
     m = system.n_modes
     eye = np.eye(2 * m).reshape(2 * m, 2 * m, 1, 1)
@@ -452,6 +479,43 @@ def _step_maps(system, dt, xA, xB, xC):
     return M
 
 
+def _one_mode_maps(system, dt, x):
+    """_step_maps of a one-mode system, written out: M[r, c, s, b].
+
+    A one-mode accel is c(t) Q, whatever Q' is, so the step's map follows
+    from c alone: with a, b and e its values at the step's start,
+    midpoint and end, and h = dt,
+
+        M00 = 1 + h^2/6 (a + 2b + h^2 ab/4)     M01 = h + h^3 b/6
+        M10 = h/6 (a + 4b + e + h^2 (ab + be)/2)
+        M11 = 1 + h^2/6 (2b + e + h^2 be/4)
+
+    which for constant c = -w^2 are the Taylor terms of the rotation to
+    (w h)^4.  x holds (x0, x1, x2) at the stretch's 2n + 1 half-steps,
+    each (2n + 1, batch) or None; c is one accel call over all of them.
+    """
+    unit = np.ones((1, 1, 1))
+    c = system.accel(unit, np.zeros_like(unit), *x)[0]     # (half-steps, batch)
+    a, b, e = c[0:-1:2], c[1::2], c[2::2]
+    h2 = dt * dt
+    M = np.empty((2, 2) + b.shape)
+    # M00 = 1 + h^2/6 (a (1 + h^2 b/4) + 2b), and M11 the same with e for a
+    lift, b2 = 1.0 + (0.25 * h2) * b, 2.0 * b
+    for out, end in ((M[0, 0], a), (M[1, 1], e)):
+        np.multiply(end, lift, out=out)
+        out += b2
+        out *= h2 / 6.0
+        out += 1.0
+    # M10 = h/6 ((a + e)(1 + h^2 b/2) + 4b)
+    m10 = np.add(a, e, out=M[1, 0])
+    m10 *= 1.0 + (0.5 * h2) * b
+    m10 += 2.0 * b2
+    m10 *= dt / 6.0
+    np.multiply(b, dt * h2 / 6.0, out=M[0, 1])
+    M[0, 1] += dt
+    return M
+
+
 def _symplectic_defect(Psi, T0, omegas):
     """2 |(Psi S)^T J (Psi S) - (T0 S)^T J (T0 S)| entrywise, S = diag(1/sqrt(2w), sqrt(w/2)).
 
@@ -472,10 +536,13 @@ def _symplectic_defect(Psi, T0, omegas):
 
 
 def check_integrable(system, step: float, spline_noise: bool):
-    """Refuse step_grid's step if step * omega_max > 0.1, and spline (OU)
-    noise, which has no smooth xi' and xi'', for a system that needs them."""
-    if (wdt := step * float(np.max(system.omegas))) > 0.1 + 1e-12:
-        raise StepResolutionError(f"dt*omega_max = {wdt:.3g} > 0.1; refine the step")
+    """Refuse step_grid's step if step * omega_max > OMEGA_DT_MAX, and
+    spline (OU) noise, which has no smooth xi' and xi'', for a system that
+    needs them.  omega_max is the static top frequency; the exact path's
+    moving wall raises it, which run_batch measures (BatchResult.top_omega)."""
+    if (wdt := step * float(np.max(system.omegas))) > OMEGA_DT_MAX + 1e-12:
+        raise StepResolutionError(
+            f"dt*omega_max = {wdt:.3g} > {OMEGA_DT_MAX:g}; refine the step")
     if spline_noise and max(system.noise_orders) > 0:
         raise DerivativeOrderError("coupled runs need smooth xi', xi''; "
                                    "use a spectral-synthesis noise kind")
@@ -527,8 +594,11 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
-    collapsed = getattr(system, "collapsed", lambda x0: None)   # only CavityModes has one
+    # only CavityModes has these, and they give None off its exact path
+    collapsed = getattr(system, "collapsed", lambda x0: None)
+    top_omega = getattr(system, "top_omega", lambda x0: None)
     dead = np.zeros(batch, dtype=bool)
+    top = None
     half = 0.5 * dt
     for start in range(0, nsteps, BLOCK_STEPS):
         stop = min(nsteps, start + BLOCK_STEPS)
@@ -539,14 +609,21 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
             dead |= hit
             for v in x:     # the exact path has all three orders
                 v[:, dead] = 0.0
+        if (w := top_omega(x[0])) is not None:
+            top = w if top is None else np.maximum(top, w)
         if start == 0:
             record(0, Phi, x, start)
         lap("eval_s")
         for lo in range(start, stop, MAP_STEPS):
             hi = min(stop, lo + MAP_STEPS)
             i0, i1 = 2 * (lo - start), 2 * (hi - start)
-            M = _step_maps(system, dt, *(
-                [None if v is None else v[i0 + j:i1 + j:2] for v in x] for j in (0, 1, 2)))
+            if m == 1:
+                M = _one_mode_maps(system, dt, [None if v is None else v[i0:i1 + 1]
+                                                for v in x])
+            else:
+                M = _step_maps(system, dt, *(
+                    [None if v is None else v[i0 + j:i1 + j:2] for v in x]
+                    for j in (0, 1, 2)))
             lap("build_s")
             cuts = [int(i) for i in probe_idx[(probe_idx > lo) & (probe_idx < hi)]]
             for a, b in zip([lo, *cuts], [*cuts, hi]):
@@ -560,13 +637,15 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         return np.ascontiguousarray(y.transpose(2, 1, 0))       # (batch, n_probes, k)
 
     Phis[..., dead] = np.nan        # a collapsed row's outputs
+    if top is not None:
+        top[dead] = np.nan
     Q, P = solution(Phis[:m]), solution(Phis[m:])
     if m > 1:   # Phis to Psi = T Phi in place, T = [[I, 0], [-lam G, I]]
         Phis[m:] = system.canonical_momentum(Phis[:m], Phis[m:], *lam_x)
     defect = np.max(_symplectic_defect(Phis[:, :, 1:], Phis[:, :, :1], system.omegas),
                     axis=(0, 1)).T
     lap("extract_s")
-    return BatchResult(probe_idx * dt, Q, P, defect, dead, seconds)
+    return BatchResult(probe_idx * dt, Q, P, defect, dead, seconds, top)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ import numpy as np
 
 from .dynamics import (
     DRIFT_LAW_MAX,
+    OMEGA_DT_MAX,
     WRONSKIAN_TOL,
     IntegratorConfig,
     decompose,
@@ -99,10 +100,14 @@ class InvariantViolationError(RunFailure):
         first = entries[0]             # dicts: realization, kind, value, time
         value = "non-finite" if first["value"] is None else f"{first['value']:.3e}"
         hint = record.get("drift_law_dt")
+        phase = record.get("max_omega_dt")
         super().__init__(
             f"{len(entries)} invariant violation(s); first: "
             f"{first['kind']}={value} at t={first['time']} "
             f"(realization {first['realization']})"
+            + ("" if phase is None or phase <= OMEGA_DT_MAX else
+               f"; the moving wall took dt*omega to {phase:.3g} > {OMEGA_DT_MAX:g} "
+               f"(max_omega_dt)")
             + ("" if hint is None else
                f"; by RK4's drift law the bound holds at dt = {hint:.3g}"),
             entries, record)
@@ -152,11 +157,15 @@ class EnsembleStats:
     run's wall time up to the reduction), realization_steps_per_s
     (kept realizations x nsteps / simulate_s) and the seconds per layer,
     summed over chunks: synthesis_s, then run_batch's eval_s, build_s,
-    chain_s and extract_s.  A run that violates the drift bound adds
-    drift_law_dt, the step at which RK4's drift law
-    (dynamics.drift_law_dt) puts its largest finite drift at the bound,
-    capped at the noise's noise.max_step (one knot cell of OU noise),
-    while that drift is within the law's range, dynamics.DRIFT_LAW_MAX.
+    chain_s and extract_s.  An exact-path run adds max_omega_dt, dt
+    times the largest instantaneous top frequency over its kept rows'
+    half-steps (None if no row is kept): the step phase its moving wall
+    reached, which check_integrable's static bound does not see.  A run
+    that violates the drift bound adds drift_law_dt, the step at which
+    RK4's drift law (dynamics.drift_law_dt) puts its largest finite drift
+    at the bound, capped at the noise's noise.max_step (one knot cell of
+    OU noise), while that drift is within the law's range,
+    dynamics.DRIFT_LAW_MAX.
     """
 
     times: np.ndarray
@@ -215,6 +224,7 @@ class _Chunk(NamedTuple):
     times: np.ndarray
     kept: np.ndarray            # the kept rows' realization indices
     defect: np.ndarray          # (kept rows, probes) symplectic defect
+    top_omega: np.ndarray | None    # kept rows' BatchResult.top_omega, or None
     seconds: float
     layers: dict                # wall time per layer: synthesis_s, then run_batch's
 
@@ -234,7 +244,8 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     t3 = time.perf_counter()
     layers = {"synthesis_s": t1 - t0, **res.seconds}
     layers["extract_s"] += t3 - t2
-    return _Chunk(keys, panel, res.times, start + kept, res.defect[kept],
+    top = None if res.top_omega is None else res.top_omega[kept]
+    return _Chunk(keys, panel, res.times, start + kept, res.defect[kept], top,
                   t3 - t0, layers)
 
 
@@ -338,6 +349,10 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     }
     for layer in results[0].layers:
         record[layer] = sum(r.layers[layer] for r in results)
+    if results[0].top_omega is not None:
+        top = np.concatenate([r.top_omega for r in results])
+        phase = dt * float(np.max(top)) if top.size else math.nan
+        record["max_omega_dt"] = phase if math.isfinite(phase) else None
     if violations:
         if WRONSKIAN_TOL < finite <= DRIFT_LAW_MAX:
             record["drift_law_dt"] = min(drift_law_dt(dt, finite),

@@ -382,7 +382,9 @@ def test_failed_run_reports_its_aborts(tmp_path):
     assert main(["simulate", "--config", write_yaml(tmp_path, data),
                  "--out", str(out), "--quiet"]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert_summary_keys(summary, ["1"])
+    # no row kept, so no frequency of the exact path's moving wall
+    assert_summary_keys(summary, ["1"], extra=["max_omega_dt"])
+    assert summary["max_omega_dt"] == {"1": None}
     assert summary["aborted"] == {"1": list(range(8))}
     assert summary["abort_count"] == {"1": 8}
     assert summary["n_effective"] == {"1": 0}
@@ -412,8 +414,11 @@ def test_drift_violation_names_the_step_the_drift_law_passes(tmp_path, caplog):
         assert main(["simulate", "--config", write_yaml(tmp_path, data),
                      "--out", str(out), "--quiet"]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert_summary_keys(summary, ["1"], extra=["drift_law_dt"])
+    assert_summary_keys(summary, ["1"], extra=["max_omega_dt", "drift_law_dt"])
     assert summary["abort_count"] == {"1": 0}
+    # the wall's swing stays inside the step phase check_integrable allows
+    assert 0.063 < summary["max_omega_dt"]["1"] < 0.1
+    assert not any("max_omega_dt" in r.getMessage() for r in caplog.records)
     drift = summary["max_wronskian_drift"]["1"]
     assert drift == max(v["value"] for v in summary["violations"])
     step = summary["drift_law_dt"]["1"]
@@ -442,12 +447,16 @@ def test_drift_past_the_drift_law_names_no_step(tmp_path, caplog):
         assert main(["simulate", "--config", write_yaml(tmp_path, data),
                      "--out", str(out), "--quiet"]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert_summary_keys(summary, ["1"])
+    assert_summary_keys(summary, ["1"], extra=["max_omega_dt"])
     assert summary["abort_count"]["1"] > 0
     assert summary["max_wronskian_drift"]["1"] > 1e-3
     messages = [r.getMessage() for r in caplog.records]
     assert any("invariant violation" in m for m in messages)
     assert not any("drift law" in m for m in messages)
+    # the cause: walls near the far mirror took dt*omega far past 0.1
+    phase = summary["max_omega_dt"]["1"]
+    assert phase > 1.0
+    assert any(f"dt*omega to {phase:.3g} > 0.1 (max_omega_dt)" in m for m in messages)
 
 
 def test_failed_run_writes_non_finite_drift_as_null(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import stochastic_dce.config as config_mod
 from stochastic_dce.config import ConfigError, Scenario, load_config, parse_config
 from stochastic_dce.dynamics import PlainOscillator, suggest_dt
 from stochastic_dce.noise import NoiseKind
@@ -289,6 +290,25 @@ def test_raw_round_trips():
     assert again.cavity == cfg.cavity
     assert again.integrator == cfg.integrator
     assert again.ensemble == cfg.ensemble
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_libyaml_loader_reads_what_the_python_loader_reads(path):
+    # load_config takes libyaml's safe loader when it is there
+    assert config_mod.YAML_LOADER is yaml.CSafeLoader
+    text = path.read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_python_loader_names_bad_yaml(tmp_path, monkeypatch):
+    # the fallback where PyYAML has no libyaml: the same error
+    monkeypatch.setattr(config_mod, "YAML_LOADER", yaml.SafeLoader)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("scenario: [unclosed\n")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_config(str(bad))
 
 
 def test_load_config_file_errors(tmp_path):

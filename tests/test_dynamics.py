@@ -1,6 +1,7 @@
 """Mode-equation integration, Bogoliubov extraction, and the conserved
 quantities that validate the integrator."""
 
+import dataclasses
 import math
 import warnings
 
@@ -225,10 +226,30 @@ def test_collapsed_rows_are_masked_and_leave_the_others_alone():
     kept = [s for s, d in zip(seeds, dead) if not d]
     clean = run_batch(sys_, synthesize_many(noisy, kept, horizon), icfg, horizon, probes)
     assert not clean.collapsed.any()
-    for name in ("Q", "P", "defect"):
+    for name in ("Q", "P", "defect", "top_omega"):
         out = getattr(res, name)
         assert out[~dead].tobytes() == getattr(clean, name).tobytes(), name
         assert np.isnan(out[dead]).all(), name
+
+
+def test_top_omega_is_the_fastest_instantaneous_frequency():
+    # the exact path's top frequency at every half-step of a windowed run,
+    # largest per row; the linearized path has none
+    cav = CavityConfig(Lx=2.0, Ly=3.0, Lz0=1.5, epsilon=0.3, nz_max=2)
+    icfg = IntegratorConfig(dt=0.01, window_ramp=2.0)
+    horizon = 25.0
+    noise = synthesize_many(BAND, range(5), horizon)
+    res = run_batch(CavityModes(cav, "exact"), noise, icfg, horizon, (horizon,))
+    nsteps, dt, _ = step_grid(horizon, icfg)
+    assert nsteps > BLOCK_STEPS
+    t = 0.5 * dt * np.arange(2 * nsteps + 1)
+    x0 = dyn._windowed(eval_batch(noise, t, (0,)), Window(2.0, horizon), t, (0,))[0]
+    ell = 1.0 + 0.3 * x0
+    omega = np.pi * np.sqrt(cav.transverse_sq + (2.0 / (1.5 * ell)) ** 2)
+    np.testing.assert_allclose(res.top_omega, omega.max(axis=0), rtol=1e-15)
+    assert np.all(res.top_omega > np.max(cav.omegas()))
+    linear = run_batch(CavityModes(cav), noise, icfg, horizon, (horizon,))
+    assert linear.top_omega is None
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +508,7 @@ ORACLE_BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0,
                         nu_max=10.0, n_components=16)
 
 
-ORACLE_CASES = ["plain_ou", "linearized_windowed", "exact_kick"]
+ORACLE_CASES = ["plain_ou", "linearized_windowed", "exact_kick", "exact_one_mode"]
 # 2300 steps: not a multiple of either block length; probes at t = 0,
 # inside blocks (steps 100 and 1000), one step before a block boundary
 # (63 and 2047, which leave one-step stretches), on block boundaries
@@ -503,6 +524,9 @@ def oracle_case(case):
     if case == "linearized_windowed":
         return (CavityModes(ORACLE_CAV), ORACLE_BAND,
                 IntegratorConfig(dt=0.001, window_ramp=0.5), "vacuum")
+    if case == "exact_one_mode":    # x0, x1 and x2 in the one-mode closed form
+        return (CavityModes(dataclasses.replace(ORACLE_CAV, nz_max=1), "exact"),
+                ORACLE_BAND, IntegratorConfig(dt=0.001), "vacuum")
     return (CavityModes(ORACLE_CAV, "exact"), ORACLE_BAND, IntegratorConfig(dt=0.001),
             "position_kick")
 
@@ -594,3 +618,74 @@ def test_run_batch_bits_match_reference_kernels(case, width, monkeypatch):
     reference = run()
     for name in ("times", "Q", "P", "defect", "collapsed"):
         assert_same_bits(getattr(fused, name), getattr(reference, name))
+
+
+# ---------------------------------------------------------------------------
+# the one-mode step maps, written out, against the unit-vector build
+
+
+ONE_MODE_CAV = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=1)
+
+
+def one_mode_case(case):
+    """(system, noise spec, step, whether to zero rows as collapse does)."""
+    if case == "plain_ou":
+        return PlainOscillator(omega=2.0, epsilon=0.1), OU, 0.004, False
+    if case == "linearized":
+        return CavityModes(ONE_MODE_CAV), ORACLE_BAND, 0.001, False
+    return CavityModes(ONE_MODE_CAV, "exact"), ORACLE_BAND, 0.001, case == "exact_collapsed"
+
+
+@pytest.mark.parametrize("steps", [1, 7, MAP_STEPS])
+@pytest.mark.parametrize("width", [1, 3, 128])
+@pytest.mark.parametrize("case", ["plain_ou", "linearized", "exact", "exact_collapsed"])
+def test_one_mode_maps_match_the_unit_vector_build(case, width, steps):
+    # the general build applied to a one-mode system is the oracle; the
+    # two round differently, by a few ulp of each entry
+    sys_, spec, dt, collapse = one_mode_case(case)
+    noise = synthesize_many(spec, range(width), 2.0)
+    t = 0.37 + 0.5 * dt * np.arange(2 * steps + 1)
+    x = dyn._windowed(eval_batch(noise, t, sys_.noise_orders), None, t, sys_.noise_orders)
+    if collapse:        # run_batch zeroes every order of a collapsed row
+        for v in x:
+            v[:, ::2] = 0.0
+    closed = dyn._one_mode_maps(sys_, dt, x)
+    general = dyn._step_maps(sys_, dt, *(
+        [None if v is None else v[j:j + 2 * steps:2] for v in x] for j in (0, 1, 2)))
+    assert closed.shape == general.shape == (2, 2, steps, width)
+    np.testing.assert_array_max_ulp(closed, general, maxulp=4)
+
+
+def test_one_mode_accel_ignores_velocity():
+    # the closed form builds a one-mode step from accel(1, 0, ...) alone
+    rng = np.random.default_rng(5)
+    x = [rng.standard_normal((9, 4)) for _ in range(3)]
+    Q = rng.standard_normal((1, 2, 9, 4))
+    for sys_ in (PlainOscillator(omega=2.0, epsilon=0.1), CavityModes(ONE_MODE_CAV),
+                 CavityModes(ONE_MODE_CAV, "exact")):
+        assert sys_.n_modes == 1
+        still = sys_.accel(Q, np.zeros_like(Q), *x)
+        for _ in range(3):
+            assert_same_bits(sys_.accel(Q, rng.standard_normal(Q.shape), *x), still)
+
+
+def test_maps_are_built_by_mode_count(monkeypatch):
+    # a one-mode run never reaches the unit-vector build and a three-mode
+    # run never the closed form, so neither can fall back on the other
+    def refuse(*args):
+        raise AssertionError("wrong build")
+
+    horizon = 0.5
+    cases = {1: (PlainOscillator(omega=2.0, epsilon=0.1), OU),
+             3: (CavityModes(ORACLE_CAV), ORACLE_BAND)}
+    for m, other in ((1, "_step_maps"), (3, "_one_mode_maps")):
+        sys_, spec = cases[m]
+        own = "_one_mode_maps" if m == 1 else "_step_maps"
+        with monkeypatch.context() as patch:
+            patch.setattr(dyn, other, refuse)
+            run_batch(sys_, synthesize_many(spec, [1, 2], horizon),
+                      IntegratorConfig(dt=0.001), horizon, (horizon,))
+            patch.setattr(dyn, own, refuse)
+            with pytest.raises(AssertionError, match="wrong build"):
+                run_batch(sys_, synthesize_many(spec, [1, 2], horizon),
+                          IntegratorConfig(dt=0.001), horizon, (horizon,))

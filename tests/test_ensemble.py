@@ -30,7 +30,7 @@ from stochastic_dce.ensemble import (
     run_ensemble,
     splitmix64,
 )
-from stochastic_dce.noise import (NoiseKind, NoiseSpec, max_step, synthesize,
+from stochastic_dce.noise import (NoiseKind, NoiseSpec, eval_batch, max_step, synthesize,
                                   synthesize_many)
 
 BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=1.5, nu_max=2.5,
@@ -418,7 +418,8 @@ def test_run_checks_do_not_depend_on_the_chunk_layout(monkeypatch, sigma):
             run_ensemble(sys_, noise, icfg, cfg)
         record = err.value.record
         facts = (type(err.value), err.value.violations, record["aborted"],
-                 record["max_wronskian_drift"], record.get("drift_law_dt"))
+                 record["max_wronskian_drift"], record.get("drift_law_dt"),
+                 record["max_omega_dt"], str(err.value))
         return record["chunks"], facts
 
     one = failure(cfg)
@@ -427,14 +428,26 @@ def test_run_checks_do_not_depend_on_the_chunk_layout(monkeypatch, sigma):
     three = failure(cfg)
     assert (one[0], two[0], three[0]) == (1, 2, 6)
     assert one[1] == two[1] == three[1]
-    kind, violations, aborted, _, hint = one[1]
+    kind, violations, aborted, _, hint, phase, message = one[1]
     if sigma == 3.0:
         assert kind is TooManyAbortsError and aborted == list(range(16))
+        assert phase is None
     else:
         # the drift of the rows kept at sigma 1.02 is past the drift law's range
         assert kind is InvariantViolationError and (hint is None) == (sigma > 1.0)
         assert bool(aborted) == (sigma > 1.0)
         assert violations == sorted(violations, key=lambda v: v["realization"])
+        # the kept rows' top frequency over every half-step, times dt: at
+        # sigma 1.02 their walls come near the far mirror, and the error
+        # names that cause; at 0.3 the swing stays inside the bound
+        kept = sorted(set(range(16)) - set(aborted))
+        seeds = [ens.derive_seed(3, i) for i in kept]
+        t = 0.01 * np.arange(3001)
+        ell = 1.0 + 0.5 * eval_batch(synthesize_many(noise, seeds, 30.0), t, (0,))[0]
+        top = 0.02 * np.max(np.pi * np.sqrt(cav.transverse_sq + (1.0 / ell) ** 2))
+        assert phase == pytest.approx(top, rel=1e-15)
+        assert (phase > 1.0) == ("(max_omega_dt)" in message) == (sigma > 1.0)
+        assert sigma > 1.0 or 0.063 < phase < 0.1
 
 
 class DropsVelocityCoupling(CavityModes):
