@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import yaml
 
 from .cavity import CavityConfig
-from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, Window,
-                       check_integrable, default_dt, initial_data, step_grid)
+from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, StepResolutionError,
+                       Window, check_integrable, default_dt, initial_data, step_grid)
 from .ensemble import EnsembleConfig
-from .noise import OU_GRID_PER_TC, NoiseKind, NoiseSpec, max_step
+from .noise import NoiseKind, NoiseSpec, max_step
 
 __all__ = ["ConfigError", "Scenario", "RunConfig", "load_config", "parse_config"]
 
@@ -196,15 +196,11 @@ def parse_config(data: dict) -> RunConfig:
         for _, system in cfg.systems():
             # systems, initial data and the integrator check consistency
             initial_data(system, ens.initial, ens.in_mode)
-            check_integrable(system, step, noise.kind is NoiseKind.ORNSTEIN_UHLENBECK)
+            check_integrable(system, step, max_step(noise, ens.horizon))
+    except StepResolutionError as err:  # default_dt keeps to the limits, dt_time may not
+        raise ConfigError(f"integrator.dt_time: {err}")
     except ValueError as err:
         raise ConfigError(str(err))
-    cell = max_step(noise, ens.horizon)
-    if step > cell * (1.0 + 1e-9):     # a step of one cell passes, to rounding
-        raise ConfigError(
-            f"integrator.dt_time: the step {step:.6g} is longer than the OU "
-            f"noise's knot cell {cell:.6g} (t_c_time/{OU_GRID_PER_TC}); a step "
-            f"across a knot loses RK4's order")
     return cfg
 
 

@@ -329,14 +329,15 @@ class CavityModes:
     def _accel_exact(self, Q, P, x0, x1, x2):
         eps = self.epsilon
         ell = 1.0 + eps * x0
-        lam = eps * x1 / ell
-        lam_dot = eps * x2 / ell - lam**2
         nz = _per_mode(np.arange(1, self.n_modes + 1), Q.ndim)
         w2 = np.pi**2 * (self.cavity.transverse_sq + (nz / (self.cavity.Lz0 * ell)) ** 2)
         # pi^2 transverse part is constant; z part scales with 1/Lz(t)^2
         a = -w2 * Q
-        a += _mix(self.gmat_terms, 2.0 * lam * P + lam_dot * Q)
-        a += lam**2 * _mix(self.gg_terms, Q)
+        if self.n_modes > 1:    # with one mode G = 0, and the couplings vanish
+            lam = eps * x1 / ell
+            lam_dot = eps * x2 / ell - lam**2
+            a += _mix(self.gmat_terms, 2.0 * lam * P + lam_dot * Q)
+            a += lam**2 * _mix(self.gg_terms, Q)
         return a
 
 
@@ -535,17 +536,21 @@ def _symplectic_defect(Psi, T0, omegas):
     return weight * np.abs(form(Psi) - form(T0))
 
 
-def check_integrable(system, step: float, spline_noise: bool):
-    """Refuse step_grid's step if step * omega_max > OMEGA_DT_MAX, and
-    spline (OU) noise, which has no smooth xi' and xi'', for a system that
-    needs them.  omega_max is the static top frequency; the exact path's
-    moving wall raises it, which run_batch measures (BatchResult.top_omega)."""
+def check_integrable(system, step: float, cell: float):
+    """Refuse step_grid's step if step * omega_max > OMEGA_DT_MAX; spline
+    noise (a finite knot cell: noise.max_step or a batch's knot spacing) for
+    a system that needs smooth xi', xi''; and a step longer than the cell,
+    to a relative 1e-9.  omega_max is the static top frequency; the exact
+    path's moving wall raises it, which run_batch measures (top_omega)."""
     if (wdt := step * float(np.max(system.omegas))) > OMEGA_DT_MAX + 1e-12:
         raise StepResolutionError(
             f"dt*omega_max = {wdt:.3g} > {OMEGA_DT_MAX:g}; refine the step")
-    if spline_noise and max(system.noise_orders) > 0:
+    if math.isfinite(cell) and max(system.noise_orders) > 0:
         raise DerivativeOrderError("coupled runs need smooth xi', xi''; "
                                    "use a spectral-synthesis noise kind")
+    if step > cell * (1.0 + 1e-9):
+        raise StepResolutionError(f"the step {step:.6g} is longer than the noise's knot "
+                                  f"cell {cell:.6g}; a step across a knot loses RK4's order")
 
 
 def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: float,
@@ -574,7 +579,7 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
 
     y0 = initial_data(system, initial, in_mode)
     nsteps, dt, probe_idx = step_grid(horizon, integrator, probe_times)
-    check_integrable(system, dt, noise.coeffs is not None)
+    check_integrable(system, dt, noise.grid_step or math.inf)   # None: no knots, no cell
     orders = system.noise_orders
     batch = len(noise)
     m = system.n_modes

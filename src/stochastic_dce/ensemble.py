@@ -44,7 +44,7 @@ from .dynamics import (
     step_grid,
     wronskian,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
-from .noise import NoiseSpec, max_step, synthesize_many
+from .noise import NoiseSpec, synthesize_many
 
 __all__ = [
     "CHUNK_SIZE",
@@ -163,8 +163,7 @@ class EnsembleStats:
     reached, which check_integrable's static bound does not see.  A run
     that violates the drift bound adds drift_law_dt, the step at which
     RK4's drift law (dynamics.drift_law_dt) puts its largest finite drift
-    at the bound, capped at the noise's noise.max_step (one knot cell of
-    OU noise), while that drift is within the law's range,
+    at the bound, while that drift is within the law's range,
     dynamics.DRIFT_LAW_MAX.
     """
 
@@ -355,8 +354,7 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
         record["max_omega_dt"] = phase if math.isfinite(phase) else None
     if violations:
         if WRONSKIAN_TOL < finite <= DRIFT_LAW_MAX:
-            record["drift_law_dt"] = min(drift_law_dt(dt, finite),
-                                         max_step(noise_spec, ensemble.horizon))
+            record["drift_law_dt"] = drift_law_dt(dt, finite)
         raise InvariantViolationError(violations, record)
     if len(aborted) > MAX_ABORT_FRACTION * N:
         raise TooManyAbortsError(

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-import stochastic_dce.dynamics as dynamics
 import stochastic_dce.ensemble as ens
 from conftest import first_collapse_step, run_every_step
 from stochastic_dce.dynamics import (
@@ -16,7 +15,9 @@ from stochastic_dce.dynamics import (
     IntegratorConfig,
     PlainOscillator,
     CavityModes,
+    StepResolutionError,
     decompose,
+    default_dt,
     run_batch,
     suggest_dt,
 )
@@ -30,11 +31,11 @@ from stochastic_dce.ensemble import (
     run_ensemble,
     splitmix64,
 )
-from stochastic_dce.noise import (NoiseKind, NoiseSpec, eval_batch, max_step, synthesize,
-                                  synthesize_many)
+from stochastic_dce.noise import NoiseKind, NoiseSpec, eval_batch, synthesize, synthesize_many
 
 BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=1.5, nu_max=2.5,
                  n_components=16)
+OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
 SILENT = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=0.0, nu_min=1.5, nu_max=2.5)
 
 SYS = PlainOscillator(omega=1.0, epsilon=0.05)
@@ -45,8 +46,9 @@ def small_cfg(n, seed=7, workers=1, horizon=10.0):
                           probes=(horizon,), horizon=horizon, workers=workers)
 
 
-def integ(horizon=10.0):
-    return IntegratorConfig(dt=suggest_dt(1.0, horizon))
+def integ(horizon=10.0, noise=BAND):
+    """SYS's default step: suggest_dt's, within one knot cell of OU noise."""
+    return IntegratorConfig(dt=default_dt(1.0, noise, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +124,9 @@ def test_worker_count_does_not_change_results():
     cfg2 = small_cfg(64, workers=2, horizon=6.0)
     assert ens.chunk_layout(cfg1) == ([(0, 64)], 1)
     assert ens.chunk_layout(cfg2) == ([(0, 32), (32, 64)], 2)
-    ou = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
-    for noise in (ou, BAND):
-        s1 = run_ensemble(SYS, noise, integ(6.0), cfg1)
-        s2 = run_ensemble(SYS, noise, integ(6.0), cfg2)
+    for noise in (OU, BAND):
+        s1 = run_ensemble(SYS, noise, integ(6.0, noise), cfg1)
+        s2 = run_ensemble(SYS, noise, integ(6.0, noise), cfg2)
         for key in s1.keys():
             np.testing.assert_array_equal(s1.mean[key], s2.mean[key])
             np.testing.assert_array_equal(s1.variance[key], s2.variance[key])
@@ -164,18 +165,18 @@ def test_runs_in_a_shared_pool_block_reuse_one_pool(recorded_pools):
     # two pooled runs of two processes inside one block build one pool,
     # which the block shuts down and waits for; they give the bytes of
     # the same runs, each in a pool of its own, and of the runs at workers 1
-    ou = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
     runs = [(BAND, small_cfg(2, workers=3, horizon=6.0)),
-            (ou, small_cfg(64, workers=2, horizon=6.0))]
+            (OU, small_cfg(64, workers=2, horizon=6.0))]
     with ens.shared_pool():
-        shared = [run_ensemble(SYS, noise, integ(6.0), cfg) for noise, cfg in runs]
+        shared = [run_ensemble(SYS, noise, integ(6.0, noise), cfg) for noise, cfg in runs]
         assert len(recorded_pools) == 1 and recorded_pools[0].waited is None
     pool = recorded_pools[0]
     assert pool.size == 2 and pool.waited is True and len(pool.workers) == 2
     assert not any(w.is_alive() for w in pool.workers)
-    alone = [run_ensemble(SYS, noise, integ(6.0), cfg) for noise, cfg in runs]
+    alone = [run_ensemble(SYS, noise, integ(6.0, noise), cfg) for noise, cfg in runs]
     assert [p.size for p in recorded_pools] == [2, 2, 2]
-    serial = [run_ensemble(SYS, noise, integ(6.0), dataclasses.replace(cfg, workers=1))
+    serial = [run_ensemble(SYS, noise, integ(6.0, noise),
+                           dataclasses.replace(cfg, workers=1))
               for noise, cfg in runs]
     assert len(recorded_pools) == 3
     for s, a, one in zip(shared, alone, serial):
@@ -215,9 +216,8 @@ def test_chunk_size_does_not_change_results(monkeypatch, coupled):
             n_components=8)
         icfg = IntegratorConfig(dt=suggest_dt(float(cav.omegas()[-1]), 6.0))
     else:
-        sys_ = SYS
-        noise = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
-        icfg = integ(6.0)
+        sys_, noise = SYS, OU
+        icfg = integ(6.0, OU)
     cfg = EnsembleConfig(n_realizations=7, master_seed=5, probes=(2.5, 6.0),
                          horizon=6.0, workers=1)
     defects = []
@@ -372,19 +372,11 @@ def test_invariant_violation_raises(monkeypatch):
     assert err.value.record["max_wronskian_drift"] > 1e-30
 
 
-def test_ou_drift_hint_stays_inside_one_knot_cell(monkeypatch):
-    # an OU run at two knot cells a step, with the bound just under its
-    # drift: the drift law's step is past the cell (0.01 at t_c 0.5), and
-    # the hint is the cell
-    ou = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
-    icfg, cfg = IntegratorConfig(dt=0.02), small_cfg(4, horizon=6.0)
-    drift = run_ensemble(SYS, ou, icfg, cfg).record["max_wronskian_drift"]
-    monkeypatch.setattr(ens, "WRONSKIAN_TOL", 0.5 * drift)
-    monkeypatch.setattr(dynamics, "WRONSKIAN_TOL", 0.5 * drift)
-    assert dynamics.drift_law_dt(0.02, drift) > 0.015
-    with pytest.raises(InvariantViolationError) as err:
-        run_ensemble(SYS, ou, icfg, cfg)
-    assert err.value.record["drift_law_dt"] == max_step(ou, 6.0) == 0.01
+def test_library_run_refuses_an_ou_step_past_one_knot_cell():
+    # knots every 0.01 at t_c 0.5: a library run at two cells a step is
+    # refused as a config's dt_time is, by run_batch, naming the cell
+    with pytest.raises(StepResolutionError, match=r"knot cell 0\.01\b"):
+        run_ensemble(SYS, OU, IntegratorConfig(dt=0.02), small_cfg(4, horizon=6.0))
 
 
 def test_nan_drift_is_a_violation():

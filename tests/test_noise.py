@@ -31,6 +31,7 @@ from stochastic_dce.noise import (
     bspline_evaluate,
     correlation,
     eval_batch,
+    max_step,
     spectrum,
     synthesize,
     synthesize_many,
@@ -373,6 +374,25 @@ def test_synthesize_many_matches_synthesize():
                                               single.frequencies[0])
                 np.testing.assert_array_equal(many.phases[i], single.phases[0])
             np.testing.assert_array_equal(out[:, i], ev(single, t, 0))
+
+
+@pytest.mark.parametrize("t_c, horizon", [
+    (0.5, 6.0), (0.5, 200.0), (0.1, 40.0), (0.37, 13.1), (2.0, 0.7), (0.5, 0.004),
+])
+def test_ou_knot_spacing_is_max_step(t_c, horizon):
+    # a batch's knot spacing is the cell parse_config checks a step
+    # against, bit for bit, so run_batch's check of the batch is the same
+    # rule; 13.1 is not a multiple of t_c/50, and at horizon 0.004 < t_c/50
+    # the spline keeps its two-knot minimum
+    spec = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=t_c)
+    batch = synthesize_many(spec, [1, 2], horizon)
+    assert batch.grid_step == max_step(spec, horizon)
+    assert batch.grid_step <= t_c / noise.OU_GRID_PER_TC
+    if horizon < t_c / noise.OU_GRID_PER_TC:
+        assert batch.coeffs.shape[0] == 2 and batch.grid_step == horizon
+    for spec in (BAND, LINES):      # no knots: no cell
+        assert synthesize_many(spec, [1], horizon).grid_step is None
+        assert max_step(spec, horizon) == math.inf
 
 
 def test_ou_coeffs_match_per_seed_filter():
