@@ -277,10 +277,8 @@ class CavityModes:
         self.gmat = cavity.g_matrix()
         self.gmat_terms = _terms(self.gmat)
         self.gg_terms = _terms(self.gmat.T @ self.gmat)  # sum_l g_lk g_lj
-        if path == "exact" or self.n_modes > 1:
-            self.noise_orders = (0, 1, 2)
-        else:
-            self.noise_orders = (0,)
+        # with one mode G = 0, and neither path reads xi' or xi''
+        self.noise_orders = (0, 1, 2) if self.n_modes > 1 else (0,)
 
     def __repr__(self):
         return f"CavityModes(nz_max={self.n_modes}, path={self.path!r})"
@@ -399,7 +397,12 @@ def step_grid(horizon: float, integrator: IntegratorConfig, probe_times=()):
         if aligned.size:
             nsteps = int(counts[aligned[0]])
     step = horizon / nsteps
-    times = np.unique(np.asarray(probe_times, float))
+    # the distinct probe times, sorted (np.unique's result, without the
+    # numpy.ma import it makes)
+    times = np.sort(np.asarray(probe_times, float).ravel())
+    distinct = np.ones(times.size, dtype=bool)
+    distinct[1:] = times[1:] != times[:-1]
+    times = times[distinct]
     probe_idx = np.clip(np.round(times / step).astype(np.intp), 0, nsteps)
     if (same := np.flatnonzero(np.diff(probe_idx) == 0)).size:
         raise ValueError(f"probe times {[times[k:k + 2].tolist() for k in same]} "
@@ -612,8 +615,9 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         x = _windowed(eval_batch(noise, t_half, orders), win, t_half, orders)
         if (hit := collapsed(x[0])) is not None:
             dead |= hit
-            for v in x:     # the exact path has all three orders
-                v[:, dead] = 0.0
+            for v in x:
+                if v is not None:
+                    v[:, dead] = 0.0
         if (w := top_omega(x[0])) is not None:
             top = w if top is None else np.maximum(top, w)
         if start == 0:

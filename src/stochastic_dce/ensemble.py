@@ -17,6 +17,9 @@ failed run's error (a RunFailure) carries too.
 More than one chunk and worker run in a process pool: the run's own,
 shut down before it returns, or, inside a shared_pool() block, the
 block's, which serves every run in it and shuts down when it exits.
+The pool machinery (concurrent.futures.process, multiprocessing) is
+imported when a pool opens, not with this module, so that a config load
+or a one-process run does not pay for it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -289,18 +291,29 @@ def shared_pool():
             pool.shutdown(wait=True)
 
 
+def _new_pool(size: int):
+    """A new ProcessPoolExecutor of `size` worker processes."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=size)
+
+
 @contextlib.contextmanager
 def _pool(size: int):
     """The pool of `size` processes a run uses: None for one process,
     else the shared_pool() block's or one of the run's own."""
     if size <= 1:
         yield None
-    elif _shared_pools is None:
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        return
+    # numpy loads numpy.random lazily, and noise synthesis needs it: load
+    # it here, before the workers fork, so that they inherit it and do
+    # not each import it
+    import numpy.random  # noqa: F401
+    if _shared_pools is None:
+        with _new_pool(size) as pool:
             yield pool
     else:
         if size not in _shared_pools:
-            _shared_pools[size] = ProcessPoolExecutor(max_workers=size)
+            _shared_pools[size] = _new_pool(size)
         yield _shared_pools[size]
 
 
@@ -334,7 +347,9 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
 
     times = results[0].times
     kept = np.concatenate([r.kept for r in results])
-    aborted = np.setdiff1d(np.arange(N), kept).tolist()
+    alive = np.zeros(N, dtype=bool)
+    alive[kept] = True
+    aborted = np.flatnonzero(~alive).tolist()
     n_eff = kept.size
     violations, drift, finite = _check_invariants(
         np.concatenate([r.defect for r in results]), times, kept)

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import default_rng  # numpy loads it lazily: load it before pools fork
 
 __all__ = [
     "NoiseKind",
@@ -389,6 +388,7 @@ def max_step(spec: NoiseSpec, horizon: float) -> float:
 def _ou_drive(spec: NoiseSpec, seed: int, n_grid: int, a: float) -> np.ndarray:
     """The AR(1) innovations of one seed; filtering by 1/(1 - a z^-1) gives
     the exact OU samples on the grid."""
+    from numpy.random import default_rng
     rng = default_rng(np.uint64(seed))
     z = rng.standard_normal(n_grid)
     drive = spec.sigma * math.sqrt(1.0 - a * a) * z
@@ -424,6 +424,7 @@ def synthesize_many(spec: NoiseSpec, seeds, horizon: float) -> NoiseBatch:
         return NoiseBatch(horizon, amplitudes=np.array([1.0]),
                           frequencies=np.full((len(seeds), 1), spec.omega_drive),
                           phases=np.full((len(seeds), 1), -0.5 * np.pi))
+    from numpy.random import default_rng
     n = spec.n_components
     freqs = np.empty((len(seeds), n))
     phases = np.empty((len(seeds), n))

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .cavity import CavityConfig, ModeIndex
 from .noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
@@ -220,7 +219,12 @@ def windowed_exposure(ramp: float, horizon: float, t) -> np.ndarray:
     r E(t/r) up the ramp, the flat middle, and r (E(1) - E((T - t)/r)) down it.
     """
     t = np.asarray(t, dtype=float)
-    E = (Polynomial([0, 0, 0, 10, -15, 6]) ** 2).integ()
+    # (10u^3 - 15u^4 + 6u^5)^2 integrated from 0, by Horner's rule from u^11 down
+    coeffs = [36 / 11, -180 / 10, 345 / 9, -300 / 8, 100 / 7] + [0.0] * 7
+
+    def E(u):
+        return np.polyval(coeffs, u)
+
     up, down = (np.clip(u / ramp, 0.0, 1.0) for u in (t, horizon - t))
     return ramp * (E(up) + E(1.0) - E(down)) + np.clip(t, ramp, horizon - ramp) - ramp
 

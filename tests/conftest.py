@@ -1,11 +1,13 @@
 """Shared test configuration.
 
 The acceptance tests register one human-readable PASS/FAIL line per
-criterion; the hook below prints them at the end of the run so the
-acceptance verdict is visible regardless of capture settings.
+criterion, and the output-digest tests the comparison they made; the
+hook below prints them at the end of the run so that both are visible
+regardless of capture settings.
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,14 +23,24 @@ from stochastic_dce.noise import (ANCHOR_STRIDE, _even_step, _mirror, _ou_drive,
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
 
+# how tests/test_output_digests.py compared outputs on this host
+DIGEST_MODES: set[str] = set()
+
+
 def record_criterion(label: str, passed: bool, detail: str) -> None:
     ACCEPTANCE_RESULTS[label] = (bool(passed), detail)
 
 
+def record_digest_mode(description: str) -> None:
+    DIGEST_MODES.add(description)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    tw = terminalreporter
+    for mode in sorted(DIGEST_MODES):
+        tw.write_line(f"output digests compared {mode}")
     if not ACCEPTANCE_RESULTS:
         return
-    tw = terminalreporter
     tw.section("acceptance criteria")
     for label in sorted(ACCEPTANCE_RESULTS):
         passed, detail = ACCEPTANCE_RESULTS[label]
@@ -48,7 +60,7 @@ def recorded_pools(monkeypatch):
     shutdown waited for them."""
     built = []
 
-    class Recording(ens.ProcessPoolExecutor):
+    class Recording(ProcessPoolExecutor):
         def __init__(self, max_workers):
             built.append(self)
             self.size, self.workers, self.waited = max_workers, [], None
@@ -59,7 +71,7 @@ def recorded_pools(monkeypatch):
             self.waited = wait
             super().shutdown(wait, **kwargs)
 
-    monkeypatch.setattr(ens, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(ens, "_new_pool", Recording)
     return built
 
 

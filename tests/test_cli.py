@@ -22,6 +22,9 @@ from stochastic_dce.theory import msa_stochastic_beta2
 from stochastic_dce.noise import NoiseKind, NoiseSpec
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def write_yaml(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
@@ -94,17 +97,25 @@ def assert_run_facts(summary, labels):
         assert sum(layers) <= summary["simulate_s"][label] * summary["workers"][label]
 
 
-def test_cli_imports_numpy_random_and_no_scipy():
-    # the run path needs numpy and pyyaml alone; numpy.random is loaded at
-    # import, so that forked pool workers inherit it
+# modules a config load and the CLI's import never use: scipy is for the
+# tests alone, numpy.random loads when a run synthesizes noise or a pool
+# opens, the pool machinery when a pool opens
+UNUSED_AT_START = ("numpy.ma", "numpy.random", "numpy.polynomial", "multiprocessing",
+                   "concurrent.futures.process", "scipy")
+
+
+@pytest.mark.parametrize("setup", [
+    *[f"import stochastic_dce; stochastic_dce.load_config({str(p)!r}).systems()"
+      for p in sorted(CONFIGS.glob("*.yaml"))],
+    "import stochastic_dce.cli",
+], ids=[*(p.stem for p in sorted(CONFIGS.glob("*.yaml"))), "cli"])
+def test_start_up_imports_only_what_it_runs(setup):
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, stochastic_dce.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-             "print('numpy.random' in sys.modules)")
+    probe = (f"import sys; {setup}; "
+             f"print([m for m in {UNUSED_AT_START!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)}
-                         ).stdout.split("\n")
-    assert out[:2] == ["[]", "True"]
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split("\n")[0] == "[]"
 
 
 def read_csv(path):

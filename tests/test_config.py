@@ -1,6 +1,7 @@
 """YAML run-configuration parsing and validation."""
 
 import copy
+import json
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import yaml
 
 import stochastic_dce.config as config_mod
+from stochastic_dce.cli import main as cli_main
 from stochastic_dce.config import ConfigError, Scenario, load_config, parse_config
 from stochastic_dce.dynamics import PlainOscillator, suggest_dt
 from stochastic_dce.noise import NoiseKind
@@ -172,22 +174,43 @@ def test_invalid_cosmology_configs(mutate, match):
 
 @pytest.mark.parametrize("mutate, match", [
     (lambda d: d.update(noise=single_mode_data()["noise"]), "smooth xi'"),
-    (lambda d: (d["cavity"].update(nz_max=1),
-                d.update(noise=single_mode_data()["noise"],
-                         integrator={"path": "exact"})), "smooth xi'"),
+    (lambda d: d.update(noise=single_mode_data()["noise"],
+                        integrator={"path": "exact"}), "smooth xi'"),
     (lambda d: d.update(integrator={"dt_time": 0.05}), r"dt\*omega_max"),
     (lambda d: d.update(integrator={"window_ramp_time": 5.5}), "window_ramp_time"),
     (lambda d: d.update(integrator={"window_ramp_time": -1.0}), "window_ramp_time"),
     (lambda d: d.update(integrator={"path": "exakt"}), "path"),
 ])
 def test_invalid_coupled_configs(mutate, match):
-    # runs the integrator refuses: OU noise where xi' and xi'' are needed,
-    # a step too coarse for the fastest mode, window ramps that do not fit
-    # inside the horizon, equations that do not exist
+    # runs the integrator refuses: OU noise where xi' and xi'' are needed
+    # (more than one mode, on either path), a step too coarse for the
+    # fastest mode, window ramps that do not fit inside the horizon,
+    # equations that do not exist
     data = coupled_data()
     mutate(data)
     with pytest.raises(ConfigError, match=match):
         parse_config(data)
+
+
+def test_one_mode_exact_path_takes_ou_noise(tmp_path):
+    # with one mode neither path reads xi' or xi'', so the exact path
+    # evaluates xi alone and OU noise, whose spline has no smooth xi'',
+    # parses and runs
+    data = coupled_data()
+    data["cavity"].update(nz_max=1)
+    data.update(noise=single_mode_data()["noise"], integrator={"path": "exact"})
+    cfg = parse_config(data)
+    [(_, system)] = cfg.systems()
+    assert system.path == "exact" and system.noise_orders == (0,)
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(config), "--out", str(out),
+                     "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_effective"] == {"1": 2} and summary["abort_count"] == {"1": 0}
+    assert 0 < summary["max_wronskian_drift"]["1"] < 1e-8
+    assert summary["max_omega_dt"]["1"] > 0
 
 
 # each key is read by one scenario's simulate and predict; the others,

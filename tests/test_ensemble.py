@@ -4,6 +4,11 @@ abort handling, and sampling-error scaling."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,16 +141,30 @@ def test_worker_count_does_not_change_results():
 def test_pool_has_one_process_per_chunk_at_most(monkeypatch):
     sizes = []
 
-    class Recording(ens.ProcessPoolExecutor):
+    class Recording(ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(ens, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(ens, "_new_pool", Recording)
     cfg = small_cfg(2, workers=3, horizon=6.0)
     assert ens.chunk_layout(cfg) == ([(0, 1), (1, 2)], 3)
     stats = run_ensemble(SYS, BAND, integ(6.0), cfg)
     assert sizes == [2] and stats.n_effective == 2
+
+
+def test_pool_loads_numpy_random_before_its_workers_fork():
+    # noise synthesis needs numpy.random, which numpy loads lazily and a
+    # config load leaves out: a pool loads it in the parent when it opens,
+    # before its first task forks the workers, so that they inherit it
+    probe = ("import sys; from stochastic_dce import ensemble; "
+             "print('numpy.random' in sys.modules)\n"
+             "with ensemble._pool(2) as pool:\n"
+             "    print('numpy.random' in sys.modules, not pool._processes)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split("\n")[:2] == ["False", "True True"]
 
 
 # a run's record entries that time it, and those of its chunk layout
