@@ -23,7 +23,7 @@ def main():
 
     noise = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
     system = PlainOscillator(1.0, 0.05)
-    icfg = IntegratorConfig(dt=default_dt(1.0, noise, args.horizon))
+    icfg = IntegratorConfig(dt=default_dt([system], noise, args.horizon))
     stats = []
     with shared_pool():     # one set of workers for every N
         for n in args.sizes:

@@ -39,8 +39,9 @@ def main():
             ens = EnsembleConfig(n_realizations=args.n,
                                  master_seed=derive_seed(args.seed, i),
                                  probes=(args.eta,), horizon=args.eta)
-            icfg = IntegratorConfig(dt=default_dt(w, noise, args.eta))
-            stats = run_ensemble(PlainOscillator(w, args.epsilon), noise, icfg, ens)
+            system = PlainOscillator(w, args.epsilon)
+            icfg = IntegratorConfig(dt=default_dt([system], noise, args.eta))
+            stats = run_ensemble(system, noise, icfg, ens)
             mc = stats.mean[("beta2_total", 0)][-1]
             se = stats.standard_error[("beta2_total", 0)][-1]
             th = float(cosmo_beta2(k, args.mass, args.epsilon, noise,

@@ -33,9 +33,9 @@ def main():
                                args.probes))
     ens = EnsembleConfig(n_realizations=args.n, master_seed=args.seed,
                          probes=probes, horizon=args.horizon)
-    icfg = IntegratorConfig(dt=default_dt(args.omega, noise, args.horizon))
-    stats = run_ensemble(PlainOscillator(args.omega, args.epsilon), noise,
-                         icfg, ens)
+    system = PlainOscillator(args.omega, args.epsilon)
+    icfg = IntegratorConfig(dt=default_dt([system], noise, args.horizon))
+    stats = run_ensemble(system, noise, icfg, ens)
 
     th = msa_stochastic_beta2(args.omega, args.epsilon, noise,
                               np.array(stats.times))

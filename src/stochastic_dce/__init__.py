@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .cavity import CavityConfig, ModeIndex
 from .config import RunConfig, Scenario, load_config, parse_config
-from .dynamics import CavityModes, IntegratorConfig, PlainOscillator, suggest_dt
+from .dynamics import CavityModes, IntegratorConfig, PlainOscillator, default_dt
 from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
 from .noise import NoiseKind, NoiseSpec, correlation, spectrum, synthesize
 
@@ -19,7 +19,7 @@ __all__ = [
     "CavityModes",
     "IntegratorConfig",
     "PlainOscillator",
-    "suggest_dt",
+    "default_dt",
     "EnsembleConfig",
     "EnsembleStats",
     "run_ensemble",

@@ -54,17 +54,22 @@ class RunConfig:
     k_grid: tuple = ()
     compare: CompareTolerance = field(default_factory=CompareTolerance)
     raw: dict = field(default_factory=dict, repr=False)
+    # the (label, system) pairs parse_config built from the fields above
+    built: tuple = field(default=(), repr=False, compare=False)
 
     def systems(self):
         """(label, system) pairs to simulate; cosmology has one per k."""
-        if self.scenario is Scenario.COUPLED_STOCHASTIC:
-            return [(1, CavityModes(self.cavity, self.path))]
-        if self.scenario is Scenario.COSMOLOGY:
-            return [
-                (i + 1, PlainOscillator((k**2 + self.mass**2) ** 0.5, self.epsilon))
-                for i, k in enumerate(self.k_grid)
-            ]
-        return [(1, PlainOscillator(self.omega, self.epsilon))]
+        return list(self.built)
+
+
+def _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid):
+    """RunConfig.built: one system, or for cosmology one per k."""
+    if scenario is Scenario.COUPLED_STOCHASTIC:
+        return ((1, CavityModes(cavity, path)),)
+    if scenario is Scenario.COSMOLOGY:
+        return tuple((i + 1, PlainOscillator((k**2 + mass**2) ** 0.5, epsilon))
+                     for i, k in enumerate(k_grid))
+    return ((1, PlainOscillator(omega, epsilon)),)
 
 
 def _section(data, name, required=True):
@@ -169,6 +174,8 @@ def parse_config(data: dict) -> RunConfig:
         if mass == 0 and min(k_grid) <= 0:
             raise ConfigError("massless k=0 mode has no oscillation frequency")
     _no_leftovers(scen, "scenario")
+    if epsilon is not None and not 0 <= epsilon < 1:
+        raise ConfigError(f"scenario.epsilon must be in [0, 1), got {epsilon}")
 
     cavity = None
     if coupled:
@@ -177,11 +184,15 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("section 'cavity' only applies to coupled_stochastic runs")
 
     ens = _parse_ensemble(_section(data, "ensemble"), scenario)
-    omega_max = _max_frequency(scenario, omega, mass, k_grid, cavity)
     integ_sec = _section(data, "integrator", required=False)
     path = (_take(integ_sec, "integrator", "path", str, default="linearized")
             if coupled else None)
-    integ = _parse_integrator(integ_sec, omega_max, ens.horizon, noise, windowed=coupled)
+    try:
+        built = _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid)
+    except ValueError as err:
+        raise ConfigError(str(err))
+    systems = [system for _, system in built]
+    integ = _parse_integrator(integ_sec, systems, ens.horizon, noise, windowed=coupled)
     comp = _parse_compare(_section(data, "compare", required=False))
     try:
         step = step_grid(ens.horizon, integ, ens.probes)[1]
@@ -189,11 +200,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"ensemble.probes_time: {err}")
 
     try:
-        if epsilon is not None and not 0 <= epsilon < 1:
-            raise ConfigError(f"scenario.epsilon must be in [0, 1), got {epsilon}")
-        cfg = RunConfig(scenario, noise, integ, ens, cavity, path, omega, epsilon,
-                        mass, k_grid, comp, data)
-        for _, system in cfg.systems():
+        for system in systems:
             # systems, initial data and the integrator check consistency
             initial_data(system, ens.initial, ens.in_mode)
             check_integrable(system, step, max_step(noise, ens.horizon))
@@ -201,15 +208,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"integrator.dt_time: {err}")
     except ValueError as err:
         raise ConfigError(str(err))
-    return cfg
-
-
-def _max_frequency(scenario, omega, mass, k_grid, cavity):
-    if scenario is Scenario.COSMOLOGY:
-        return max((k**2 + mass**2) ** 0.5 for k in k_grid)
-    if cavity is not None:
-        return float(cavity.omegas()[-1])
-    return omega
+    return RunConfig(scenario, noise, integ, ens, cavity, path, omega, epsilon,
+                     mass, k_grid, comp, data, built)
 
 
 def _parse_noise(sec) -> NoiseSpec:
@@ -257,10 +257,10 @@ def _parse_cavity(sec) -> CavityConfig:
         raise ConfigError(f"cavity: {err}")
 
 
-def _parse_integrator(sec, omega_max, horizon, noise, windowed) -> IntegratorConfig:
+def _parse_integrator(sec, systems, horizon, noise, windowed) -> IntegratorConfig:
     dt = _take(sec, "integrator", "dt_time", float, default=None, positive=True)
     if dt is None:
-        dt = default_dt(omega_max, noise, horizon)
+        dt = default_dt(systems, noise, horizon)
     ramp = (_take(sec, "integrator", "window_ramp_time", float, default=0.0)
             if windowed else 0.0)
     _no_leftovers(sec, "integrator")

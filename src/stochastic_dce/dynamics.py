@@ -30,11 +30,12 @@ eval_batch's (half-steps, batch) values, not copies.
 
 Noise values for all substeps are produced in fixed blocks of 2048
 steps and the step matrices in fixed blocks of 64; neither length
-depends on the batch width, so neither do the bits of a row.  A row
-whose wall reaches the far mirror (exact path) is masked, not raised,
-and the exact path's moving wall, which raises the top frequency above
-the static one check_integrable bounds, is measured on the half-steps
-(BatchResult.top_omega).
+depends on the batch width, so neither do the bits of a row.  On the
+exact path one scan of each noise block finds every row's least wall
+length ell = 1 + eps*xi (BatchResult.least_ell).  A row whose wall
+reaches the far mirror is masked, not raised, and the moving wall's top
+frequency, which rises above the static one check_integrable bounds,
+is CavityModes.top_omega at that least ell.
 """
 
 from __future__ import annotations
@@ -124,9 +125,12 @@ def suggest_dt(omega_max: float, horizon: float) -> float:
     return min(dt, OMEGA_DT_MAX / omega_max)
 
 
-def default_dt(omega_max: float, noise: NoiseSpec, horizon: float) -> float:
-    """The step of a run that sets none: suggest_dt's drift-law step, at
-    most noise.max_step (one knot cell of OU noise)."""
+def default_dt(systems, noise: NoiseSpec, horizon: float) -> float:
+    """The step of a run over `systems` that sets none: suggest_dt's
+    drift-law step at their fastest static frequency (the largest of
+    their omegas, which check_integrable bounds), at most
+    noise.max_step (one knot cell of OU noise)."""
+    omega_max = max(float(np.max(system.omegas)) for system in systems)
     return min(suggest_dt(omega_max, horizon), max_step(noise, horizon))
 
 
@@ -306,23 +310,18 @@ class CavityModes:
             lam = lam / (1.0 + self.epsilon * x0)
         return P - lam * _mix(self.gmat_terms, Q)
 
-    def collapsed(self, x0):
-        """Columns (rows) of x0 (times, batch) with 1 + eps*xi <= 1e-12 at
-        any time; None if linearized."""
-        return (np.any(1.0 + self.epsilon * x0 <= 1e-12, axis=0)
-                if self.path == "exact" else None)
+    def least_ell(self, x0):
+        """Per column (row) of x0 (times, batch), the least wall length
+        ell = 1 + eps*xi over its times; None if linearized."""
+        return np.min(1.0 + self.epsilon * x0, axis=0) if self.path == "exact" else None
 
-    def top_omega(self, x0):
-        """Per column (row) of x0 (times, batch), the largest instantaneous
-        top frequency pi sqrt(T + (nz_max / (Lz0 ell))^2), ell = 1 + eps*xi,
-        over its times; None if linearized.  It falls as ell grows, so it
-        is taken at the least ell, which a row that has not collapsed
-        keeps above 0."""
-        if self.path != "exact":
-            return None
-        ell = np.min(1.0 + self.epsilon * x0, axis=0)
-        return np.pi * np.sqrt(self.cavity.transverse_sq
-                               + (self.n_modes / (self.cavity.Lz0 * ell)) ** 2)
+    def top_omega(self, ell):
+        """The instantaneous top frequency pi sqrt(T + (nz_max / (Lz0 ell))^2)
+        at wall length ell, a number or an array.  Every operation is
+        monotone and correctly rounded, so it falls as ell grows, and its
+        largest value over a set of ell is its value at the least."""
+        z = self.n_modes / (self.cavity.Lz0 * ell)
+        return np.pi * np.sqrt(self.cavity.transverse_sq + z * z)
 
     def _accel_exact(self, Q, P, x0, x1, x2):
         eps = self.epsilon
@@ -372,7 +371,7 @@ class BatchResult:
     defect: np.ndarray          # (batch, n_probes)
     collapsed: np.ndarray       # (batch,) bool; such a row's outputs are NaN
     seconds: dict               # wall time per layer: eval_s, build_s, chain_s, extract_s
-    top_omega: np.ndarray | None    # (batch,) the system's top_omega over the run, or
+    least_ell: np.ndarray | None    # (batch,) the system's least_ell over the run, or
                                     # None if it has none; NaN for a collapsed row
 
 
@@ -544,7 +543,7 @@ def check_integrable(system, step: float, cell: float):
     noise (a finite knot cell: noise.max_step or a batch's knot spacing) for
     a system that needs smooth xi', xi''; and a step longer than the cell,
     to a relative 1e-9.  omega_max is the static top frequency; the exact
-    path's moving wall raises it, which run_batch measures (top_omega)."""
+    path's moving wall raises it, which run_batch measures (least_ell)."""
     if (wdt := step * float(np.max(system.omegas))) > OMEGA_DT_MAX + 1e-12:
         raise StepResolutionError(
             f"dt*omega_max = {wdt:.3g} > {OMEGA_DT_MAX:g}; refine the step")
@@ -566,8 +565,9 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
     times are the grid-aligned values actually used.  Stretches end at
     the probes, where the loop keeps only Phi and lam's inputs x0, x1;
     the defect is taken from them after the loop.  check_integrable's
-    refusals raise.  A row the system's collapsed(x0) finds in a noise
-    block runs on with zero noise and comes back masked (BatchResult.collapsed).
+    refusals raise.  A row whose least_ell(x0) in a noise block is at
+    most 1e-12 (its wall at the far mirror) runs on with zero noise and
+    comes back masked (BatchResult.collapsed).
     BatchResult.seconds splits the call's wall time into noise evaluation
     (window and collapse mask included), the step-map build, the chain
     and the extraction after the loop.
@@ -602,24 +602,22 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
 
     win = (Window(integrator.window_ramp, horizon)
            if integrator.window_ramp > 0 else None)
-    # only CavityModes has these, and they give None off its exact path
-    collapsed = getattr(system, "collapsed", lambda x0: None)
-    top_omega = getattr(system, "top_omega", lambda x0: None)
+    # only CavityModes has it, and it gives None off its exact path
+    least_ell = getattr(system, "least_ell", lambda x0: None)
     dead = np.zeros(batch, dtype=bool)
-    top = None
+    ell = None
     half = 0.5 * dt
     for start in range(0, nsteps, BLOCK_STEPS):
         stop = min(nsteps, start + BLOCK_STEPS)
         t_half = half * np.arange(2 * start, 2 * stop + 1)
         # (half-steps, batch) per noise order, None where not needed
         x = _windowed(eval_batch(noise, t_half, orders), win, t_half, orders)
-        if (hit := collapsed(x[0])) is not None:
-            dead |= hit
+        if (low := least_ell(x[0])) is not None:
+            ell = low if ell is None else np.minimum(ell, low)
+            dead |= low <= 1e-12
             for v in x:
                 if v is not None:
                     v[:, dead] = 0.0
-        if (w := top_omega(x[0])) is not None:
-            top = w if top is None else np.maximum(top, w)
         if start == 0:
             record(0, Phi, x, start)
         lap("eval_s")
@@ -646,15 +644,15 @@ def run_batch(system, noise: NoiseBatch, integrator: IntegratorConfig, horizon: 
         return np.ascontiguousarray(y.transpose(2, 1, 0))       # (batch, n_probes, k)
 
     Phis[..., dead] = np.nan        # a collapsed row's outputs
-    if top is not None:
-        top[dead] = np.nan
+    if ell is not None:
+        ell[dead] = np.nan
     Q, P = solution(Phis[:m]), solution(Phis[m:])
     if m > 1:   # Phis to Psi = T Phi in place, T = [[I, 0], [-lam G, I]]
         Phis[m:] = system.canonical_momentum(Phis[:m], Phis[m:], *lam_x)
     defect = np.max(_symplectic_defect(Phis[:, :, 1:], Phis[:, :, :1], system.omegas),
                     axis=(0, 1)).T
     lap("extract_s")
-    return BatchResult(probe_idx * dt, Q, P, defect, dead, seconds, top)
+    return BatchResult(probe_idx * dt, Q, P, defect, dead, seconds, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,9 @@ class EnsembleStats:
     (kept realizations x nsteps / simulate_s) and the seconds per layer,
     summed over chunks: synthesis_s, then run_batch's eval_s, build_s,
     chain_s and extract_s.  An exact-path run adds max_omega_dt, dt
-    times the largest instantaneous top frequency over its kept rows'
-    half-steps (None if no row is kept): the step phase its moving wall
+    times the system's top_omega at the least wall length over its kept
+    rows' half-steps, which is the largest instantaneous top frequency
+    there (None if no row is kept): the step phase its moving wall
     reached, which check_integrable's static bound does not see.  A run
     that violates the drift bound adds drift_law_dt, the step at which
     RK4's drift law (dynamics.drift_law_dt) puts its largest finite drift
@@ -225,7 +226,7 @@ class _Chunk(NamedTuple):
     times: np.ndarray
     kept: np.ndarray            # the kept rows' realization indices
     defect: np.ndarray          # (kept rows, probes) symplectic defect
-    top_omega: np.ndarray | None    # kept rows' BatchResult.top_omega, or None
+    least_ell: np.ndarray | None    # kept rows' BatchResult.least_ell, or None
     seconds: float
     layers: dict                # wall time per layer: synthesis_s, then run_batch's
 
@@ -245,8 +246,8 @@ def _run_chunk(system, noise_spec, integrator, ensemble, start, stop):
     t3 = time.perf_counter()
     layers = {"synthesis_s": t1 - t0, **res.seconds}
     layers["extract_s"] += t3 - t2
-    top = None if res.top_omega is None else res.top_omega[kept]
-    return _Chunk(keys, panel, res.times, start + kept, res.defect[kept], top,
+    ell = None if res.least_ell is None else res.least_ell[kept]
+    return _Chunk(keys, panel, res.times, start + kept, res.defect[kept], ell,
                   t3 - t0, layers)
 
 
@@ -363,9 +364,9 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     }
     for layer in results[0].layers:
         record[layer] = sum(r.layers[layer] for r in results)
-    if results[0].top_omega is not None:
-        top = np.concatenate([r.top_omega for r in results])
-        phase = dt * float(np.max(top)) if top.size else math.nan
+    if results[0].least_ell is not None:
+        ell = np.concatenate([r.least_ell for r in results])
+        phase = dt * float(system.top_omega(np.min(ell))) if ell.size else math.nan
         record["max_omega_dt"] = phase if math.isfinite(phase) else None
     if violations:
         if WRONSKIAN_TOL < finite <= DRIFT_LAW_MAX:

@@ -1,5 +1,5 @@
 """The CI workflow installs what pyproject.toml requires and runs the
-tier-1 command that ROADMAP.md names."""
+tier-1 command that ROADMAP.md names, with one BLAS thread."""
 
 import re
 import shlex
@@ -25,9 +25,12 @@ def toml_string_arrays(text: str) -> dict:
     return arrays
 
 
+def job():
+    return yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
+
+
 def steps():
-    return {step.get("name"): step
-            for step in yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]}
+    return {step.get("name"): step for step in job()["steps"]}
 
 
 def test_install_step_names_every_requirement_with_its_bound():
@@ -43,3 +46,11 @@ def test_tier1_step_runs_the_roadmap_command():
     roadmap = (ROOT / "ROADMAP.md").read_text()
     [command] = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, flags=re.M)
     assert steps()["Tier-1 tests"]["run"].strip() == command
+
+
+def test_job_pins_blas_to_one_thread():
+    # the digest test's byte mode and the suite's timings assume one BLAS
+    # thread
+    env = job()["env"]
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert env.get(name) == "1", name

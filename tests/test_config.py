@@ -11,10 +11,13 @@ import yaml
 import stochastic_dce.config as config_mod
 from stochastic_dce.cli import main as cli_main
 from stochastic_dce.config import ConfigError, Scenario, load_config, parse_config
-from stochastic_dce.dynamics import PlainOscillator, suggest_dt
-from stochastic_dce.noise import NoiseKind
+from stochastic_dce.cavity import CavityConfig
+from stochastic_dce.dynamics import CavityModes, PlainOscillator, default_dt, suggest_dt
+from stochastic_dce.noise import NoiseKind, NoiseSpec, max_step
 
 ROOT = Path(__file__).resolve().parent.parent
+OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
+BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=1.5, nu_max=2.5)
 
 
 def single_mode_data():
@@ -143,6 +146,32 @@ def test_invalid_single_mode_configs(mutate, match):
     mutate(data)
     with pytest.raises(ConfigError, match=match):
         parse_config(data)
+
+
+def test_default_step_reads_the_fastest_frequency_off_the_systems():
+    # default_dt over a cosmology k-grid and over a 3-mode cavity is the
+    # drift law's step at their fastest frequency, within one knot cell
+    # of OU noise; parse_config's default step is that step for every
+    # shipped config, its dt_time dropped
+    horizon = 600.0
+    omegas = [(k**2 + 1.0) ** 0.5 for k in (0.0, 2.0, 0.5)]
+    grid = [PlainOscillator(w, 0.05) for w in omegas]
+    cavity = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.02, nz_max=3)
+    for systems, omega_max in ((grid, max(omegas)),
+                               ([CavityModes(cavity)], float(cavity.omegas()[2]))):
+        for noise in (OU, BAND):
+            assert default_dt(systems, noise, horizon) == min(
+                suggest_dt(omega_max, horizon), max_step(noise, horizon))
+    for path in sorted((ROOT / "configs").glob("*.yaml")):
+        data = yaml.safe_load(path.read_text())
+        data.get("integrator", {}).pop("dt_time", None)
+        cfg = parse_config(data)
+        omega_max = (float(cfg.cavity.omegas()[-1]) if cfg.cavity is not None
+                     else max((k**2 + cfg.mass**2) ** 0.5 for k in cfg.k_grid)
+                     if cfg.k_grid else cfg.omega)
+        horizon = cfg.ensemble.horizon
+        assert cfg.integrator.dt == min(suggest_dt(omega_max, horizon),
+                                        max_step(cfg.noise, horizon)), path.name
 
 
 def test_ou_steps_stay_inside_one_knot_cell():

@@ -226,7 +226,7 @@ def test_collapsed_rows_are_masked_and_leave_the_others_alone():
     kept = [s for s, d in zip(seeds, dead) if not d]
     clean = run_batch(sys_, synthesize_many(noisy, kept, horizon), icfg, horizon, probes)
     assert not clean.collapsed.any()
-    for name in ("Q", "P", "defect", "top_omega"):
+    for name in ("Q", "P", "defect", "least_ell"):
         out = getattr(res, name)
         assert out[~dead].tobytes() == getattr(clean, name).tobytes(), name
         assert np.isnan(out[dead]).all(), name
@@ -234,22 +234,26 @@ def test_collapsed_rows_are_masked_and_leave_the_others_alone():
 
 def test_top_omega_is_the_fastest_instantaneous_frequency():
     # the exact path's top frequency at every half-step of a windowed run,
-    # largest per row; the linearized path has none
+    # largest per row, is top_omega at the row's least ell; the
+    # linearized path has no least ell
     cav = CavityConfig(Lx=2.0, Ly=3.0, Lz0=1.5, epsilon=0.3, nz_max=2)
     icfg = IntegratorConfig(dt=0.01, window_ramp=2.0)
     horizon = 25.0
     noise = synthesize_many(BAND, range(5), horizon)
-    res = run_batch(CavityModes(cav, "exact"), noise, icfg, horizon, (horizon,))
+    exact = CavityModes(cav, "exact")
+    res = run_batch(exact, noise, icfg, horizon, (horizon,))
     nsteps, dt, _ = step_grid(horizon, icfg)
     assert nsteps > BLOCK_STEPS
     t = 0.5 * dt * np.arange(2 * nsteps + 1)
     x0 = dyn._windowed(eval_batch(noise, t, (0,)), Window(2.0, horizon), t, (0,))[0]
     ell = 1.0 + 0.3 * x0
     omega = np.pi * np.sqrt(cav.transverse_sq + (2.0 / (1.5 * ell)) ** 2)
-    np.testing.assert_allclose(res.top_omega, omega.max(axis=0), rtol=1e-15)
-    assert np.all(res.top_omega > np.max(cav.omegas()))
+    np.testing.assert_allclose(res.least_ell, ell.min(axis=0), rtol=1e-15)
+    top = exact.top_omega(res.least_ell)
+    np.testing.assert_allclose(top, omega.max(axis=0), rtol=1e-15)
+    assert np.all(top > np.max(cav.omegas()))
     linear = run_batch(CavityModes(cav), noise, icfg, horizon, (horizon,))
-    assert linear.top_omega is None
+    assert linear.least_ell is None
 
 
 # ---------------------------------------------------------------------------

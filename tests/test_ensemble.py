@@ -53,7 +53,7 @@ def small_cfg(n, seed=7, workers=1, horizon=10.0):
 
 def integ(horizon=10.0, noise=BAND):
     """SYS's default step: suggest_dt's, within one knot cell of OU noise."""
-    return IntegratorConfig(dt=default_dt(1.0, noise, horizon))
+    return IntegratorConfig(dt=default_dt([SYS], noise, horizon))
 
 
 # ---------------------------------------------------------------------------
