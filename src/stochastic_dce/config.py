@@ -54,22 +54,21 @@ class RunConfig:
     k_grid: tuple = ()
     compare: CompareTolerance = field(default_factory=CompareTolerance)
     raw: dict = field(default_factory=dict, repr=False)
-    # the (label, system) pairs parse_config built from the fields above
-    built: tuple = field(default=(), repr=False, compare=False)
 
     def systems(self):
         """(label, system) pairs to simulate; cosmology has one per k."""
-        return list(self.built)
+        return _build_systems(self.scenario, self.cavity, self.path, self.omega,
+                              self.epsilon, self.mass, self.k_grid)
 
 
 def _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid):
-    """RunConfig.built: one system, or for cosmology one per k."""
+    """The scenario's (label, system) pairs: one, or for cosmology one per k."""
     if scenario is Scenario.COUPLED_STOCHASTIC:
-        return ((1, CavityModes(cavity, path)),)
+        return [(1, CavityModes(cavity, path))]
     if scenario is Scenario.COSMOLOGY:
-        return tuple((i + 1, PlainOscillator((k**2 + mass**2) ** 0.5, epsilon))
-                     for i, k in enumerate(k_grid))
-    return ((1, PlainOscillator(omega, epsilon)),)
+        return [(i + 1, PlainOscillator((k**2 + mass**2) ** 0.5, epsilon))
+                for i, k in enumerate(k_grid)]
+    return [(1, PlainOscillator(omega, epsilon))]
 
 
 def _section(data, name, required=True):
@@ -188,10 +187,10 @@ def parse_config(data: dict) -> RunConfig:
     path = (_take(integ_sec, "integrator", "path", str, default="linearized")
             if coupled else None)
     try:
-        built = _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid)
+        systems = [system for _, system in
+                   _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid)]
     except ValueError as err:
         raise ConfigError(str(err))
-    systems = [system for _, system in built]
     integ = _parse_integrator(integ_sec, systems, ens.horizon, noise, windowed=coupled)
     comp = _parse_compare(_section(data, "compare", required=False))
     try:
@@ -209,7 +208,7 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as err:
         raise ConfigError(str(err))
     return RunConfig(scenario, noise, integ, ens, cavity, path, omega, epsilon,
-                     mass, k_grid, comp, data, built)
+                     mass, k_grid, comp, data)
 
 
 def _parse_noise(sec) -> NoiseSpec:

@@ -1,6 +1,7 @@
 """YAML run-configuration parsing and validation."""
 
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,8 @@ import yaml
 
 import stochastic_dce.config as config_mod
 from stochastic_dce.cli import main as cli_main
-from stochastic_dce.config import ConfigError, Scenario, load_config, parse_config
+from stochastic_dce.config import (ConfigError, RunConfig, Scenario, load_config,
+                                   parse_config)
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import CavityModes, PlainOscillator, default_dt, suggest_dt
 from stochastic_dce.noise import NoiseKind, NoiseSpec, max_step
@@ -103,6 +105,23 @@ def test_cosmology_parses_one_system_per_k():
     assert [label for label, _ in systems] == [1, 2, 3]
     assert systems[0][1].omegas[0] == pytest.approx(1.0)        # k=0, M=1
     assert systems[2][1].omegas[0] == pytest.approx(math.sqrt(2.0))
+
+
+def test_systems_follow_the_config_fields():
+    # systems() builds from the fields it is given: a RunConfig made
+    # directly, or by replacing a parsed one's fields, simulates what
+    # those fields say
+    cfg = parse_config(cosmology_data())
+    direct = RunConfig(cfg.scenario, cfg.noise, cfg.integrator, cfg.ensemble,
+                       mass=2.0, epsilon=0.05, k_grid=(0.0, 1.5))
+    assert [(label, float(s.omegas[0])) for label, s in direct.systems()] == [
+        (1, 2.0), (2, 2.5)]
+    moved = dataclasses.replace(cfg, mass=0.0, k_grid=(3.0,))
+    assert [(label, float(s.omegas[0])) for label, s in moved.systems()] == [(1, 3.0)]
+    coupled = parse_config(coupled_data())
+    cavity = dataclasses.replace(coupled.cavity, nz_max=2)
+    [(_, system)] = dataclasses.replace(coupled, cavity=cavity).systems()
+    assert system.omegas.tolist() == cavity.omegas().tolist()
 
 
 def test_deterministic_defaults_to_one_realization():
