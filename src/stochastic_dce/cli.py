@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -22,13 +21,7 @@ import numpy as np
 from . import __version__
 from .cavity import ModeIndex
 from .config import ConfigError, RunConfig, Scenario, load_config, parse_config
-from .ensemble import (
-    EnsembleConfig,
-    RunFailure,
-    derive_seed,
-    run_ensemble,
-    shared_pool,
-)
+from .ensemble import RunFailure, derive_seed, run_ensemble, shared_pool
 from .dynamics import step_grid
 from .noise import eval_batch, synthesize
 from .theory import (
@@ -54,13 +47,6 @@ def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
     return f"{float(x):.17g}"
-
-
-def _sub_master(master: int, label: int, n_systems: int) -> int:
-    # independent streams per k in a cosmology sweep
-    if n_systems == 1:
-        return master
-    return derive_seed(master, (1 << 32) + label)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -100,6 +86,9 @@ def _truncation_check(cfg: RunConfig) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
+    """Run cfg.systems()'s (label, system, ensemble) triples, each on
+    the seed stream its ensemble holds, in one shared pool; write
+    summary.json, and series.csv unless a system fails (then return 1)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     _truncation_check(cfg)
     systems = cfg.systems()
@@ -126,14 +115,12 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     violations = []
     # every system's pooled run reuses one set of workers
     with shared_pool():
-        for label, system in systems:
-            sub = _sub_master(cfg.ensemble.master_seed, label, len(systems))
-            ens = dataclasses.replace(cfg.ensemble, master_seed=sub)
+        for label, system, ens in systems:
             log.info("simulating system %d/%d (%d realizations)",
                      label, len(systems), ens.n_realizations)
             seed_info["per_system"][str(label)] = {
-                "sub_master": sub,
-                "realization_seeds": [derive_seed(sub, i)
+                "sub_master": ens.master_seed,
+                "realization_seeds": [derive_seed(ens.master_seed, i)
                                       for i in range(ens.n_realizations)],
             }
             try:
@@ -145,7 +132,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
                 log.error("%s", err)
                 break
             report(label, stats.record)
-            rows.extend(_series_rows(cfg, label, system, stats))
+            rows.extend(_series_rows(cfg, label, stats))
     summary["violations"] = violations
     summary["runtime_seconds"] = time.time() - started
 
@@ -161,7 +148,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     return code
 
 
-def _series_rows(cfg, label, system, stats):
+def _series_rows(cfg, label, stats):
     rows = []
     cosmo = cfg.scenario is Scenario.COSMOLOGY
     for (quantity, mode), mean in stats.mean.items():
@@ -254,9 +241,9 @@ def _read_csv(path, expected_header):
     return rows
 
 
-def cmd_compare(cfg: RunConfig, simulated, predicted, out_dir) -> int:
-    sim_rows = _read_csv(simulated, SERIES_HEADER)
-    pre_rows = _read_csv(predicted, PREDICT_HEADER)
+def cmd_compare(cfg: RunConfig, out_dir) -> int:
+    sim_rows = _read_csv(out_dir / "series.csv", SERIES_HEADER)
+    pre_rows = _read_csv(out_dir / "predictions.csv", PREDICT_HEADER)
     tol = cfg.compare
     theory = {(float(r[0]), r[1], int(r[2])): float(r[3]) for r in pre_rows}
     points = []
@@ -345,11 +332,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_noise_dump(cfg: RunConfig) -> int:
-    seed = cfg.ensemble.master_seed     # --seed, if given, is already in cfg
-    horizon = cfg.ensemble.horizon
-    nsteps, step, _ = step_grid(horizon, cfg.integrator)
+    """Print realization 0 of the first system's stream, unwindowed, on
+    the step grid simulate integrates it on."""
+    _, _, ens = cfg.systems()[0]     # --seed, if given, is already in cfg
+    nsteps, step, _ = step_grid(ens.horizon, cfg.integrator)
     t = np.arange(nsteps + 1) * step
-    xi = eval_batch(synthesize(cfg.noise, seed, horizon), t, (0, 1, 2))
+    noise = synthesize(cfg.noise, derive_seed(ens.master_seed, 0), ens.horizon)
+    xi = eval_batch(noise, t, (0, 1, 2))
     cols = [xi[o][:, 0] for o in (0, 1, 2)]
     w = csv.writer(sys.stdout)
     w.writerow(["t", "xi", "xi_dot", "xi_ddot"])
@@ -372,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("simulate", "run the ensemble and write series.csv + summary.json"),
         ("predict", "evaluate closed-form predictions on the probe grid"),
-        ("compare", "check simulated series against predictions"),
+        ("compare", "check OUT/series.csv against OUT/predictions.csv"),
         ("spectrum", "print the cavity mode table"),
         ("noise-dump", "print one noise realization with derivatives"),
     ):
@@ -384,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=None,
                         help="override the worker count")
         sp.add_argument("--quiet", action="store_true")
-        if name == "compare":
-            sp.add_argument("--simulated", default=None,
-                            help="series.csv path (default: OUT/series.csv)")
-            sp.add_argument("--predicted", default=None,
-                            help="predictions.csv path (default: OUT/predictions.csv)")
     return p
 
 
@@ -409,9 +393,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, out_dir)
         if args.command == "compare":
-            sim = args.simulated or out_dir / "series.csv"
-            pre = args.predicted or out_dir / "predictions.csv"
-            return cmd_compare(cfg, sim, pre, out_dir)
+            return cmd_compare(cfg, out_dir)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         return cmd_noise_dump(cfg)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
 from .cavity import CavityConfig
 from .dynamics import (CavityModes, IntegratorConfig, PlainOscillator, StepResolutionError,
                        Window, check_integrable, default_dt, initial_data, step_grid)
-from .ensemble import EnsembleConfig
+from .ensemble import EnsembleConfig, derive_seed
 from .noise import NoiseKind, NoiseSpec, max_step
 
 __all__ = ["ConfigError", "Scenario", "RunConfig", "load_config", "parse_config"]
@@ -56,13 +56,24 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     def systems(self):
-        """(label, system) pairs to simulate; cosmology has one per k."""
-        return _build_systems(self.scenario, self.cavity, self.path, self.omega,
-                              self.epsilon, self.mass, self.k_grid)
+        """(label, system, ensemble) triples to simulate, the one list
+        `simulate` runs: one, or for cosmology one per k.  A lone system
+        runs the config's ensemble itself; each of several runs it with
+        its own master seed, derive_seed(master, 2**32 + label), so that
+        every k draws an independent stream."""
+        pairs = _build_systems(self.scenario, self.cavity, self.path, self.omega,
+                               self.epsilon, self.mass, self.k_grid)
+        if len(pairs) == 1:
+            return [(*pairs[0], self.ensemble)]
+        master = self.ensemble.master_seed
+        return [(label, system,
+                 replace(self.ensemble, master_seed=derive_seed(master, (1 << 32) + label)))
+                for label, system in pairs]
 
 
 def _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid):
-    """The scenario's (label, system) pairs: one, or for cosmology one per k."""
+    """The scenario's (label, system) pairs: one, or for cosmology one per k.
+    RunConfig.systems gives each its ensemble."""
     if scenario is Scenario.COUPLED_STOCHASTIC:
         return [(1, CavityModes(cavity, path))]
     if scenario is Scenario.COSMOLOGY:

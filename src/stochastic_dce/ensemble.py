@@ -14,9 +14,9 @@ is identical for any chunk and worker layout.  Every run also reports
 what it ran (step, layout, aborts, drift, time) in one record, which a
 failed run's error (a RunFailure) carries too.
 
-More than one chunk and worker run in a process pool: the run's own,
-shut down before it returns, or, inside a shared_pool() block, the
-block's, which serves every run in it and shuts down when it exits.
+More than one chunk and worker run in a process pool, whose lifetime is
+that of the outermost shared_pool() block: run_ensemble runs in a block
+of its own, and a block inside another uses the outer one.
 The pool machinery (concurrent.futures.process, multiprocessing) is
 imported when a pool opens, not with this module, so that a config load
 or a one-process run does not pay for it.
@@ -266,7 +266,7 @@ def chunk_layout(ensemble: EnsembleConfig):
     return [(s, min(N, s + size)) for s in range(0, N, size)], workers
 
 
-# The innermost shared_pool() block's open pools by process count, or
+# The outermost shared_pool() block's open pools by process count, or
 # None outside any block.  Ambient, not an argument, so that
 # run_ensemble's signature stays the one its callers wrap.
 _shared_pools: dict | None = None
@@ -279,15 +279,19 @@ def shared_pool():
     Each run_ensemble inside the block that runs in a pool takes the
     block's pool of its size, min(workers, chunks), opening it on first
     use; the block shuts every pool down, waiting for its workers, when
-    it exits, whether normally or by an exception.  Workers fork when a
-    pool opens, so code patched before that runs in them too.
+    it exits, whether normally or by an exception.  A block inside
+    another is the outer one: it opens and shuts down nothing.  Workers
+    fork when a pool opens, so code patched before that runs in them too.
     """
     global _shared_pools
-    outer, _shared_pools = _shared_pools, {}
+    if _shared_pools is not None:
+        yield
+        return
+    _shared_pools = {}
     try:
         yield
     finally:
-        pools, _shared_pools = _shared_pools, outer
+        pools, _shared_pools = _shared_pools, None
         for pool in pools.values():
             pool.shutdown(wait=True)
 
@@ -298,24 +302,18 @@ def _new_pool(size: int):
     return ProcessPoolExecutor(max_workers=size)
 
 
-@contextlib.contextmanager
 def _pool(size: int):
-    """The pool of `size` processes a run uses: None for one process,
-    else the shared_pool() block's or one of the run's own."""
+    """The enclosing shared_pool() block's pool of `size` processes,
+    opened on first use, or None for one process."""
     if size <= 1:
-        yield None
-        return
-    # numpy loads numpy.random lazily, and noise synthesis needs it: load
-    # it here, before the workers fork, so that they inherit it and do
-    # not each import it
-    import numpy.random  # noqa: F401
-    if _shared_pools is None:
-        with _new_pool(size) as pool:
-            yield pool
-    else:
-        if size not in _shared_pools:
-            _shared_pools[size] = _new_pool(size)
-        yield _shared_pools[size]
+        return None
+    if size not in _shared_pools:
+        # numpy loads numpy.random lazily, and noise synthesis needs it:
+        # load it here, before the workers fork, so that they inherit it
+        # and do not each import it
+        import numpy.random  # noqa: F401
+        _shared_pools[size] = _new_pool(size)
+    return _shared_pools[size]
 
 
 def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
@@ -326,9 +324,9 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     the same in any chunk, and the reduction sums each column exactly
     rounded.  Invariant violations raise; collapsed (masked) realizations
     are excluded, failing the run if they exceed 1% of the ensemble.  The
-    stats' record, or the raised error's, says what the run did.  Pooled
-    chunks run in the enclosing shared_pool() block's pool, which stays
-    open, or else in one of the run's own, shut down before it returns.
+    stats' record, or the raised error's, says what the run did.  The
+    run is a shared_pool() block, so its pooled chunks run in the
+    outermost block's pool, shut down when that block exits.
     """
     t0 = time.perf_counter()
     N = ensemble.n_realizations
@@ -338,7 +336,8 @@ def run_ensemble(system, noise_spec: NoiseSpec, integrator: IntegratorConfig,
     # _run_chunk is looked up per call, so a wrapper patched over it is
     # what the pool workers run
     run = functools.partial(_run_chunk, system, noise_spec, integrator, ensemble)
-    with _pool(min(workers, n)) as pool:
+    with shared_pool():
+        pool = _pool(min(workers, n))
         results = []
         for i, r in enumerate((pool.map if pool else map)(run, *zip(*chunks))):
             # the progress line of a long run

@@ -1,5 +1,6 @@
 """The CI workflow installs what pyproject.toml requires and runs the
-tier-1 command that ROADMAP.md names, with one BLAS thread."""
+tier-1 command that ROADMAP.md names, with one BLAS thread, on the
+oldest Python that pyproject.toml allows first."""
 
 import re
 import shlex
@@ -54,3 +55,9 @@ def test_job_pins_blas_to_one_thread():
     env = job()["env"]
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert env.get(name) == "1", name
+
+
+def test_matrix_starts_at_the_oldest_python_allowed():
+    [bound] = re.findall(r'^requires-python\s*=\s*">=([\d.]+)"\s*$',
+                         (ROOT / "pyproject.toml").read_text(), flags=re.M)
+    assert str(job()["strategy"]["matrix"]["python-version"][0]) == bound

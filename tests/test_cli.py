@@ -19,7 +19,7 @@ from stochastic_dce.config import load_config
 from stochastic_dce.dynamics import step_grid
 from stochastic_dce.ensemble import derive_seed
 from stochastic_dce.theory import msa_stochastic_beta2
-from stochastic_dce.noise import NoiseKind, NoiseSpec
+from stochastic_dce.noise import NoiseKind, NoiseSpec, eval_batch, synthesize_many
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -258,6 +258,28 @@ def test_noise_dump_sinusoid_and_derivatives(tmp_path, capsys):
     # central difference of the xi column reproduces the xi_dot column
     fd = (xi[2:] - xi[:-2]) / (t[2:] - t[:-2])
     np.testing.assert_allclose(fd, xid[1:-1], atol=2.0 * np.max(np.diff(t)) ** 2)
+
+
+@pytest.mark.parametrize("cosmology", [False, True])
+def test_noise_dump_is_the_first_row_simulate_integrates(tmp_path, capsys, cosmology):
+    # the dump's xi is realization 0 of the first system's seed stream,
+    # bit for bit: the config's master seed for a lone system, and the
+    # first k's own sub-master seed in a cosmology sweep
+    data = single_mode_data()
+    if cosmology:
+        data["scenario"] = {"kind": "cosmology", "mass_rad_per_time": 1.0,
+                            "k_grid_rad_per_time": [0.5, 1.0], "epsilon": 0.05}
+        data["noise"] = {"kind": "ornstein_uhlenbeck", "sigma": 1.0, "t_c_time": 0.5}
+    cfg = write_yaml(tmp_path, data)
+    assert main(["noise-dump", "--config", cfg, "--quiet"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()[1:]]
+    t = np.array([float(r[0]) for r in rows])
+    run = load_config(cfg)
+    _, _, ens = run.systems()[0]
+    assert ens.master_seed == (derive_seed(11, 2**32 + 1) if cosmology else 11)
+    xi = eval_batch(synthesize_many(run.noise, [derive_seed(ens.master_seed, 0)],
+                                    ens.horizon), t, (0,))[0]
+    assert [float(r[1]) for r in rows] == xi[:, 0].tolist()
 
 
 def test_noise_dump_seed_override_changes_path(tmp_path, capsys):

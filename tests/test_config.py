@@ -15,6 +15,7 @@ from stochastic_dce.config import (ConfigError, RunConfig, Scenario, load_config
                                    parse_config)
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import CavityModes, PlainOscillator, default_dt, suggest_dt
+from stochastic_dce.ensemble import derive_seed
 from stochastic_dce.noise import NoiseKind, NoiseSpec, max_step
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,7 +80,7 @@ def test_single_mode_parses():
     assert cfg.noise.t_c == 0.5
     assert cfg.ensemble.probes == (5.0, 10.0)
     assert cfg.ensemble.master_seed == 3
-    [(label, system)] = cfg.systems()
+    [(label, system, _)] = cfg.systems()
     assert label == 1 and isinstance(system, PlainOscillator)
 
 
@@ -88,7 +89,7 @@ def test_coupled_parses_with_cavity():
     assert cfg.scenario is Scenario.COUPLED_STOCHASTIC
     assert cfg.cavity.nz_max == 3
     assert cfg.omega is None
-    [(_, system)] = cfg.systems()
+    [(_, system, _)] = cfg.systems()
     assert system.omegas.size == 3
 
 
@@ -102,7 +103,7 @@ def test_coupled_in_mode_beyond_nz_max_refused():
 def test_cosmology_parses_one_system_per_k():
     cfg = parse_config(cosmology_data())
     systems = cfg.systems()
-    assert [label for label, _ in systems] == [1, 2, 3]
+    assert [label for label, _, _ in systems] == [1, 2, 3]
     assert systems[0][1].omegas[0] == pytest.approx(1.0)        # k=0, M=1
     assert systems[2][1].omegas[0] == pytest.approx(math.sqrt(2.0))
 
@@ -114,14 +115,38 @@ def test_systems_follow_the_config_fields():
     cfg = parse_config(cosmology_data())
     direct = RunConfig(cfg.scenario, cfg.noise, cfg.integrator, cfg.ensemble,
                        mass=2.0, epsilon=0.05, k_grid=(0.0, 1.5))
-    assert [(label, float(s.omegas[0])) for label, s in direct.systems()] == [
+    assert [(label, float(s.omegas[0])) for label, s, _ in direct.systems()] == [
         (1, 2.0), (2, 2.5)]
     moved = dataclasses.replace(cfg, mass=0.0, k_grid=(3.0,))
-    assert [(label, float(s.omegas[0])) for label, s in moved.systems()] == [(1, 3.0)]
+    assert [(label, float(s.omegas[0])) for label, s, _ in moved.systems()] == [(1, 3.0)]
     coupled = parse_config(coupled_data())
     cavity = dataclasses.replace(coupled.cavity, nz_max=2)
-    [(_, system)] = dataclasses.replace(coupled, cavity=cavity).systems()
+    [(_, system, _)] = dataclasses.replace(coupled, cavity=cavity).systems()
     assert system.omegas.tolist() == cavity.omegas().tolist()
+
+
+def test_each_system_runs_its_own_seed_stream(tmp_path):
+    # a lone system runs the config's ensemble itself; cosmology label k
+    # runs the same ensemble with master seed derive_seed(master, 2**32 + k),
+    # which summary.json records as its sub_master
+    single = parse_config(single_mode_data())
+    [(_, _, ens)] = single.systems()
+    assert ens is single.ensemble
+    data = cosmology_data()
+    data["ensemble"].update(master_seed=7, workers=1, horizon_time=1.0,
+                            probes_time=[1.0])
+    cfg = parse_config(data)
+    for label, _, ens in cfg.systems():
+        assert ens == dataclasses.replace(
+            cfg.ensemble, master_seed=derive_seed(7, 2**32 + label))
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(data))
+    assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert {label: entry["sub_master"]
+            for label, entry in summary["seeds"]["per_system"].items()} == {
+        str(label): ens.master_seed for label, _, ens in cfg.systems()}
 
 
 def test_deterministic_defaults_to_one_realization():
@@ -248,7 +273,7 @@ def test_one_mode_exact_path_takes_ou_noise(tmp_path):
     data["cavity"].update(nz_max=1)
     data.update(noise=single_mode_data()["noise"], integrator={"path": "exact"})
     cfg = parse_config(data)
-    [(_, system)] = cfg.systems()
+    [(_, system, _)] = cfg.systems()
     assert system.path == "exact" and system.noise_orders == (0,)
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(data))

@@ -159,7 +159,8 @@ def test_pool_loads_numpy_random_before_its_workers_fork():
     # before its first task forks the workers, so that they inherit it
     probe = ("import sys; from stochastic_dce import ensemble; "
              "print('numpy.random' in sys.modules)\n"
-             "with ensemble._pool(2) as pool:\n"
+             "with ensemble.shared_pool():\n"
+             "    pool = ensemble._pool(2)\n"
              "    print('numpy.random' in sys.modules, not pool._processes)")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -202,6 +203,22 @@ def test_runs_in_a_shared_pool_block_reuse_one_pool(recorded_pools):
         assert s.record["chunks"] == 2
         assert run_facts(s) == run_facts(a)
         assert run_facts(s, TIMINGS | LAYOUT) == run_facts(one, TIMINGS | LAYOUT)
+
+
+def test_a_shared_pool_block_inside_another_uses_the_outer_pool(recorded_pools):
+    # the inner block opens no pool of its own and shuts nothing down:
+    # runs in either block share the outer block's pool, which only the
+    # outer block's exit shuts down
+    noise, cfg = OU, small_cfg(64, workers=2, horizon=6.0)
+    with ens.shared_pool():
+        run_ensemble(SYS, noise, integ(6.0, noise), cfg)
+        with ens.shared_pool():
+            run_ensemble(SYS, noise, integ(6.0, noise), cfg)
+        [pool] = recorded_pools
+        assert pool.waited is None
+        run_ensemble(SYS, noise, integ(6.0, noise), cfg)
+    assert recorded_pools == [pool] and pool.size == 2 and pool.waited is True
+    assert not any(w.is_alive() for w in pool.workers)
 
 
 def test_a_failed_run_leaves_no_worker_of_a_shared_pool(recorded_pools):
