@@ -3,7 +3,7 @@ cavities with a randomly moving wall, and its cosmological analogue."""
 
 __version__ = "0.1.0"
 
-from .cavity import CavityConfig, ModeIndex
+from .cavity import CavityConfig
 from .config import RunConfig, Scenario, load_config, parse_config
 from .dynamics import CavityModes, IntegratorConfig, PlainOscillator, default_dt
 from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
@@ -11,7 +11,6 @@ from .noise import NoiseKind, NoiseSpec, correlation, spectrum, synthesize
 
 __all__ = [
     "CavityConfig",
-    "ModeIndex",
     "RunConfig",
     "Scenario",
     "load_config",

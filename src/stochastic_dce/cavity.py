@@ -2,7 +2,9 @@
 
 One run simulates a single transverse family (kx, ky) with nz = 1..nz_max;
 the wall motion only couples modes that share transverse indices, so this
-truncation is exact in the transverse directions.
+truncation is exact in the transverse directions.  A mode of the family
+is its plain 1-based index nz, and CavityConfig.index is the one check
+that a mode number lies in 1..nz_max.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CavityConfig", "ModeIndex"]
+__all__ = ["CavityConfig"]
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,6 @@ class CavityConfig:
     @property
     def transverse_sq(self) -> float:
         return (self.kx / self.Lx) ** 2 + (self.ky / self.Ly) ** 2
-
-    def modes(self) -> list["ModeIndex"]:
-        return [ModeIndex(n) for n in range(1, self.nz_max + 1)]
 
     def omegas(self) -> np.ndarray:
         """Frequencies of the retained family, ordered by nz."""
@@ -72,17 +71,8 @@ class CavityConfig:
         V[np.diag_indices_from(V)] += self.omega_zs() ** 2 / w
         return V
 
-    def index(self, mode: "ModeIndex") -> int:
-        """Position of mode in the family's tables; a mode beyond nz_max is refused."""
-        if mode.nz > self.nz_max:
-            raise ValueError(f"mode nz={mode.nz} outside family (nz_max={self.nz_max})")
-        return mode.nz - 1
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    nz: int
-
-    def __post_init__(self):
-        if self.nz < 1:
-            raise ValueError(f"nz must be >= 1, got {self.nz}")
+    def index(self, nz: int) -> int:
+        """Row of mode nz in the family's tables; nz outside 1..nz_max is refused."""
+        if not 1 <= nz <= self.nz_max:
+            raise ValueError(f"mode nz={nz} outside family 1..{self.nz_max}")
+        return nz - 1

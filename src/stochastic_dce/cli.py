@@ -1,7 +1,7 @@
 """Command-line surface: simulate | predict | compare | spectrum | noise-dump.
 
-Exit codes: 0 success, 1 failed comparison or invariant violation,
-2 usage or configuration error.
+Exit codes: 0 success, 1 failed comparison or invariant violation (or
+a reader that closed stdout), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 import time
 import warnings
@@ -19,13 +20,11 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .cavity import ModeIndex
 from .config import ConfigError, RunConfig, Scenario, load_config, parse_config
 from .ensemble import RunFailure, derive_seed, run_ensemble, shared_pool
-from .dynamics import step_grid
+from .dynamics import CavityModes, step_grid
 from .noise import eval_batch, synthesize
 from .theory import (
-    cosmo_beta2,
     msa_deterministic_beta2,
     msa_mean_q,
     msa_mean_q2,
@@ -53,7 +52,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     """cfg with --seed and --workers written into a copy of its file's
     ensemble section and parsed again: an override is checked like a
     file value, and summary.json's config records the values that ran."""
-    changed = {"master_seed": args.seed, "workers": args.workers}
+    changed = {"master_seed": vars(args).get("seed"), "workers": vars(args).get("workers")}
     changed = {key: value for key, value in changed.items() if value is not None}
     if not changed:
         return cfg
@@ -66,22 +65,21 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 # simulate
 
 
-def _truncation_check(cfg: RunConfig) -> None:
-    """Warn when the retained z-family looks too small for the run."""
-    if cfg.scenario is not Scenario.COUPLED_STOCHASTIC:
+def _truncation_check(system, noise, ens) -> None:
+    """Warn when a coupled system's retained z-family looks too small for the run."""
+    if not isinstance(system, CavityModes):
         return
-    top = ModeIndex(cfg.cavity.nz_max)
-    n_in = ModeIndex(cfg.ensemble.in_mode)
-    horizon = cfg.ensemble.horizon
+    cavity = system.cavity
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        top_n = perturbative_beta2(cfg.cavity, cfg.noise, top, n_in, horizon)
-        total = perturbative_number(cfg.cavity, cfg.noise, n_in, horizon)
+        top_n = perturbative_beta2(cavity, noise, cavity.nz_max, ens.in_mode,
+                                   ens.horizon)
+        total = perturbative_number(cavity, noise, ens.in_mode, ens.horizon)
     if total > 0 and top_n > 0.01 * total:
         log.warning(
             "highest retained mode nz=%d carries %.1f%% of the predicted "
             "occupation; raise nz_max to control truncation error",
-            cfg.cavity.nz_max, 100.0 * top_n / total,
+            cavity.nz_max, 100.0 * top_n / total,
         )
 
 
@@ -90,7 +88,6 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     the seed stream its ensemble holds, in one shared pool; write
     summary.json, and series.csv unless a system fails (then return 1)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _truncation_check(cfg)
     systems = cfg.systems()
     rows = []
     seed_info = {
@@ -118,6 +115,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         for label, system, ens in systems:
             log.info("simulating system %d/%d (%d realizations)",
                      label, len(systems), ens.n_realizations)
+            _truncation_check(system, cfg.noise, ens)
             seed_info["per_system"][str(label)] = {
                 "sub_master": ens.master_seed,
                 "realization_seeds": [derive_seed(ens.master_seed, i)
@@ -148,11 +146,15 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     return code
 
 
+def _mode_column(cfg, label, mode):
+    """A row's mode: its k's label in a cosmology sweep, else the quantity's own."""
+    return label if cfg.scenario is Scenario.COSMOLOGY else mode
+
+
 def _series_rows(cfg, label, stats):
     rows = []
-    cosmo = cfg.scenario is Scenario.COSMOLOGY
     for (quantity, mode), mean in stats.mean.items():
-        out_mode = label if cosmo else mode
+        out_mode = _mode_column(cfg, label, mode)
         err = stats.standard_error[(quantity, mode)]
         for p, t in enumerate(stats.times):
             rows.append([_fmt(t), quantity, out_mode, _fmt(mean[p]), _fmt(err[p])])
@@ -164,55 +166,19 @@ def _series_rows(cfg, label, stats):
 
 
 def cmd_predict(cfg: RunConfig, out_dir) -> int:
+    """Write predictions.csv: the closed forms of each (label, system,
+    ensemble) triple of cfg.systems(), the list `simulate` runs."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    # probe times rounded to the integrator grid, as simulate reports them
-    _, dt, idx = step_grid(cfg.ensemble.horizon, cfg.integrator, cfg.ensemble.probes)
-    t = idx * dt
     rows = []
-
-    def emit(quantity, mode, values):
-        vals = np.broadcast_to(np.asarray(values), t.shape)
-        for p in range(t.size):
-            rows.append([_fmt(t[p]), quantity, mode, _fmt(vals[p])])
-
-    if cfg.scenario is Scenario.SINGLE_MODE_STOCHASTIC:
-        w, eps = cfg.omega, cfg.epsilon
-        if cfg.ensemble.initial == "vacuum":
-            b2 = msa_stochastic_beta2(w, eps, cfg.noise, t)
-            q = msa_mean_q(w, eps, cfg.noise, t, "vacuum")
-            emit("beta2", 1, b2)
-            emit("beta2_total", 0, b2)
-            emit("q_re", 0, q.real)
-            emit("q_im", 0, q.imag)
-            emit("abs_q2", 0, (1.0 + 2.0 * b2) / (2.0 * w))
-        else:
-            q = msa_mean_q(w, eps, cfg.noise, t, "position_kick")
-            q2 = msa_mean_q2(w, eps, cfg.noise, t)
-            emit("q_re", 0, q.real)
-            emit("q_im", 0, np.zeros_like(t))
-            emit("q2_re", 0, q2)
-            emit("q2_im", 0, np.zeros_like(t))
-            emit("abs_q2", 0, q2)
-    elif cfg.scenario is Scenario.SINGLE_MODE_DETERMINISTIC:
-        w, eps = cfg.omega, cfg.epsilon
-        resonant = abs(cfg.noise.omega_drive - 2.0 * w) <= math.pi / cfg.ensemble.horizon
-        b2 = msa_deterministic_beta2(w, eps, t) if resonant else np.zeros_like(t)
-        emit("beta2", 1, b2)
-        emit("beta2_total", 0, b2)
-    elif cfg.scenario is Scenario.COUPLED_STOCHASTIC:
-        t_eval = t
-        if cfg.integrator.window_ramp > 0:
-            t_eval = windowed_exposure(cfg.integrator.window_ramp,
-                                       cfg.ensemble.horizon, t)
-        rates = slow_flow_rates(cfg.cavity, cfg.noise)
-        sol = solve_occupations(rates, cfg.cavity, ModeIndex(cfg.ensemble.in_mode),
-                                t_eval)
-        emit("beta2_total", 0, sol.beta2_total)
-    else:
-        for label, k in enumerate(cfg.k_grid, start=1):
-            b2 = cosmo_beta2(k, cfg.mass, cfg.epsilon, cfg.noise, t)
-            emit("beta2", label, b2)
-            emit("beta2_total", label, b2)
+    for label, system, ens in cfg.systems():
+        # probe times rounded to the integrator grid, as simulate reports them
+        _, dt, idx = step_grid(ens.horizon, cfg.integrator, ens.probes)
+        t = idx * dt
+        for quantity, mode, values in _laws(cfg, system, ens, t):
+            out_mode = _mode_column(cfg, label, mode)
+            vals = np.broadcast_to(np.asarray(values), t.shape)
+            rows.extend([_fmt(t[p]), quantity, out_mode, _fmt(vals[p])]
+                        for p in range(t.size))
 
     with open(out_dir / "predictions.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -220,6 +186,37 @@ def cmd_predict(cfg: RunConfig, out_dir) -> int:
         w.writerows(rows)
     log.info("wrote %s", out_dir / "predictions.csv")
     return 0
+
+
+def _laws(cfg, system, ens, t):
+    """(quantity, mode, values at t) of one system's closed forms: the
+    coupled slow flow for a cavity (at the window's exposure), and for a
+    plain oscillator, one mode or one k, the single-mode law of its drive
+    and initial data."""
+    noise = cfg.noise
+    if isinstance(system, CavityModes):
+        ramp = cfg.integrator.window_ramp
+        t_eval = windowed_exposure(ramp, ens.horizon, t) if ramp > 0 else t
+        sol = solve_occupations(slow_flow_rates(system.cavity, noise), system.cavity,
+                                ens.in_mode, t_eval)
+        return [("beta2_total", 0, sol.beta2_total)]
+    w, eps = system.omega, system.epsilon
+    if not noise.is_stochastic:
+        resonant = abs(noise.omega_drive - 2.0 * w) <= math.pi / ens.horizon
+        b2 = msa_deterministic_beta2(w, eps, t) if resonant else np.zeros_like(t)
+        return [("beta2", 1, b2), ("beta2_total", 0, b2)]
+    if ens.initial == "position_kick":
+        q = msa_mean_q(w, eps, noise, t, "position_kick")
+        q2 = msa_mean_q2(w, eps, noise, t)
+        return [("q_re", 0, q.real), ("q_im", 0, np.zeros_like(t)),
+                ("q2_re", 0, q2), ("q2_im", 0, np.zeros_like(t)), ("abs_q2", 0, q2)]
+    b2 = msa_stochastic_beta2(w, eps, noise, t)
+    laws = [("beta2", 1, b2), ("beta2_total", 0, b2)]
+    if cfg.scenario is Scenario.SINGLE_MODE_STOCHASTIC:
+        q = msa_mean_q(w, eps, noise, t, "vacuum")
+        laws += [("q_re", 0, q.real), ("q_im", 0, q.imag),
+                 ("abs_q2", 0, (1.0 + 2.0 * b2) / (2.0 * w))]
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +317,14 @@ def _runs_test(diffs):
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.cavity is None:
+    """Print the mode table of the coupled system's cavity."""
+    _, system, _ = cfg.systems()[0]
+    if not isinstance(system, CavityModes):
         raise ConfigError("spectrum needs a coupled_stochastic config with a "
                           "cavity section")
     w = csv.writer(sys.stdout)
     w.writerow(["nz", "omega_rad_per_time", "omega_z_rad_per_time"])
-    for nz, (om, omz) in enumerate(zip(cfg.cavity.omegas(), cfg.cavity.omega_zs()),
-                                   start=1):
+    for nz, (om, omz) in enumerate(zip(system.omegas, system.omega_zs), start=1):
         w.writerow([nz, _fmt(om), _fmt(omz)])
     return 0
 
@@ -351,6 +349,13 @@ def cmd_noise_dump(cfg: RunConfig) -> int:
 # entry point
 
 
+FLAGS = {
+    "--out": dict(default=".", help="output directory"),
+    "--seed": dict(type=int, default=None, help="override the master seed"),
+    "--workers": dict(type=int, default=None, help="override the worker count"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sdce",
@@ -358,20 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "particle creation",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("simulate", "run the ensemble and write series.csv + summary.json"),
-        ("predict", "evaluate closed-form predictions on the probe grid"),
-        ("compare", "check OUT/series.csv against OUT/predictions.csv"),
-        ("spectrum", "print the cavity mode table"),
-        ("noise-dump", "print one noise realization with derivatives"),
+    # each subcommand takes --config, --quiet and the FLAGS it reads
+    for name, doc, flags in (
+        ("simulate", "run the ensemble and write series.csv + summary.json",
+         ("--out", "--seed", "--workers")),
+        ("predict", "evaluate closed-form predictions on the probe grid", ("--out",)),
+        ("compare", "check OUT/series.csv against OUT/predictions.csv", ("--out",)),
+        ("spectrum", "print the cavity mode table", ()),
+        ("noise-dump", "print one noise realization with derivatives", ("--seed",)),
     ):
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", required=True, help="YAML run configuration")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the master seed")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="override the worker count")
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.add_argument("--quiet", action="store_true")
     return p
 
@@ -385,22 +389,22 @@ def main(argv=None) -> int:
     # root logger already has
     log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        out_dir = Path(args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "predict":
-            return cmd_predict(cfg, out_dir)
-        if args.command == "compare":
-            return cmd_compare(cfg, out_dir)
+        cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
-        return cmd_noise_dump(cfg)
+        if args.command == "noise-dump":
+            return cmd_noise_dump(cfg)
+        run = {"simulate": cmd_simulate, "predict": cmd_predict, "compare": cmd_compare}
+        return run[args.command](cfg, Path(args.out))
     except ConfigError as err:
         log.error("%s", err)
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`sdce noise-dump ... | head`): point it at
+        # devnull for the flush at exit; SIGPIPE stays ignored for the pool's pipes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -77,8 +77,10 @@ def _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid):
     if scenario is Scenario.COUPLED_STOCHASTIC:
         return [(1, CavityModes(cavity, path))]
     if scenario is Scenario.COSMOLOGY:
-        return [(i + 1, PlainOscillator((k**2 + mass**2) ** 0.5, epsilon))
-                for i, k in enumerate(k_grid)]
+        # omega_k = sqrt(k^2 + M^2) bit for bit as theory.cosmo_beta2 rounds it:
+        # k * k is numpy's k**2, where Python's k**2 calls libm's pow
+        return [(label, PlainOscillator(math.sqrt(k * k + mass**2), epsilon))
+                for label, k in enumerate(k_grid, start=1)]
     return [(1, PlainOscillator(omega, epsilon))]
 
 

@@ -9,7 +9,8 @@ eigendecomposition.
 
 Conventions: S(nu) is the one-sided spectrum of the noise, tau = eps^2 t
 is the slow time for stochastic driving and eps*t for deterministic
-resonance.
+resonance.  A cavity law's modes n and k are plain 1-based nz, which
+CavityConfig.index refuses outside 1..nz_max.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityConfig, ModeIndex
+from .cavity import CavityConfig
 from .noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 
 __all__ = [
@@ -53,8 +54,8 @@ def _require_stochastic(noise: NoiseSpec, what: str):
         )
 
 
-def perturbative_beta2(cavity: CavityConfig, noise: NoiseSpec, n: ModeIndex,
-                       k: ModeIndex, T: float) -> float:
+def perturbative_beta2(cavity: CavityConfig, noise: NoiseSpec, n: int, k: int,
+                       T: float) -> float:
     """Short-time pair creation 2 eps^2 T v_nk^2 Re S(w_n + w_k).
 
     Linear in T; valid while eps^2 w T stays below order one.
@@ -72,14 +73,15 @@ def perturbative_beta2(cavity: CavityConfig, noise: NoiseSpec, n: ModeIndex,
     return float(2.0 * cavity.epsilon**2 * T * vnk**2 * spectrum(noise, wn + wk).real)
 
 
-def perturbative_number(cavity: CavityConfig, noise: NoiseSpec, k: ModeIndex,
+def perturbative_number(cavity: CavityConfig, noise: NoiseSpec, k: int,
                         T: float) -> float:
-    """N_k = sum_n <|beta_nk|^2> over the retained family."""
-    return sum(perturbative_beta2(cavity, noise, n, k, T) for n in cavity.modes())
+    """N_k = sum_n <|beta_nk|^2> over the retained family, n = 1..nz_max."""
+    return sum(perturbative_beta2(cavity, noise, n, k, T)
+               for n in range(1, cavity.nz_max + 1))
 
 
-def deterministic_beta2(cavity: CavityConfig, Omega: float, n: ModeIndex,
-                        k: ModeIndex, T: float) -> float:
+def deterministic_beta2(cavity: CavityConfig, Omega: float, n: int, k: int,
+                        T: float) -> float:
     """|beta_nk|^2 = (1/4) eps^2 v_nk^2 T^2 on resonance Omega = w_n + w_k.
 
     A drive of length T resolves frequencies to ~pi/T, which is the width
@@ -236,7 +238,7 @@ class OccupationSolution:
     beta2_total: np.ndarray    # (nt,) sum_k <|beta_nk|^2>
 
 
-def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: ModeIndex,
+def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: int,
                       t_grid) -> OccupationSolution:
     """Solve the occupation flow T' = A T, A = -(gamma + rho^T), on tau = eps^2 t.
 
@@ -246,9 +248,9 @@ def solve_occupations(rates: SlowFlowRates, cavity: CavityConfig, n: ModeIndex,
     V diag(lambda) V^T gives expm(A tau) = D^-1 V e^{lambda tau} V^T D at
     every probe, with real rates and no error carried from one probe to
     the next.
-    Initial data T_k(0) = delta_nk / (2 w_k); the summed identity
-    sum_k 2 w_k T_k = 1 + 2 sum_k <|beta_nk|^2> converts occupations to
-    created particles.
+    Initial data T_k(0) = delta_nk / (2 w_k), n the run's in_mode; the
+    summed identity sum_k 2 w_k T_k = 1 + 2 sum_k <|beta_nk|^2> converts
+    occupations to created particles.
     """
     w = cavity.omegas()
     i = cavity.index(n)

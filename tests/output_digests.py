@@ -148,9 +148,9 @@ def run_input(name: str, workers: int, work: Path) -> dict:
     """Exit codes and file digests of one input's pipeline at `workers`."""
     config = write_input(name, work)
     out = work / f"{name}-w{workers}"
-    args = ["--config", str(config), "--out", str(out), "--quiet",
-            "--workers", str(workers)]
-    codes = [cli.main([command, *args]) for command in ("simulate", "predict", "compare")]
+    args = ["--config", str(config), "--out", str(out), "--quiet"]
+    codes = [cli.main(["simulate", *args, "--workers", str(workers)]),
+             *(cli.main([command, *args]) for command in ("predict", "compare"))]
     return {"codes": codes, "files": {f: _file_digest(out / f) for f in FILES}}
 
 

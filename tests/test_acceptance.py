@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import bogoliubov_at, cavity_epsilon, record_criterion, run_every_step
-from stochastic_dce.cavity import CavityConfig, ModeIndex
+from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.dynamics import (
     CavityModes,
     IntegratorConfig,
@@ -155,7 +155,7 @@ def coupled_run():
     # the on/off window scales the noise power by w(t)^2, so theory is
     # evaluated at the accumulated exposure int_0^t w^2 ds
     t_eff = windowed_exposure(ramp, horizon, np.array(stats.times))
-    sol = solve_occupations(slow_flow_rates(cav, noise), cav, ModeIndex(1), t_eff)
+    sol = solve_occupations(slow_flow_rates(cav, noise), cav, 1, t_eff)
     return cav, noise, icfg, stats, sol
 
 
@@ -294,8 +294,7 @@ def test_a7_coupled_modes(coupled_run):
               if a != b]
     assert all(not (10.7 <= f <= 11.1) for f in others if abs(f - 2 * w1) > 1e-9)
     t = np.linspace(0.0, 2000.0, 9)
-    coupled = solve_occupations(slow_flow_rates(cube, lone), cube,
-                                ModeIndex(1), t).beta2_total[1:]
+    coupled = solve_occupations(slow_flow_rates(cube, lone), cube, 1, t).beta2_total[1:]
     single = msa_stochastic_beta2(w1, cavity_epsilon(cube), lone, t[1:])
     cross = np.max(np.abs(coupled / single - 1.0))
     cross_ok = cross <= 0.10

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochastic_dce.cavity import CavityConfig, ModeIndex
+from stochastic_dce.cavity import CavityConfig
 
 QUASI_1D = CavityConfig(Lx=1e6, Ly=1e6, Lz0=1.0, epsilon=0.01, nz_max=3)
 CUBE = CavityConfig(Lx=1.0, Ly=1.0, Lz0=1.0, epsilon=0.01, nz_max=3)
@@ -32,11 +32,13 @@ def test_invalid_geometry_rejected(kwargs):
 
 
 def test_mode_index_validation():
-    with pytest.raises(ValueError):
-        ModeIndex(0)
-    with pytest.raises(ValueError):
-        CUBE.index(ModeIndex(4))  # beyond nz_max
-    assert CUBE.index(ModeIndex(3)) == 2
+    # a mode is its 1-based nz, and index is its one check: 0 is refused,
+    # not read as row -1, and so is nz_max + 1
+    for nz in (0, 4):
+        with pytest.raises(ValueError, match="outside family 1..3"):
+            CUBE.index(nz)
+    assert CUBE.index(1) == 0
+    assert CUBE.index(3) == 2
 
 
 def test_omega_hand_values():
@@ -105,4 +107,6 @@ def test_v_independent_of_epsilon():
 
 
 def test_modes_span_family():
-    assert len(CUBE.modes()) == 3
+    # nz = 1..nz_max index the rows of every per-mode table
+    rows = [CUBE.index(nz) for nz in range(1, CUBE.nz_max + 1)]
+    assert rows == list(range(CUBE.omegas().size)) == [0, 1, 2]

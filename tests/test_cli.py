@@ -154,17 +154,19 @@ def test_config_the_integrator_refuses_exits_2(tmp_path, capsys, mutate):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, probes, args", [
-    ("workers", [3.0, 6.0], ["--workers", "-1"]),
-    ("probes_time", [3.0, 3.0001, 6.0], []),
+@pytest.mark.parametrize("key, probes, args, commands", [
+    ("workers", [3.0, 6.0], ["--workers", "-1"], ("simulate",)),
+    ("probes_time", [3.0, 3.0001, 6.0], [], ("simulate", "predict")),
 ], ids=["workers", "probes_time"])
-def test_bad_ensemble_value_exits_2_naming_its_key(tmp_path, capsys, key, probes, args):
-    # a negative worker count, from the command line, and two probes on
-    # one grid step are refused like any bad config value
+def test_bad_ensemble_value_exits_2_naming_its_key(tmp_path, capsys, key, probes, args,
+                                                   commands):
+    # a negative worker count, from the command line of simulate (the one
+    # subcommand that takes --workers), and two probes on one grid step
+    # are refused like any bad config value
     data = single_mode_data()
     data["ensemble"]["probes_time"] = probes
     out = tmp_path / "out"
-    for command in ("simulate", "predict"):
+    for command in commands:
         code = main([command, "--config", write_yaml(tmp_path, data),
                      "--out", str(out), "--quiet", *args])
         assert code == 2
@@ -186,6 +188,26 @@ def test_ou_step_past_a_knot_cell_exits_2_naming_dt_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "integrator.dt_time" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--out", "--seed", "--workers"]),
+    ("predict", ["--out"]),
+    ("compare", ["--out"]),
+    ("spectrum", []),
+    ("noise-dump", ["--seed"]),
+])
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command, flags):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out
+    assert [f for f in ("--out", "--seed", "--workers") if f in usage] == flags
+    assert "--config" in usage and "--quiet" in usage
+    for flag in {"--out", "--seed", "--workers"} - set(flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "run.yaml"), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_spectrum_refuses_single_mode_config(tmp_path, capsys):
@@ -292,6 +314,24 @@ def test_noise_dump_seed_override_changes_path(tmp_path, capsys):
     c = capsys.readouterr().out
     assert a == c
     assert a != b
+
+
+def test_noise_dump_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # `sdce noise-dump ... | head -1`: 2,002 lines (149 KB) overflow the
+    # pipe's 64 KB buffer after the reader has gone
+    data = yaml.safe_load((CONFIGS / "single_mode_growth.yaml").read_text())
+    data["ensemble"].update(horizon_time=20.0, probes_time=[20.0])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stochastic_dce.cli", "noise-dump",
+         "--config", write_yaml(tmp_path, data), "--quiet"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline() == b"t,xi,xi_dot,xi_ddot\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +578,26 @@ def test_predict_matches_closed_form(tmp_path):
     got = [float(r[3]) for r in rows
            if r[1] == "beta2_total" and float(r[0]) == 6.0]
     assert got == [pytest.approx(expected, rel=1e-12)]
+
+
+def test_cosmology_predict_is_the_law_of_the_system_simulate_runs(tmp_path):
+    # at k = 1.39, M = 1 the omega of sqrt(k^2 + M^2) depends on how it is
+    # rounded; predict writes the law at the omega of the system that
+    # systems() builds, which simulate runs
+    data = yaml.safe_load((CONFIGS / "cosmology.yaml").read_text())
+    data["scenario"]["k_grid_rad_per_time"] = [1.39]
+    cfg = write_yaml(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["predict", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(out / "predictions.csv")
+    run = load_config(cfg)
+    [(label, system, ens)] = run.systems()
+    _, dt, idx = step_grid(ens.horizon, run.integrator, ens.probes)
+    t = idx * dt
+    expected = msa_stochastic_beta2(system.omegas[0], system.epsilon, run.noise, t)
+    for quantity in ("beta2", "beta2_total"):
+        assert [r[3] for r in rows if r[1] == quantity and r[2] == str(label)] == [
+            f"{b2:.17g}" for b2 in expected]
 
 
 def test_compare_theory_against_itself_passes(tmp_path, capsys):

@@ -1,22 +1,26 @@
 """YAML run-configuration parsing and validation."""
 
 import copy
+import csv
 import dataclasses
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import stochastic_dce.config as config_mod
-from stochastic_dce.cli import main as cli_main
+from stochastic_dce.cli import cmd_predict, main as cli_main
 from stochastic_dce.config import (ConfigError, RunConfig, Scenario, load_config,
                                    parse_config)
 from stochastic_dce.cavity import CavityConfig
-from stochastic_dce.dynamics import CavityModes, PlainOscillator, default_dt, suggest_dt
+from stochastic_dce.dynamics import (CavityModes, PlainOscillator, default_dt, step_grid,
+                                      suggest_dt)
 from stochastic_dce.ensemble import derive_seed
 from stochastic_dce.noise import NoiseKind, NoiseSpec, max_step
+from stochastic_dce.theory import msa_stochastic_beta2, slow_flow_rates, solve_occupations
 
 ROOT = Path(__file__).resolve().parent.parent
 OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
@@ -108,10 +112,25 @@ def test_cosmology_parses_one_system_per_k():
     assert systems[2][1].omegas[0] == pytest.approx(math.sqrt(2.0))
 
 
-def test_systems_follow_the_config_fields():
+def predicted(cfg, out):
+    """cmd_predict's value strings for cfg, per (quantity, mode)."""
+    assert cmd_predict(cfg, out) == 0
+    values = {}
+    with open(out / "predictions.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            values.setdefault((r["quantity"], int(r["mode"])), []).append(r["value"])
+    return values
+
+
+def probe_times(cfg):
+    _, dt, idx = step_grid(cfg.ensemble.horizon, cfg.integrator, cfg.ensemble.probes)
+    return idx * dt
+
+
+def test_systems_follow_the_config_fields(tmp_path):
     # systems() builds from the fields it is given: a RunConfig made
     # directly, or by replacing a parsed one's fields, simulates what
-    # those fields say
+    # those fields say, and predict writes the laws of those systems
     cfg = parse_config(cosmology_data())
     direct = RunConfig(cfg.scenario, cfg.noise, cfg.integrator, cfg.ensemble,
                        mass=2.0, epsilon=0.05, k_grid=(0.0, 1.5))
@@ -119,10 +138,32 @@ def test_systems_follow_the_config_fields():
         (1, 2.0), (2, 2.5)]
     moved = dataclasses.replace(cfg, mass=0.0, k_grid=(3.0,))
     assert [(label, float(s.omegas[0])) for label, s, _ in moved.systems()] == [(1, 3.0)]
+    law = msa_stochastic_beta2(3.0, 0.05, moved.noise, probe_times(moved))
+    assert predicted(moved, tmp_path / "moved") == {
+        (quantity, 1): [f"{b2:.17g}" for b2 in law] for quantity in ("beta2", "beta2_total")}
     coupled = parse_config(coupled_data())
-    cavity = dataclasses.replace(coupled.cavity, nz_max=2)
-    [(_, system, _)] = dataclasses.replace(coupled, cavity=cavity).systems()
+    cavity = dataclasses.replace(coupled.cavity, nz_max=2, epsilon=0.03)
+    replaced = dataclasses.replace(coupled, cavity=cavity)
+    [(_, system, _)] = replaced.systems()
     assert system.omegas.tolist() == cavity.omegas().tolist()
+    flow = solve_occupations(slow_flow_rates(cavity, coupled.noise), cavity, 1,
+                             probe_times(replaced))
+    totals = [f"{b2:.17g}" for b2 in flow.beta2_total]
+    assert predicted(replaced, tmp_path / "coupled") == {("beta2_total", 0): totals}
+    assert predicted(coupled, tmp_path / "parsed") != {("beta2_total", 0): totals}
+
+
+def test_cosmology_omega_is_the_one_cosmo_beta2_reads():
+    # each k's system oscillates at np.sqrt(k**2 + M**2), the omega inside
+    # theory.cosmo_beta2, bit for bit; at k = 1.39, M = 1,
+    # (k**2 + M**2) ** 0.5 rounds one ulp above it
+    ks = [1.39, *np.random.default_rng(5).uniform(0.0, 10.0, 2000).tolist()]
+    for mass in (1.0, 0.37):
+        cfg = dataclasses.replace(parse_config(cosmology_data()), mass=mass,
+                                  k_grid=tuple(ks))
+        omegas = [system.omegas[0] for _, system, _ in cfg.systems()]
+        np.testing.assert_array_equal(
+            omegas, np.sqrt(np.asarray(ks, dtype=float) ** 2 + mass**2))
 
 
 def test_each_system_runs_its_own_seed_stream(tmp_path):

@@ -23,6 +23,12 @@ SMOKE_RUNS = [
 ]
 
 
+def test_every_script_has_a_smoke_run():
+    # so that no script skips the smoke run or the knot-cell check below
+    assert sorted(script for script, _ in SMOKE_RUNS) == sorted(
+        p.name for p in (ROOT / "scripts").glob("*.py"))
+
+
 @pytest.mark.parametrize("script, args", SMOKE_RUNS)
 def test_script_runs(script, args):
     env = dict(os.environ)

@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from conftest import cavity_epsilon, trapezoid_exposure
-from stochastic_dce.cavity import CavityConfig, ModeIndex
+from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.config import load_config
 from stochastic_dce.noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 from stochastic_dce.theory import (
@@ -45,37 +45,37 @@ BAND = NoiseSpec(kind=NoiseKind.BAND_LIMITED, sigma=1.0, nu_min=9.0, nu_max=10.0
 
 def test_perturbative_zero_noise_is_zero():
     silent = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=0.0, t_c=0.5)
-    val = perturbative_beta2(QUASI_1D, silent, ModeIndex(1), ModeIndex(2), 50.0)
+    val = perturbative_beta2(QUASI_1D, silent, 1, 2, 50.0)
     assert val == 0.0
 
 
 def test_perturbative_linear_in_time():
-    a = perturbative_beta2(QUASI_1D, OU, ModeIndex(1), ModeIndex(2), 20.0)
-    b = perturbative_beta2(QUASI_1D, OU, ModeIndex(1), ModeIndex(2), 40.0)
+    a = perturbative_beta2(QUASI_1D, OU, 1, 2, 20.0)
+    b = perturbative_beta2(QUASI_1D, OU, 1, 2, 40.0)
     assert b == pytest.approx(2.0 * a, rel=1e-14)
 
 
 def test_perturbative_hand_value_flat_band():
     # quasi-1D v(1,2) = -sqrt(2) pi and a flat in-band spectrum
     # Re S = pi sigma^2 / (2 dnu) give 2 eps^2 T (2 pi^2)(pi/2) = 2 pi^3 eps^2 T
-    val = perturbative_beta2(QUASI_1D, BAND, ModeIndex(1), ModeIndex(2), 40.0)
+    val = perturbative_beta2(QUASI_1D, BAND, 1, 2, 40.0)
     assert val == pytest.approx(2.0 * math.pi**3 * 0.05**2 * 40.0, rel=1e-9)
 
 
 def test_perturbative_short_drive_warns():
     with pytest.warns(UserWarning, match="resolves frequencies"):
-        perturbative_beta2(QUASI_1D, OU, ModeIndex(1), ModeIndex(1), 0.5)
+        perturbative_beta2(QUASI_1D, OU, 1, 1, 0.5)
 
 
 def test_perturbative_rejects_sinusoid():
     with pytest.raises(NotAStochasticProcessError):
-        perturbative_beta2(QUASI_1D, SINUSOID, ModeIndex(1), ModeIndex(2), 20.0)
+        perturbative_beta2(QUASI_1D, SINUSOID, 1, 2, 20.0)
 
 
 def test_perturbative_number_sums_partners():
-    total = perturbative_number(QUASI_1D, OU, ModeIndex(1), 20.0)
-    parts = [perturbative_beta2(QUASI_1D, OU, n, ModeIndex(1), 20.0)
-             for n in QUASI_1D.modes()]
+    total = perturbative_number(QUASI_1D, OU, 1, 20.0)
+    parts = [perturbative_beta2(QUASI_1D, OU, n, 1, 20.0)
+             for n in range(1, QUASI_1D.nz_max + 1)]
     assert total == pytest.approx(sum(parts), rel=1e-14)
     assert total > parts[0]  # intermode channels contribute
 
@@ -84,10 +84,10 @@ def test_perturbative_number_sums_partners():
 @given(st.floats(0.25, 4.0))
 def test_perturbative_depends_on_sigma_epsilon_product(c):
     # sigma -> c sigma with eps -> eps / c leaves the prediction unchanged
-    base = perturbative_beta2(QUASI_1D, OU, ModeIndex(1), ModeIndex(2), 20.0)
+    base = perturbative_beta2(QUASI_1D, OU, 1, 2, 20.0)
     cav = dataclasses.replace(QUASI_1D, epsilon=QUASI_1D.epsilon / c)
     noise = dataclasses.replace(OU, sigma=OU.sigma * c)
-    val = perturbative_beta2(cav, noise, ModeIndex(1), ModeIndex(2), 20.0)
+    val = perturbative_beta2(cav, noise, 1, 2, 20.0)
     assert val == pytest.approx(base, rel=1e-10)
 
 
@@ -97,17 +97,16 @@ def test_perturbative_depends_on_sigma_epsilon_product(c):
 
 def test_deterministic_on_and_off_resonance():
     w12 = 3.0 * math.pi  # w1 + w2 in quasi-1D
-    on = deterministic_beta2(QUASI_1D, w12, ModeIndex(1), ModeIndex(2), 40.0)
+    on = deterministic_beta2(QUASI_1D, w12, 1, 2, 40.0)
     expected = 0.25 * 0.05**2 * QUASI_1D.v_matrix()[0, 1] ** 2 * 40.0**2
     assert on == pytest.approx(expected, rel=1e-12)
-    assert deterministic_beta2(QUASI_1D, w12 + 1.0, ModeIndex(1),
-                               ModeIndex(2), 40.0) == 0.0
+    assert deterministic_beta2(QUASI_1D, w12 + 1.0, 1, 2, 40.0) == 0.0
 
 
 def test_deterministic_quadratic_in_time():
     w12 = 3.0 * math.pi
-    a = deterministic_beta2(QUASI_1D, w12, ModeIndex(1), ModeIndex(2), 20.0)
-    b = deterministic_beta2(QUASI_1D, w12, ModeIndex(1), ModeIndex(2), 40.0)
+    a = deterministic_beta2(QUASI_1D, w12, 1, 2, 20.0)
+    b = deterministic_beta2(QUASI_1D, w12, 1, 2, 40.0)
     assert b == pytest.approx(4.0 * a, rel=1e-12)
 
 
@@ -197,7 +196,7 @@ def test_msa_matches_perturbative_slope():
     t = 1e-9
     msa = msa_stochastic_beta2(w, cavity_epsilon(cav), OU, t)
     with pytest.warns(UserWarning):  # T is deliberately tiny here
-        pert = perturbative_beta2(cav, OU, ModeIndex(1), ModeIndex(1), t)
+        pert = perturbative_beta2(cav, OU, 1, 1, t)
     assert msa == pytest.approx(float(pert), rel=1e-9)
 
 
@@ -240,7 +239,7 @@ def test_slow_flow_refuses_degenerate_spectrum():
 
 def test_solve_occupations_initial_identity():
     rates = slow_flow_rates(QUASI_1D, OU)
-    sol = solve_occupations(rates, QUASI_1D, ModeIndex(2), [0.0, 10.0])
+    sol = solve_occupations(rates, QUASI_1D, 2, [0.0, 10.0])
     w = QUASI_1D.omegas()
     np.testing.assert_allclose(sol.T[0], [0.0, 1.0 / (2.0 * w[1]), 0.0],
                                atol=1e-15)
@@ -251,7 +250,7 @@ def test_solve_occupations_single_mode_matches_msa():
     cav = CavityConfig(Lx=2.0, Ly=3.0, Lz0=1.0, epsilon=0.04, nz_max=1)
     w = float(cav.omegas()[0])
     t = np.linspace(0.0, 400.0, 9)
-    sol = solve_occupations(slow_flow_rates(cav, OU), cav, ModeIndex(1), t)
+    sol = solve_occupations(slow_flow_rates(cav, OU), cav, 1, t)
     expected = msa_stochastic_beta2(w, cavity_epsilon(cav), OU, t)
     np.testing.assert_allclose(sol.beta2_total, expected, rtol=1e-8, atol=1e-12)
 
@@ -259,7 +258,7 @@ def test_solve_occupations_single_mode_matches_msa():
 def test_solve_occupations_silent_noise_constant():
     silent = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=0.0, t_c=0.5)
     sol = solve_occupations(slow_flow_rates(QUASI_1D, silent), QUASI_1D,
-                            ModeIndex(1), np.linspace(0.0, 500.0, 6))
+                            1, np.linspace(0.0, 500.0, 6))
     np.testing.assert_allclose(sol.beta2_total, 0.0, atol=1e-12)
 
 
@@ -270,7 +269,7 @@ def test_solve_occupations_decouples_without_transfer():
     rates = slow_flow_rates(QUASI_1D, OU)
     lonely = dataclasses.replace(rates, rho=np.zeros_like(rates.rho))
     t = np.linspace(0.0, 200.0, 5)
-    sol = solve_occupations(lonely, QUASI_1D, ModeIndex(1), t)
+    sol = solve_occupations(lonely, QUASI_1D, 1, t)
     tau = QUASI_1D.epsilon**2 * t
     expected = 0.5 * (np.exp(-rates.gamma_k[0] * tau) - 1.0)
     np.testing.assert_allclose(sol.beta2_total, expected, rtol=1e-8, atol=1e-12)
@@ -283,10 +282,9 @@ def test_solve_occupations_short_slope_matches_perturbative():
     # perturbative pair-creation rate, intermode channels included
     t = 1e-4
     for n in (1, 2, 3):
-        sol = solve_occupations(slow_flow_rates(QUASI_1D, OU), QUASI_1D,
-                                ModeIndex(n), [0.0, t])
+        sol = solve_occupations(slow_flow_rates(QUASI_1D, OU), QUASI_1D, n, [0.0, t])
         with pytest.warns(UserWarning):
-            pert = perturbative_number(QUASI_1D, OU, ModeIndex(n), t)
+            pert = perturbative_number(QUASI_1D, OU, n, t)
         assert sol.beta2_total[1] == pytest.approx(float(pert), rel=1e-5)
 
 
@@ -298,7 +296,7 @@ def test_solve_occupations_matches_independent_integration(noise, horizon, n):
     # against an adaptive high-order integration of the same rates
     rates = slow_flow_rates(QUASI_1D, noise)
     t = np.linspace(0.0, horizon, 9)
-    sol = solve_occupations(rates, QUASI_1D, ModeIndex(n), t)
+    sol = solve_occupations(rates, QUASI_1D, n, t)
     w = QUASI_1D.omegas()
     A = -(np.diag(rates.gamma_k) + rates.rho.T)
     T0 = np.zeros(w.size)
@@ -340,7 +338,7 @@ def test_solve_occupations_matches_expm(cavity, noise, tau_end, n):
     # same flow, out to beta2 of order one
     rates = slow_flow_rates(cavity, noise)
     t = np.linspace(0.0, tau_end / cavity.epsilon**2, 9)
-    sol = solve_occupations(rates, cavity, ModeIndex(n), t)
+    sol = solve_occupations(rates, cavity, n, t)
     w = cavity.omegas()
     A = -(np.diag(rates.gamma_k) + rates.rho.T)
     T0 = np.zeros(w.size)
@@ -354,9 +352,9 @@ def test_solve_occupations_matches_expm(cavity, noise, tau_end, n):
 def test_solve_occupations_validates_inputs():
     rates = slow_flow_rates(QUASI_1D, OU)
     with pytest.raises(ValueError):
-        solve_occupations(rates, QUASI_1D, ModeIndex(7), [0.0, 1.0])
+        solve_occupations(rates, QUASI_1D, 7, [0.0, 1.0])
     with pytest.raises(ValueError):
-        solve_occupations(rates, QUASI_1D, ModeIndex(1), [1.0, 0.5])
+        solve_occupations(rates, QUASI_1D, 1, [1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
