@@ -17,7 +17,7 @@ import yaml
 from stochastic_dce.config import ConfigError, parse_config
 from stochastic_dce.ensemble import run_ensemble, shared_pool
 from stochastic_dce.noise import spectrum
-from stochastic_dce.theory import cosmo_beta2
+from stochastic_dce.theory import msa_stochastic_beta2
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cosmology.yaml"
 
@@ -56,7 +56,7 @@ def main():
             w = float(system.omegas[0])
             mc = stats.mean[("beta2_total", 0)][-1]
             se = stats.standard_error[("beta2_total", 0)][-1]
-            th = float(cosmo_beta2(k, cfg.mass, cfg.epsilon, cfg.noise, stats.times[-1]))
+            th = float(msa_stochastic_beta2(w, system.epsilon, cfg.noise, stats.times[-1]))
             print(f"{k:6.2f} {w:8.4f} {spectrum(cfg.noise, 2 * w).real:9.4f} "
                   f"{mc:10.5f} {se:9.5f} {th:10.5f}")
 

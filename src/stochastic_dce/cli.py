@@ -191,8 +191,8 @@ def cmd_predict(cfg: RunConfig, out_dir) -> int:
 def _laws(cfg, system, ens, t):
     """(quantity, mode, values at t) of one system's closed forms: the
     coupled slow flow for a cavity (at the window's exposure), and for a
-    plain oscillator, one mode or one k, the single-mode law of its drive
-    and initial data."""
+    plain oscillator, one mode or one k, the single-mode laws of its drive
+    and initial data, whatever the scenario."""
     noise = cfg.noise
     if isinstance(system, CavityModes):
         ramp = cfg.integrator.window_ramp
@@ -211,48 +211,73 @@ def _laws(cfg, system, ens, t):
         return [("q_re", 0, q.real), ("q_im", 0, np.zeros_like(t)),
                 ("q2_re", 0, q2), ("q2_im", 0, np.zeros_like(t)), ("abs_q2", 0, q2)]
     b2 = msa_stochastic_beta2(w, eps, noise, t)
-    laws = [("beta2", 1, b2), ("beta2_total", 0, b2)]
-    if cfg.scenario is Scenario.SINGLE_MODE_STOCHASTIC:
-        q = msa_mean_q(w, eps, noise, t, "vacuum")
-        laws += [("q_re", 0, q.real), ("q_im", 0, q.imag),
-                 ("abs_q2", 0, (1.0 + 2.0 * b2) / (2.0 * w))]
-    return laws
+    q = msa_mean_q(w, eps, noise, t, "vacuum")
+    return [("beta2", 1, b2), ("beta2_total", 0, b2), ("q_re", 0, q.real),
+            ("q_im", 0, q.imag), ("abs_q2", 0, (1.0 + 2.0 * b2) / (2.0 * w))]
 
 
 # ---------------------------------------------------------------------------
 # compare
 
 
-def _read_csv(path, expected_header):
+# how compare reads each column; the first three are a row's key, and an
+# N 1 run writes no stderr
+SERIES_CELLS = (float, str, int, float, lambda cell: float(cell) if cell else math.nan)
+PREDICT_CELLS = (float, str, int, float)
+
+
+def _read_csv(path, expected_header, cells):
+    """{(t, quantity, mode): the row's other values}, each cell read by its
+    column's entry of cells.  A cell that does not read, a row of the wrong
+    length or a repeated key is a ConfigError naming file, line and column."""
+    table, lines = {}, {}
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows = list(reader)
+            if header != expected_header:
+                raise ConfigError(f"{path}: expected columns {expected_header}, "
+                                  f"found {header}")
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(cells):
+                    raise ConfigError(f"{where}: expected {len(cells)} cells, "
+                                      f"found {len(row)}")
+                values = []
+                for name, read, cell in zip(expected_header, cells, row):
+                    try:
+                        values.append(read(cell))
+                    except ValueError:
+                        raise ConfigError(f"{where}, column {name}: cannot read "
+                                          f"{cell!r}") from None
+                key = tuple(values[:3])
+                if key in lines:
+                    raise ConfigError(f"{where}: repeats the (t, quantity, mode) "
+                                      f"of line {lines[key]}")
+                lines[key] = reader.line_num
+                table[key] = values[3:]
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}")
-    if header != expected_header:
-        raise ConfigError(
-            f"{path}: expected columns {expected_header}, found {header}"
-        )
-    return rows
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from None
+    return table
 
 
 def cmd_compare(cfg: RunConfig, out_dir) -> int:
-    sim_rows = _read_csv(out_dir / "series.csv", SERIES_HEADER)
-    pre_rows = _read_csv(out_dir / "predictions.csv", PREDICT_HEADER)
+    """Join series.csv and predictions.csv on (t, quantity, mode) into
+    compare.json; 0 on PASS, 1 on FAIL.  Simulated rows with no prediction
+    are counted per quantity (n_simulated_only)."""
+    simulated = _read_csv(out_dir / "series.csv", SERIES_HEADER, SERIES_CELLS)
+    theory = {key: value for key, [value] in
+              _read_csv(out_dir / "predictions.csv", PREDICT_HEADER, PREDICT_CELLS).items()}
     tol = cfg.compare
-    theory = {(float(r[0]), r[1], int(r[2])): float(r[3]) for r in pre_rows}
     points = []
-    matched = set()
-    for r in sim_rows:
-        key = (float(r[0]), r[1], int(r[2]))
-        if key not in theory:
-            continue  # simulated-only quantity (e.g. q_im) or time
-        matched.add(key)
-        mean = float(r[3])
-        stderr = float(r[4]) if r[4] else math.nan
-        ref = theory[key]
+    simulated_only = {}
+    for key, (mean, stderr) in simulated.items():
+        ref = theory.get(key)
+        simulated_only[key[1]] = simulated_only.get(key[1], 0) + (ref is None)
+        if ref is None:
+            continue
         diff = mean - ref
         bound = tol.rel_tol * abs(ref)
         if not math.isnan(stderr):
@@ -266,7 +291,7 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
         raise ConfigError("no joinable (t, quantity, mode) points between inputs")
 
     # a predicted point without a simulated row fails the comparison
-    unmatched = sorted(theory.keys() - matched)
+    unmatched = sorted(theory.keys() - simulated.keys())
     if unmatched:
         t, quantity, mode = unmatched[0]
         log.error("%d predicted point(s) have no simulated row; first: "
@@ -281,6 +306,7 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
     report = {
         "n_points": len(points),
         "n_unmatched_predicted": len(unmatched),
+        "n_simulated_only": dict(sorted(simulated_only.items())),
         "n_pass": n_pass,
         "pass_fraction": frac,
         "runs_test_z": runs_z,
@@ -291,8 +317,9 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
     with open(out_dir / "compare.json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    log.info("compare: %d/%d points pass (runs z=%s) -> %s",
-             n_pass, len(points), runs_z, "PASS" if ok else "FAIL")
+    log.info("compare: %d/%d points pass (runs z=%s), %d simulated row(s) with no "
+             "prediction -> %s", n_pass, len(points), runs_z,
+             sum(simulated_only.values()), "PASS" if ok else "FAIL")
     print(f"{n_pass}/{len(points)} points within tolerance; "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

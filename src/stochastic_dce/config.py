@@ -77,8 +77,8 @@ def _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid):
     if scenario is Scenario.COUPLED_STOCHASTIC:
         return [(1, CavityModes(cavity, path))]
     if scenario is Scenario.COSMOLOGY:
-        # omega_k = sqrt(k^2 + M^2) bit for bit as theory.cosmo_beta2 rounds it:
-        # k * k is numpy's k**2, where Python's k**2 calls libm's pow
+        # omega_k = sqrt(k^2 + M^2) bit for bit as np.sqrt(k**2 + M**2) rounds
+        # it: k * k is numpy's k**2, where Python's k**2 calls libm's pow
         return [(label, PlainOscillator(math.sqrt(k * k + mass**2), epsilon))
                 for label, k in enumerate(k_grid, start=1)]
     return [(1, PlainOscillator(omega, epsilon))]

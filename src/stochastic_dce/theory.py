@@ -30,7 +30,6 @@ __all__ = [
     "OccupationSolution",
     "perturbative_beta2",
     "perturbative_number",
-    "deterministic_beta2",
     "msa_deterministic_beta2",
     "msa_mean_q",
     "msa_mean_q2",
@@ -38,7 +37,6 @@ __all__ = [
     "slow_flow_rates",
     "solve_occupations",
     "windowed_exposure",
-    "cosmo_beta2",
 ]
 
 
@@ -49,7 +47,7 @@ class DegenerateSpectrumError(ValueError):
 def _require_stochastic(noise: NoiseSpec, what: str):
     if noise.kind is NoiseKind.DETERMINISTIC_SINUSOID:
         raise NotAStochasticProcessError(
-            f"{what} needs a stochastic noise kind; use deterministic_beta2 "
+            f"{what} needs a stochastic noise kind; use msa_deterministic_beta2 "
             "for a sinusoidal drive"
         )
 
@@ -78,21 +76,6 @@ def perturbative_number(cavity: CavityConfig, noise: NoiseSpec, k: int,
     """N_k = sum_n <|beta_nk|^2> over the retained family, n = 1..nz_max."""
     return sum(perturbative_beta2(cavity, noise, n, k, T)
                for n in range(1, cavity.nz_max + 1))
-
-
-def deterministic_beta2(cavity: CavityConfig, Omega: float, n: int, k: int,
-                        T: float) -> float:
-    """|beta_nk|^2 = (1/4) eps^2 v_nk^2 T^2 on resonance Omega = w_n + w_k.
-
-    A drive of length T resolves frequencies to ~pi/T, which is the width
-    of the resonance window; off resonance the quadratic growth is absent
-    and 0 is returned.
-    """
-    i, j = cavity.index(n), cavity.index(k)
-    wn, wk = cavity.omegas()[[i, j]]
-    if abs(Omega - (wn + wk)) > math.pi / T:
-        return 0.0
-    return 0.25 * cavity.epsilon**2 * cavity.v_matrix()[i, j] ** 2 * T**2
 
 
 def msa_deterministic_beta2(omega: float, epsilon: float, t) -> np.ndarray | float:
@@ -139,7 +122,8 @@ def msa_stochastic_beta2(omega: float, epsilon: float, noise: NoiseSpec,
                          t) -> np.ndarray | float:
     """<|beta|^2> = (e^{w^2 Re S(2w) eps^2 t} - 1)/2 for one noisy mode.
 
-    The law of the plain oscillator.  A cavity mode obeys it with the
+    The law of the plain oscillator, and of each comoving k of a noisy
+    mass term at w = sqrt(k^2 + M^2).  A cavity mode obeys it with the
     effective eps -> 2 eps v_kk / w_k (CavityConfig.v_matrix), which gives
     the rate 4 v_kk^2 Re S(2w) = 4 w_z^4 / w^2 Re S(2w).
     """
@@ -147,16 +131,6 @@ def msa_stochastic_beta2(omega: float, epsilon: float, noise: NoiseSpec,
     t = np.asarray(t, dtype=float)
     rate = omega**2 * spectrum(noise, 2.0 * omega).real
     return 0.5 * (np.exp(rate * epsilon**2 * t) - 1.0)
-
-
-def cosmo_beta2(k, M: float, epsilon: float, noise: NoiseSpec, eta) -> np.ndarray | float:
-    """Created quanta per comoving mode k for a noisy mass term.
-
-    <|beta_k|^2> = (e^{(k^2+M^2) Re S(2 sqrt(k^2+M^2)) eps^2 eta} - 1)/2:
-    each k is the single noisy mode at omega = sqrt(k^2 + M^2).
-    """
-    return msa_stochastic_beta2(np.sqrt(np.asarray(k, dtype=float) ** 2 + M**2),
-                                epsilon, noise, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +141,6 @@ def cosmo_beta2(k, M: float, epsilon: float, noise: NoiseSpec, eta) -> np.ndarra
 class SlowFlowRates:
     """Per-mode slow-flow rates of the coupled family."""
 
-    lambda_k: np.ndarray       # complex (m,): mean-amplitude rates
     gamma_k: np.ndarray        # real (m,): occupation self-rates
     rho: np.ndarray            # real (m, m): rho[m, k] couples T_m into T_k'
     epsilon: float
@@ -197,11 +170,9 @@ def slow_flow_rates(cavity: CavityConfig, noise: NoiseSpec) -> SlowFlowRates:
     v2_self = np.diag(v2).copy()          # (w_z,k^2 / w_k)^2
     np.fill_diagonal(v2, 0.0)             # v_km^2, symmetric, k != m
     S2 = np.asarray(spectrum(noise, 2.0 * w))
-    S0 = spectrum(noise, 0.0).real
     Ssum = np.asarray(spectrum(noise, w[:, None] + w[None, :]))   # S(w_k + w_m)
     Sdif = np.asarray(spectrum(noise, w[:, None] - w[None, :]))   # S(w_k - w_m)
 
-    lam = v2_self * (S0 - S2) - np.sum(v2 * (Ssum - Sdif), axis=1)
     gam = -4.0 * v2_self * S2.real - np.sum(2.0 * v2 * (Ssum - Sdif).real, axis=1)
 
     # rho[m, k]: feed of T_m into T_k'.  Written so that sum-frequency
@@ -209,7 +180,7 @@ def slow_flow_rates(cavity: CavityConfig, noise: NoiseSpec) -> SlowFlowRates:
     # noise transfers quanta conservatively; this also makes the short-
     # time slope of the totals agree with the perturbative rates.
     rho = -2.0 * v2 * (w[:, None] / w[None, :]) * (Ssum.real + Sdif.T.real)
-    return SlowFlowRates(lam, gam, rho, cavity.epsilon)
+    return SlowFlowRates(gam, rho, cavity.epsilon)
 
 
 def windowed_exposure(ramp: float, horizon: float, t) -> np.ndarray:

@@ -6,7 +6,8 @@ runs simulate -> predict -> compare on every input below, at workers 1
 and 2, and writes the sha256 and the values of series.csv,
 predictions.csv, compare.json and summary.json (timing keys removed),
 with the host facts that decide their bits, to tests/output_digests.json
-(or OUT.json).  tests/test_output_digests.py runs the same commands and
+(or OUT.json), after printing which digests moved against the committed
+file.  tests/test_output_digests.py runs the same commands and
 compares: bytes where the recorded numpy version, SIMD dispatch and BLAS
 match the host, values to a relative 1e-12 elsewhere.  A change that
 moves output bits on purpose regenerates the file with this script.
@@ -208,9 +209,29 @@ def generate() -> dict:
     return {"host": host_facts(), "runs": runs}
 
 
+def _sha256(run: dict, name: str):
+    return (run["files"][name] or {}).get("sha256")
+
+
+def moved(committed: dict, runs: dict) -> list[str]:
+    """One line per (run, file): "moved", "same" or "new" against the
+    committed sha256 (a file neither run wrote is "same"), then a count."""
+    lines = []
+    for key, run in runs.items():
+        for name in FILES:
+            state = ("new" if key not in committed
+                     else "same" if _sha256(committed[key], name) == _sha256(run, name)
+                     else "moved")
+            lines.append(f"{state:5}  {key}  {name}")
+    n_moved = sum(line.startswith("moved") for line in lines)
+    return lines + [f"{n_moved} of {len(lines)} digests moved"]
+
+
 def main(argv):
     target = Path(argv[0]) if argv else DIGESTS
     digests = generate()
+    committed = json.loads(DIGESTS.read_text())["runs"] if DIGESTS.exists() else {}
+    print("\n".join(moved(committed, digests["runs"])))
     # one line per run, so that a change shows as the runs it moved
     lines = [f"  {json.dumps(key)}: {json.dumps(run, separators=(',', ':'))}"
              for key, run in digests["runs"].items()]

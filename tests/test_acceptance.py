@@ -13,6 +13,8 @@ import pytest
 
 from conftest import bogoliubov_at, cavity_epsilon, record_criterion, run_every_step
 from stochastic_dce.cavity import CavityConfig
+from stochastic_dce.cli import _laws
+from stochastic_dce.config import parse_config
 from stochastic_dce.dynamics import (
     CavityModes,
     IntegratorConfig,
@@ -33,7 +35,6 @@ from stochastic_dce.noise import (
     synthesize_many,
 )
 from stochastic_dce.theory import (
-    cosmo_beta2,
     msa_mean_q2,
     msa_stochastic_beta2,
     slow_flow_rates,
@@ -358,16 +359,30 @@ def test_a9_cosmology():
         ens = EnsembleConfig(n_realizations=400, master_seed=900 + i,
                              probes=probes, horizon=600.0, workers=1)
         stats = run_ensemble(PlainOscillator(w, eps), OU_HALF, icfg, ens)
-        th = cosmo_beta2(k, mass, eps, OU_HALF, np.array(stats.times))
+        th = msa_stochastic_beta2(w, eps, OU_HALF, np.array(stats.times))
         ok, norm = within(stats.mean[("beta2_total", 0)], th,
                           stats.standard_error[("beta2_total", 0)], 4.0, 0.10)
         all_ok = all_ok and bool(ok.all())
         worst = max(worst, float(norm.max()))
 
-    # k=0 reduces to the plain oscillator law at omega = M identically
+    # k=0 reduces to the plain oscillator at omega = M identically: the
+    # system a cosmology config builds for it runs at M, and the law
+    # predict writes for it is the plain oscillator's at M, bit for bit
+    cfg = parse_config({
+        "scenario": {"kind": "cosmology", "mass_rad_per_time": mass,
+                     "k_grid_rad_per_time": [0.0], "epsilon": eps},
+        "noise": {"kind": "ornstein_uhlenbeck", "sigma": OU_HALF.sigma,
+                  "t_c_time": OU_HALF.t_c},
+        "ensemble": {"n_realizations": 1, "horizon_time": 600.0,
+                     "probes_time": list(probes)},
+    })
+    [(_, system, k0)] = cfg.systems()
     t = np.linspace(0.0, 600.0, 7)
-    identical = np.array_equal(cosmo_beta2(0.0, mass, eps, OU_HALF, t),
-                               msa_stochastic_beta2(mass, eps, OU_HALF, t))
+    laws = {(quantity, mode): values
+            for quantity, mode, values in _laws(cfg, system, k0, t)}
+    identical = (system.omegas[0] == mass
+                 and np.array_equal(laws[("beta2_total", 0)],
+                                    msa_stochastic_beta2(mass, eps, OU_HALF, t)))
     detail = (f"4 k-values x 2 probes within max(4*stderr, 10%), worst "
               f"normalized {worst:.2f}; k=0 identity {'holds' if identical else 'BROKEN'}")
     record_criterion("A9 cosmology", all_ok and identical, detail)

@@ -18,7 +18,7 @@ from stochastic_dce.cli import PREDICT_HEADER, SERIES_HEADER, main
 from stochastic_dce.config import load_config
 from stochastic_dce.dynamics import step_grid
 from stochastic_dce.ensemble import derive_seed
-from stochastic_dce.theory import msa_stochastic_beta2
+from stochastic_dce.theory import msa_mean_q, msa_stochastic_beta2
 from stochastic_dce.noise import NoiseKind, NoiseSpec, eval_batch, synthesize_many
 
 
@@ -594,10 +594,17 @@ def test_cosmology_predict_is_the_law_of_the_system_simulate_runs(tmp_path):
     [(label, system, ens)] = run.systems()
     _, dt, idx = step_grid(ens.horizon, run.integrator, ens.probes)
     t = idx * dt
-    expected = msa_stochastic_beta2(system.omegas[0], system.epsilon, run.noise, t)
-    for quantity in ("beta2", "beta2_total"):
+    w = system.omegas[0]
+    b2 = msa_stochastic_beta2(w, system.epsilon, run.noise, t)
+    # each k is a plain oscillator from vacuum data, so its mean amplitude
+    # is predicted too
+    q = msa_mean_q(w, system.epsilon, run.noise, t, "vacuum")
+    expected = {"beta2": b2, "beta2_total": b2, "q_re": q.real, "q_im": q.imag,
+                "abs_q2": (1.0 + 2.0 * b2) / (2.0 * w)}
+    for quantity, values in expected.items():
         assert [r[3] for r in rows if r[1] == quantity and r[2] == str(label)] == [
-            f"{b2:.17g}" for b2 in expected]
+            f"{v:.17g}" for v in values]
+    assert {r[1] for r in rows} == set(expected)
 
 
 def test_compare_theory_against_itself_passes(tmp_path, capsys):
@@ -650,6 +657,106 @@ def test_compare_fails_on_predicted_point_without_simulated_row(tmp_path, capsys
     assert report["n_unmatched_predicted"] == 1
     assert report["n_points"] == len(pre_rows) - 1
     assert report["pass_fraction"] == 1.0
+
+
+SIMULATED = [["3", "beta2", "1", "0.5", "0.01"], ["6", "beta2", "1", "1.0", "0.02"]]
+PREDICTED = [["3", "beta2", "1", "0.5"], ["6", "beta2", "1", "1.0"]]
+
+
+def pair_rows():
+    """Fresh copies of SIMULATED and PREDICTED, per file, to edit."""
+    return {"series.csv": [list(r) for r in SIMULATED],
+            "predictions.csv": [list(r) for r in PREDICTED]}
+
+
+def write_pair(tmp_path, rows):
+    """A config and an out dir whose series.csv and predictions.csv hold
+    rows["series.csv"] and rows["predictions.csv"], for compare to read."""
+    cfg = write_yaml(tmp_path, single_mode_data())
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, header in (("series.csv", SERIES_HEADER), ("predictions.csv", PREDICT_HEADER)):
+        with open(out / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows[name])
+    return cfg, out
+
+
+@pytest.mark.parametrize("file, row, column, cell", [
+    ("predictions.csv", 0, 3, "value"),
+    ("predictions.csv", 1, 0, "t"),
+    ("series.csv", 0, 3, "mean"),
+    ("series.csv", 1, 4, "stderr"),
+    ("series.csv", 0, 2, "mode"),
+])
+def test_compare_refuses_a_cell_it_cannot_read(tmp_path, capsys, file, row, column, cell):
+    rows = pair_rows()
+    rows[file][row][column] = "abc"
+    cfg, out = write_pair(tmp_path, rows)
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / file}, line {row + 2}, column {cell}: cannot read 'abc'" in err
+    assert "Traceback" not in err
+    assert not (out / "compare.json").exists()
+
+
+def test_compare_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    cfg, out = write_pair(tmp_path, pair_rows())
+    series = out / "series.csv"
+    series.write_bytes(series.read_bytes() + b"6,q_re,0,\xff,\n")
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'series.csv'}: not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("file", ["series.csv", "predictions.csv"])
+def test_compare_refuses_a_row_of_the_wrong_length(tmp_path, capsys, file):
+    rows = pair_rows()
+    width = len(rows[file][1])
+    rows[file][1].pop()
+    cfg, out = write_pair(tmp_path, rows)
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert (f"{out / file}, line 3: expected {width} cells, found {width - 1}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("file", ["series.csv", "predictions.csv"])
+def test_compare_refuses_a_repeated_key(tmp_path, capsys, file):
+    # a repeated prediction would keep its last value, and a repeated
+    # simulated row would be compared twice; "3.0" is the t of "3"
+    rows = pair_rows()
+    rows[file].append(["3.0", *rows[file][0][1:]])
+    cfg, out = write_pair(tmp_path, rows)
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert (f"{out / file}, line 4: repeats the (t, quantity, mode) of line 2"
+            in capsys.readouterr().err)
+
+
+def test_compare_reads_an_empty_stderr_as_nan(tmp_path):
+    # an N 1 run writes no stderr, so the bound is rel_tol * |prediction|
+    rows = pair_rows()
+    for row in rows["series.csv"]:
+        row[4] = ""
+    cfg, out = write_pair(tmp_path, rows)
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "compare.json").read_text())
+    assert [p["bound"] for p in report["points"]] == [0.1 * 0.5, 0.1 * 1.0]
+
+
+def test_compare_counts_simulated_rows_it_does_not_join(tmp_path, caplog):
+    rows = pair_rows()
+    rows["series.csv"] += [["3", "q2_im", "0", "0.1", "0.01"],
+                           ["6", "q2_im", "0", "0.2", "0.01"],
+                           ["9", "beta2", "1", "2.0", "0.1"]]
+    cfg, out = write_pair(tmp_path, rows)
+    with caplog.at_level(logging.INFO, logger="sdce"):
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "compare.json").read_text())
+    assert report["n_points"] == 2
+    assert report["n_simulated_only"] == {"beta2": 1, "q2_im": 2}
+    assert any("3 simulated row(s) with no prediction" in rec.message
+               for rec in caplog.records)
 
 
 def test_simulate_then_compare_end_to_end(tmp_path):

@@ -20,7 +20,12 @@ from stochastic_dce.dynamics import (CavityModes, PlainOscillator, default_dt, s
                                       suggest_dt)
 from stochastic_dce.ensemble import derive_seed
 from stochastic_dce.noise import NoiseKind, NoiseSpec, max_step
-from stochastic_dce.theory import msa_stochastic_beta2, slow_flow_rates, solve_occupations
+from stochastic_dce.theory import (
+    msa_mean_q,
+    msa_stochastic_beta2,
+    slow_flow_rates,
+    solve_occupations,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 OU = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=1.0, t_c=0.5)
@@ -138,9 +143,13 @@ def test_systems_follow_the_config_fields(tmp_path):
         (1, 2.0), (2, 2.5)]
     moved = dataclasses.replace(cfg, mass=0.0, k_grid=(3.0,))
     assert [(label, float(s.omegas[0])) for label, s, _ in moved.systems()] == [(1, 3.0)]
-    law = msa_stochastic_beta2(3.0, 0.05, moved.noise, probe_times(moved))
+    t = probe_times(moved)
+    b2 = msa_stochastic_beta2(3.0, 0.05, moved.noise, t)
+    q = msa_mean_q(3.0, 0.05, moved.noise, t, "vacuum")
+    laws = {"beta2": b2, "beta2_total": b2, "q_re": q.real, "q_im": q.imag,
+            "abs_q2": (1.0 + 2.0 * b2) / 6.0}
     assert predicted(moved, tmp_path / "moved") == {
-        (quantity, 1): [f"{b2:.17g}" for b2 in law] for quantity in ("beta2", "beta2_total")}
+        (quantity, 1): [f"{v:.17g}" for v in values] for quantity, values in laws.items()}
     coupled = parse_config(coupled_data())
     cavity = dataclasses.replace(coupled.cavity, nz_max=2, epsilon=0.03)
     replaced = dataclasses.replace(coupled, cavity=cavity)
@@ -153,9 +162,9 @@ def test_systems_follow_the_config_fields(tmp_path):
     assert predicted(coupled, tmp_path / "parsed") != {("beta2_total", 0): totals}
 
 
-def test_cosmology_omega_is_the_one_cosmo_beta2_reads():
-    # each k's system oscillates at np.sqrt(k**2 + M**2), the omega inside
-    # theory.cosmo_beta2, bit for bit; at k = 1.39, M = 1,
+def test_cosmology_omega_rounds_as_numpy_sqrt():
+    # each k's system oscillates at np.sqrt(k**2 + M**2), bit for bit, the
+    # omega the committed outputs were written at; at k = 1.39, M = 1,
     # (k**2 + M**2) ** 0.5 rounds one ulp above it
     ks = [1.39, *np.random.default_rng(5).uniform(0.0, 10.0, 2000).tolist()]
     for mass in (1.0, 0.37):

@@ -60,3 +60,17 @@ def test_outputs_match_their_digests(name, tmp_path):
                   for d in od.differences(RECORDED["runs"][f"{name}@w{workers}"], got,
                                           exact)]
     assert not found, f"compared {description}:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("run", sorted(run for run, got in RECORDED["runs"].items()
+                                        if got["files"]["compare.json"]))
+def test_compare_counts_every_simulated_row(run):
+    # a series.csv row is either a compared point or counted as simulated-only
+    files = RECORDED["runs"][run]["files"]
+    report = files["compare.json"]["values"]
+    n_rows = len(files["series.csv"]["values"]) - 1
+    assert report["n_points"] + sum(report["n_simulated_only"].values()) == n_rows
+    if run.startswith(("cosmology@", "cosmo_sweep@")):
+        # every k is a plain oscillator from vacuum data, whose mean
+        # amplitude and <|Q|^2> are predicted
+        assert all(report["n_simulated_only"][q] == 0 for q in ("q_re", "q_im", "abs_q2"))

@@ -1,7 +1,9 @@
 """Closed-form predictions: hand values, limiting cases, and the internal
 consistency between the perturbative and slow-flow pictures."""
 
+import ast
 import dataclasses
+import inspect
 import math
 from pathlib import Path
 
@@ -14,13 +16,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from conftest import cavity_epsilon, trapezoid_exposure
+from stochastic_dce import theory
 from stochastic_dce.cavity import CavityConfig
 from stochastic_dce.config import load_config
 from stochastic_dce.noise import NoiseKind, NoiseSpec, NotAStochasticProcessError, spectrum
 from stochastic_dce.theory import (
     DegenerateSpectrumError,
-    cosmo_beta2,
-    deterministic_beta2,
     msa_deterministic_beta2,
     msa_mean_q,
     msa_mean_q2,
@@ -93,21 +94,6 @@ def test_perturbative_depends_on_sigma_epsilon_product(c):
 
 # ---------------------------------------------------------------------------
 # deterministic resonance
-
-
-def test_deterministic_on_and_off_resonance():
-    w12 = 3.0 * math.pi  # w1 + w2 in quasi-1D
-    on = deterministic_beta2(QUASI_1D, w12, 1, 2, 40.0)
-    expected = 0.25 * 0.05**2 * QUASI_1D.v_matrix()[0, 1] ** 2 * 40.0**2
-    assert on == pytest.approx(expected, rel=1e-12)
-    assert deterministic_beta2(QUASI_1D, w12 + 1.0, 1, 2, 40.0) == 0.0
-
-
-def test_deterministic_quadratic_in_time():
-    w12 = 3.0 * math.pi
-    a = deterministic_beta2(QUASI_1D, w12, 1, 2, 20.0)
-    b = deterministic_beta2(QUASI_1D, w12, 1, 2, 40.0)
-    assert b == pytest.approx(4.0 * a, rel=1e-12)
 
 
 def test_msa_deterministic_hand_value():
@@ -210,11 +196,8 @@ def test_slow_flow_single_mode_rates():
     wz = float(cav.omega_zs()[0])
     rates = slow_flow_rates(cav, OU)
     S2 = spectrum(OU, 2.0 * w)
-    S0 = spectrum(OU, 0.0).real
     assert rates.gamma_k[0] == pytest.approx(-4.0 * wz**4 / w**2 * S2.real,
                                              rel=1e-12)
-    assert rates.lambda_k[0] == pytest.approx(wz**4 / w**2 * (S0 - S2),
-                                              rel=1e-12)
     assert rates.rho.shape == (1, 1) and rates.rho[0, 0] == 0.0
 
 
@@ -223,7 +206,6 @@ def test_slow_flow_silent_noise_is_quiet():
     rates = slow_flow_rates(QUASI_1D, silent)
     assert np.all(rates.gamma_k == 0.0)
     assert np.all(rates.rho == 0.0)
-    assert np.all(rates.lambda_k == 0.0)
 
 
 def test_slow_flow_refuses_degenerate_spectrum():
@@ -361,28 +343,20 @@ def test_solve_occupations_validates_inputs():
 # cosmological analogue
 
 
-def test_cosmo_matches_single_mode_law():
-    k, M, eps = 1.5, 1.0, 0.1
-    w = math.sqrt(k**2 + M**2)
-    eta = np.linspace(0.0, 100.0, 7)
-    np.testing.assert_allclose(cosmo_beta2(k, M, eps, OU, eta),
-                               msa_stochastic_beta2(w, eps, OU, eta),
-                               rtol=1e-12)
-    assert cosmo_beta2(k, M, eps, OU, 0.0) == 0.0
-
-
 def test_cosmo_monotone_in_conformal_time():
-    vals = cosmo_beta2(1.0, 1.0, 0.1, OU, np.linspace(0.0, 200.0, 21))
+    # each k is the noisy mode at omega = sqrt(k^2 + M^2); k = M = 1 here
+    vals = msa_stochastic_beta2(math.sqrt(2.0), 0.1, OU, np.linspace(0.0, 200.0, 21))
     assert np.all(np.diff(vals) > 0)
 
 
 def test_cosmo_massless_rate_saturates():
-    # for M = 0 the growth exponent per unit eta is k^2 Re S(2k) eps^2,
+    # for M = 0 each k is the noisy mode at omega = k, whose growth
+    # exponent per unit eta is k^2 Re S(2k) eps^2,
     # bounded by sigma^2 eps^2 / (4 t_c) at large k
     eps, eta = 0.1, 1.0
     bound = 1.0**2 * eps**2 / (4.0 * OU.t_c)
     ks = np.array([0.5, 1.0, 2.0, 5.0, 50.0])
-    rates = np.log(1.0 + 2.0 * cosmo_beta2(ks, 0.0, eps, OU, eta)) / eta
+    rates = np.log(1.0 + 2.0 * msa_stochastic_beta2(ks, eps, OU, eta)) / eta
     assert np.all(rates < bound)
     assert rates[-1] > 0.9 * bound
     assert np.all(np.diff(rates) > 0)
@@ -416,3 +390,23 @@ def test_windowed_exposure_closed_form_values():
     s = np.linspace(0.0, r, 31)
     np.testing.assert_allclose(windowed_exposure(r, T, T) - windowed_exposure(r, T, T - s),
                                windowed_exposure(r, T, s), rtol=1e-13, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# no law that predicts nothing
+
+
+def test_every_law_is_called_by_the_program():
+    # a public law of theory that no module or script calls predicts no
+    # output, and is tested only against itself; classes are exempt
+    root = Path(__file__).resolve().parent.parent
+    called = set()
+    for path in [*root.glob("src/**/*.py"), *root.glob("scripts/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name)
+                           else getattr(func, "attr", None))
+    laws = [name for name in theory.__all__
+            if not inspect.isclass(getattr(theory, name))]
+    assert laws and [name for name in laws if name not in called] == []
