@@ -51,7 +51,7 @@ def main():
     print(f"{'k':>6} {'omega':>8} {'ReS(2w)':>9} {'MC':>10} {'stderr':>9} "
           f"{'theory':>10}")
     with shared_pool():     # one set of workers for every k
-        for k, (_, system, ensemble) in zip(cfg.k_grid, cfg.systems()):
+        for k, (_, system, ensemble) in zip(args.k, cfg.systems()):
             stats = run_ensemble(system, cfg.noise, cfg.integrator, ensemble)
             w = float(system.omegas[0])
             mc = stats.mean[("beta2_total", 0)][-1]

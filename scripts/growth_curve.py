@@ -2,42 +2,52 @@
 """Monte Carlo growth curve of a noisy single mode against the resummed law.
 
 Prints a table of <|beta|^2>(t) with sampling errors next to the
-closed-form prediction (e^{w^2 Re S(2w) eps^2 t} - 1)/2.
+closed-form prediction (e^{w^2 Re S(2w) eps^2 t} - 1)/2.  The flags are
+written over configs/single_mode_growth.yaml, whose values are their
+defaults (but for --probes, a count of probes spread evenly over the
+horizon), and the result runs as `sdce simulate` runs it.
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
+import yaml
 
-from stochastic_dce.dynamics import IntegratorConfig, PlainOscillator, default_dt
-from stochastic_dce.ensemble import EnsembleConfig, run_ensemble
-from stochastic_dce.noise import NoiseKind, NoiseSpec
+from stochastic_dce.config import ConfigError, parse_config
+from stochastic_dce.ensemble import run_ensemble
 from stochastic_dce.theory import msa_stochastic_beta2
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "single_mode_growth.yaml"
 
 
 def main():
+    data = yaml.safe_load(CONFIG.read_text())
+    scen, noise, ens = data["scenario"], data["noise"], data["ensemble"]
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--omega", type=float, default=1.0)
-    ap.add_argument("--epsilon", type=float, default=0.05)
-    ap.add_argument("--sigma", type=float, default=1.0)
-    ap.add_argument("--t-c", type=float, default=0.5)
-    ap.add_argument("--horizon", type=float, default=2000.0)
-    ap.add_argument("--n", type=int, default=500, help="ensemble size")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--omega", type=float, default=scen["omega_rad_per_time"])
+    ap.add_argument("--epsilon", type=float, default=scen["epsilon"])
+    ap.add_argument("--sigma", type=float, default=noise["sigma"])
+    ap.add_argument("--t-c", type=float, default=noise["t_c_time"])
+    ap.add_argument("--horizon", type=float, default=ens["horizon_time"])
+    ap.add_argument("--n", type=int, default=ens["n_realizations"], help="ensemble size")
+    ap.add_argument("--seed", type=int, default=ens["master_seed"])
     ap.add_argument("--probes", type=int, default=10)
     args = ap.parse_args()
 
-    noise = NoiseSpec(kind=NoiseKind.ORNSTEIN_UHLENBECK, sigma=args.sigma,
-                      t_c=args.t_c)
-    probes = tuple(np.linspace(args.horizon / args.probes, args.horizon,
-                               args.probes))
-    ens = EnsembleConfig(n_realizations=args.n, master_seed=args.seed,
-                         probes=probes, horizon=args.horizon)
-    system = PlainOscillator(args.omega, args.epsilon)
-    icfg = IntegratorConfig(dt=default_dt([system], noise, args.horizon))
-    stats = run_ensemble(system, noise, icfg, ens)
+    scen.update(omega_rad_per_time=args.omega, epsilon=args.epsilon)
+    noise.update(sigma=args.sigma, t_c_time=args.t_c)
+    ens.update(n_realizations=args.n, master_seed=args.seed, horizon_time=args.horizon,
+               probes_time=np.linspace(args.horizon / args.probes, args.horizon,
+                                       args.probes).tolist())
+    try:
+        cfg = parse_config(data)
+    except ConfigError as err:
+        ap.error(str(err))
 
-    th = msa_stochastic_beta2(args.omega, args.epsilon, noise,
+    [(_, system, ensemble)] = cfg.systems()
+    stats = run_ensemble(system, cfg.noise, cfg.integrator, ensemble)
+    th = msa_stochastic_beta2(system.omega, system.epsilon, cfg.noise,
                               np.array(stats.times))
     mc = stats.mean[("beta2_total", 0)]
     se = stats.standard_error[("beta2_total", 0)]

@@ -7,7 +7,6 @@ a reader that closed stdout), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import logging
@@ -56,9 +55,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     changed = {key: value for key, value in changed.items() if value is not None}
     if not changed:
         return cfg
-    raw = copy.deepcopy(cfg.raw)
-    raw["ensemble"].update(changed)
-    return parse_config(raw)
+    return parse_config({**cfg.raw, "ensemble": {**cfg.raw["ensemble"], **changed}})
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +418,13 @@ def main(argv=None) -> int:
             return cmd_spectrum(cfg)
         if args.command == "noise-dump":
             return cmd_noise_dump(cfg)
+        out = Path(args.out)
+        # the nearest of out and its parents that exists must be a directory
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out {out}: {nearest} is not a directory")
         run = {"simulate": cmd_simulate, "predict": cmd_predict, "compare": cmd_compare}
-        return run[args.command](cfg, Path(args.out))
+        return run[args.command](cfg, out)
     except ConfigError as err:
         log.error("%s", err)
         print(f"error: {err}", file=sys.stderr)

@@ -8,6 +8,7 @@ predict both read: a key another scenario takes is unknown here too.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -46,29 +47,23 @@ class RunConfig:
     noise: NoiseSpec
     integrator: IntegratorConfig
     ensemble: EnsembleConfig
-    cavity: CavityConfig | None = None
-    path: str | None = None             # coupled_stochastic: CavityModes' equations
-    omega: float | None = None          # single-mode scenarios
-    epsilon: float | None = None        # non-coupled scenarios
-    mass: float | None = None           # cosmology
-    k_grid: tuple = ()
+    pairs: tuple = field(compare=False)     # (label, system), built once by parse_config
     compare: CompareTolerance = field(default_factory=CompareTolerance)
-    raw: dict = field(default_factory=dict, repr=False)
+    raw: dict = field(default_factory=dict, repr=False)   # holds every scenario key
 
     def systems(self):
         """(label, system, ensemble) triples to simulate, the one list
-        `simulate` runs: one, or for cosmology one per k.  A lone system
-        runs the config's ensemble itself; each of several runs it with
-        its own master seed, derive_seed(master, 2**32 + label), so that
-        every k draws an independent stream."""
-        pairs = _build_systems(self.scenario, self.cavity, self.path, self.omega,
-                               self.epsilon, self.mass, self.k_grid)
-        if len(pairs) == 1:
-            return [(*pairs[0], self.ensemble)]
+        `simulate` runs: self.pairs, one or for cosmology one per k, each
+        with an ensemble derived from self.ensemble.  A lone system runs
+        that ensemble itself; each of several runs it with its own master
+        seed, derive_seed(master, 2**32 + label), so that every k draws an
+        independent stream."""
+        if len(self.pairs) == 1:
+            return [(*self.pairs[0], self.ensemble)]
         master = self.ensemble.master_seed
         return [(label, system,
                  replace(self.ensemble, master_seed=derive_seed(master, (1 << 32) + label)))
-                for label, system in pairs]
+                for label, system in self.pairs]
 
 
 def _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid):
@@ -102,10 +97,13 @@ def _take(sec, secname, key, kind, default=..., positive=False):
         return default
     val = sec.pop(key)
     try:
+        # YAML's true and false are no numbers, though Python's bool is an int
+        if any(isinstance(x, bool) for x in (val if kind is list else [val])):
+            raise ValueError
         if kind is float:
             val = float(val)
         elif kind is int:
-            if isinstance(val, float) and val != int(val):
+            if isinstance(val, float) and not val.is_integer():   # 2.5, inf, nan
                 raise ValueError
             val = int(val)
         elif kind is str:
@@ -127,9 +125,28 @@ def _no_leftovers(sec, secname):
         raise ConfigError(f"{secname}: unknown key(s) {sorted(sec)}")
 
 
+def unique_key_loader(base):
+    """A subclass of the PyYAML loader `base` that refuses a mapping which
+    repeats a key, naming the key and its line, where `base` keeps the last."""
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode):
+                    if (key.tag, key.value) in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found repeated key {key.value!r}", key.start_mark)
+                    seen.add((key.tag, key.value))
+            return super().construct_mapping(node, deep)
+
+    return Loader
+
+
 # libyaml's safe loader when PyYAML was built with it: the same data,
 # about seven times faster than the pure-Python one
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_LOADER = unique_key_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_config(path: str) -> RunConfig:
@@ -146,7 +163,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(data: dict) -> RunConfig:
-    data = dict(data)
+    # raw must not share a section or list with the caller's mapping: a
+    # later edit of that mapping would change this config's echo and equality
+    data = copy.deepcopy(data)
     known = {"scenario", "noise", "cavity", "integrator", "ensemble", "compare"}
     if set(data) - known:
         raise ConfigError(f"unknown section(s) {sorted(set(data) - known)}")
@@ -200,10 +219,10 @@ def parse_config(data: dict) -> RunConfig:
     path = (_take(integ_sec, "integrator", "path", str, default="linearized")
             if coupled else None)
     try:
-        systems = [system for _, system in
-                   _build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid)]
+        pairs = tuple(_build_systems(scenario, cavity, path, omega, epsilon, mass, k_grid))
     except ValueError as err:
         raise ConfigError(str(err))
+    systems = [system for _, system in pairs]
     integ = _parse_integrator(integ_sec, systems, ens.horizon, noise, windowed=coupled)
     comp = _parse_compare(_section(data, "compare", required=False))
     try:
@@ -220,8 +239,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"integrator.dt_time: {err}")
     except ValueError as err:
         raise ConfigError(str(err))
-    return RunConfig(scenario, noise, integ, ens, cavity, path, omega, epsilon,
-                     mass, k_grid, comp, data)
+    return RunConfig(scenario, noise, integ, ens, pairs, comp, data)
 
 
 def _parse_noise(sec) -> NoiseSpec:

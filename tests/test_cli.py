@@ -190,6 +190,22 @@ def test_ou_step_past_a_knot_cell_exits_2_naming_dt_time(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "predict", "compare"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command):
+    # an --out naming a file, or a path under one, is a usage error, not
+    # a traceback from the first write or read in it
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    config = write_yaml(tmp_path, single_mode_data())
+    for out in (taken, taken / "sub"):
+        code = main([command, "--config", config, "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {out}: {taken} is not a directory" in err
+        assert "Traceback" not in err
+    assert taken.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("command, flags", [
     ("simulate", ["--out", "--seed", "--workers"]),
     ("predict", ["--out"]),

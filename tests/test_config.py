@@ -84,21 +84,20 @@ SCENARIOS = {"single_mode_stochastic": single_mode_data,
 def test_single_mode_parses():
     cfg = parse_config(single_mode_data())
     assert cfg.scenario is Scenario.SINGLE_MODE_STOCHASTIC
-    assert cfg.omega == 1.0 and cfg.epsilon == 0.05
+    [(label, system, _)] = cfg.systems()
+    assert label == 1 and isinstance(system, PlainOscillator)
+    assert system.omega == 1.0 and system.epsilon == 0.05
     assert cfg.noise.kind is NoiseKind.ORNSTEIN_UHLENBECK
     assert cfg.noise.t_c == 0.5
     assert cfg.ensemble.probes == (5.0, 10.0)
     assert cfg.ensemble.master_seed == 3
-    [(label, system, _)] = cfg.systems()
-    assert label == 1 and isinstance(system, PlainOscillator)
 
 
 def test_coupled_parses_with_cavity():
     cfg = parse_config(coupled_data())
     assert cfg.scenario is Scenario.COUPLED_STOCHASTIC
-    assert cfg.cavity.nz_max == 3
-    assert cfg.omega is None
     [(_, system, _)] = cfg.systems()
+    assert isinstance(system, CavityModes) and system.cavity.nz_max == 3
     assert system.omegas.size == 3
 
 
@@ -132,16 +131,22 @@ def probe_times(cfg):
     return idx * dt
 
 
+def cosmology_pairs(mass, ks, epsilon=0.05):
+    """(label, system) pairs of a cosmology sweep of mass M over ks."""
+    return tuple((label, PlainOscillator(math.sqrt(k * k + mass**2), epsilon))
+                 for label, k in enumerate(ks, start=1))
+
+
 def test_systems_follow_the_config_fields(tmp_path):
-    # systems() builds from the fields it is given: a RunConfig made
-    # directly, or by replacing a parsed one's fields, simulates what
-    # those fields say, and predict writes the laws of those systems
+    # systems() runs the pairs it is given: a RunConfig made directly, or
+    # by replacing a parsed one's pairs, simulates those systems, and
+    # predict writes the laws of those systems
     cfg = parse_config(cosmology_data())
     direct = RunConfig(cfg.scenario, cfg.noise, cfg.integrator, cfg.ensemble,
-                       mass=2.0, epsilon=0.05, k_grid=(0.0, 1.5))
+                       cosmology_pairs(2.0, (0.0, 1.5)))
     assert [(label, float(s.omegas[0])) for label, s, _ in direct.systems()] == [
         (1, 2.0), (2, 2.5)]
-    moved = dataclasses.replace(cfg, mass=0.0, k_grid=(3.0,))
+    moved = dataclasses.replace(cfg, pairs=cosmology_pairs(0.0, (3.0,)))
     assert [(label, float(s.omegas[0])) for label, s, _ in moved.systems()] == [(1, 3.0)]
     t = probe_times(moved)
     b2 = msa_stochastic_beta2(3.0, 0.05, moved.noise, t)
@@ -151,8 +156,9 @@ def test_systems_follow_the_config_fields(tmp_path):
     assert predicted(moved, tmp_path / "moved") == {
         (quantity, 1): [f"{v:.17g}" for v in values] for quantity, values in laws.items()}
     coupled = parse_config(coupled_data())
-    cavity = dataclasses.replace(coupled.cavity, nz_max=2, epsilon=0.03)
-    replaced = dataclasses.replace(coupled, cavity=cavity)
+    [(_, parsed, _)] = coupled.systems()
+    cavity = dataclasses.replace(parsed.cavity, nz_max=2, epsilon=0.03)
+    replaced = dataclasses.replace(coupled, pairs=((1, CavityModes(cavity, parsed.path)),))
     [(_, system, _)] = replaced.systems()
     assert system.omegas.tolist() == cavity.omegas().tolist()
     flow = solve_occupations(slow_flow_rates(cavity, coupled.noise), cavity, 1,
@@ -168,8 +174,9 @@ def test_cosmology_omega_rounds_as_numpy_sqrt():
     # (k**2 + M**2) ** 0.5 rounds one ulp above it
     ks = [1.39, *np.random.default_rng(5).uniform(0.0, 10.0, 2000).tolist()]
     for mass in (1.0, 0.37):
-        cfg = dataclasses.replace(parse_config(cosmology_data()), mass=mass,
-                                  k_grid=tuple(ks))
+        data = cosmology_data()
+        data["scenario"].update(mass_rad_per_time=mass, k_grid_rad_per_time=ks)
+        cfg = parse_config(data)
         omegas = [system.omegas[0] for _, system, _ in cfg.systems()]
         np.testing.assert_array_equal(
             omegas, np.sqrt(np.asarray(ks, dtype=float) ** 2 + mass**2))
@@ -207,7 +214,8 @@ def test_deterministic_defaults_to_one_realization():
 
 def test_default_integrator_step_respects_fastest_mode():
     cfg = parse_config(coupled_data())
-    omega_max = float(cfg.cavity.omegas()[-1])
+    [(_, system, _)] = cfg.systems()
+    omega_max = float(system.cavity.omegas()[-1])
     assert cfg.integrator.dt * omega_max <= 0.1 + 1e-12
 
 
@@ -226,6 +234,13 @@ def test_default_integrator_step_respects_fastest_mode():
     (lambda d: d["ensemble"].update(in_mode=0), "in_mode"),
     (lambda d: d["ensemble"].update(in_mode=2), "in_mode"),
     (lambda d: d["ensemble"].update(n_realizations=2.5), "expected int"),
+    (lambda d: d["ensemble"].update(n_realizations=math.inf),
+     "ensemble.n_realizations: expected int"),
+    (lambda d: d["ensemble"].update(master_seed=math.inf),
+     "ensemble.master_seed: expected int"),
+    (lambda d: d["ensemble"].update(n_realizations=True),
+     "ensemble.n_realizations: expected int, got True"),
+    (lambda d: d["noise"].update(t_c_time=True), "noise.t_c_time: expected float, got True"),
     (lambda d: d.update(cavity={"Lx_length": 1.0, "Ly_length": 1.0,
                                 "Lz0_length": 1.0, "epsilon": 0.1}),
      "coupled_stochastic"),
@@ -260,9 +275,9 @@ def test_default_step_reads_the_fastest_frequency_off_the_systems():
         data = yaml.safe_load(path.read_text())
         data.get("integrator", {}).pop("dt_time", None)
         cfg = parse_config(data)
-        omega_max = (float(cfg.cavity.omegas()[-1]) if cfg.cavity is not None
-                     else max((k**2 + cfg.mass**2) ** 0.5 for k in cfg.k_grid)
-                     if cfg.k_grid else cfg.omega)
+        omega_max = max(float(system.cavity.omegas()[-1])
+                        if isinstance(system, CavityModes) else system.omega
+                        for _, system, _ in cfg.systems())
         horizon = cfg.ensemble.horizon
         assert cfg.integrator.dt == min(suggest_dt(omega_max, horizon),
                                         max_step(cfg.noise, horizon)), path.name
@@ -387,7 +402,20 @@ def test_probe_outside_horizon_refused():
                          ids=lambda p: p.name)
 def test_shipped_config_parses_and_round_trips(path):
     cfg = load_config(str(path))
-    assert parse_config(copy.deepcopy(cfg.raw)) == cfg
+    again = parse_config(copy.deepcopy(cfg.raw))
+    assert again == cfg
+    assert_same_pairs(again, cfg)
+
+
+def assert_same_pairs(again, cfg):
+    # what RunConfig's equality, which skips the pairs, does not compare
+    assert len(again.pairs) == len(cfg.pairs)
+    for (label, system), (label_0, system_0) in zip(again.pairs, cfg.pairs):
+        assert label == label_0 and type(system) is type(system_0)
+        assert system.omegas.tolist() == system_0.omegas.tolist()
+        assert system.epsilon == system_0.epsilon
+        if isinstance(system, CavityModes):
+            assert (system.cavity, system.path) == (system_0.cavity, system_0.path)
 
 
 def test_benchmark_workload_configs_parse(tmp_path, monkeypatch):
@@ -426,6 +454,17 @@ def test_compare_tolerances_parsed():
     assert (cfg.compare.k_sigma, cfg.compare.rel_tol) == (3.0, 0.2)
 
 
+def test_config_shares_nothing_with_the_mapping_it_parsed():
+    # equality skips the pairs and compares raw, so an edit of the parsed
+    # mapping, a section or a list in it, must not reach the config's raw
+    data = cosmology_data()
+    cfg = parse_config(data)
+    data["scenario"]["epsilon"] = 0.5
+    data["scenario"]["k_grid_rad_per_time"].append(2.0)
+    assert cfg.raw == cosmology_data()
+    assert parse_config(data) != cfg
+
+
 def test_raw_round_trips():
     # the echoed raw mapping must re-parse to an equivalent configuration
     original = coupled_data()
@@ -433,19 +472,40 @@ def test_raw_round_trips():
     again = parse_config(copy.deepcopy(cfg.raw))
     assert again.scenario is cfg.scenario
     assert again.noise == cfg.noise
-    assert again.cavity == cfg.cavity
     assert again.integrator == cfg.integrator
     assert again.ensemble == cfg.ensemble
+    assert_same_pairs(again, cfg)
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
                          ids=lambda p: p.name)
 def test_libyaml_loader_reads_what_the_python_loader_reads(path):
-    # load_config takes libyaml's safe loader when it is there
-    assert config_mod.YAML_LOADER is yaml.CSafeLoader
+    # load_config takes libyaml's safe loader when it is there, with its
+    # check for repeated keys
+    assert issubclass(config_mod.YAML_LOADER, yaml.CSafeLoader)
     text = path.read_text()
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=config_mod.YAML_LOADER) == yaml.load(
+        text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("base", [
+    pytest.param(yaml.SafeLoader, id="python"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml", marks=pytest.mark.skipif(
+        not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")),
+])
+def test_repeated_key_refused_naming_it_and_its_line(tmp_path, monkeypatch, base):
+    # YAML allows a key once per mapping; where PyYAML keeps the last,
+    # load_config refuses the file, with or without libyaml
+    monkeypatch.setattr(config_mod, "YAML_LOADER", config_mod.unique_key_loader(base))
+    path = tmp_path / "run.yaml"
+    text = yaml.safe_dump(single_mode_data(), sort_keys=False)
+    path.write_text(text.replace("  epsilon: 0.05\n", "  epsilon: 0.05\n  epsilon: 0.5\n"))
+    line = path.read_text().splitlines().index("  epsilon: 0.5") + 1
+    with pytest.raises(ConfigError, match=rf"repeated key 'epsilon'\n.*line {line}\b"):
+        load_config(str(path))
+    path.write_text(text)
+    assert load_config(str(path)) == parse_config(single_mode_data())
 
 
 def test_python_loader_names_bad_yaml(tmp_path, monkeypatch):
@@ -474,5 +534,6 @@ def test_load_config_reads_yaml(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(single_mode_data()))
     cfg = load_config(str(path))
-    assert cfg.omega == 1.0
+    [(_, system, _)] = cfg.systems()
+    assert system.omega == 1.0
     assert cfg.ensemble.n_realizations == 4

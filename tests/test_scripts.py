@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at tiny sizes."""
 
+import ast
 import csv
 import importlib.util
 import os
@@ -23,10 +24,42 @@ SMOKE_RUNS = [
 ]
 
 
+# each script's smoke run as `sdce simulate` runs it: the shipped config
+# it writes its flags over, and the sections each simulate run changes
+SIMULATE_RUNS = {
+    "growth_curve.py": ("single_mode_growth.yaml", [
+        {"ensemble": dict(n_realizations=4, horizon_time=20.0, probes_time=[10.0, 20.0])}]),
+    "convergence_study.py": ("single_mode_growth.yaml", [
+        {"ensemble": dict(n_realizations=n, horizon_time=5.0, probes_time=[5.0])}
+        for n in (4, 8)]),
+    "cosmology_spectrum.py": ("cosmology.yaml", [
+        {"scenario": dict(k_grid_rad_per_time=[0.5, 1.0]),
+         "ensemble": dict(n_realizations=4, horizon_time=5.0, probes_time=[5.0])}]),
+}
+
+# what assembles a run by hand, where parse_config assembles it from a config
+HAND_BUILT = {"EnsembleConfig", "IntegratorConfig", "PlainOscillator", "CavityModes",
+              "NoiseSpec", "default_dt"}
+
+
 def test_every_script_has_a_smoke_run():
-    # so that no script skips the smoke run or the knot-cell check below
-    assert sorted(script for script, _ in SMOKE_RUNS) == sorted(
-        p.name for p in (ROOT / "scripts").glob("*.py"))
+    # so that no script skips the smoke run, the knot-cell check or the
+    # comparison with simulate below
+    scripts = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+    assert sorted(script for script, _ in SMOKE_RUNS) == scripts
+    assert sorted(SIMULATE_RUNS) == scripts
+
+
+@pytest.mark.parametrize("script", sorted(SIMULATE_RUNS))
+def test_script_builds_no_run_by_hand(script):
+    # a script runs the systems, noise, integrator and ensemble of a
+    # parsed config, so it runs what simulate runs and is refused what
+    # simulate refuses
+    tree = ast.parse((ROOT / "scripts" / script).read_text())
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert not called & HAND_BUILT
 
 
 @pytest.mark.parametrize("script, args", SMOKE_RUNS)
@@ -70,22 +103,27 @@ def test_script_steps_stay_inside_one_knot_cell(script, args, monkeypatch):
         assert step <= max_step(noise, ensemble.horizon) * (1.0 + 1e-9)
 
 
-def test_cosmology_spectrum_gives_what_simulate_writes(tmp_path, monkeypatch):
-    # the script at its smoke arguments runs configs/cosmology.yaml with
-    # those flags written over it: each k's means are, bit for bit, the
-    # beta2_total rows of series.csv from `sdce simulate` on that config
-    runs = run_script("cosmology_spectrum.py", dict(SMOKE_RUNS)["cosmology_spectrum.py"],
-                      monkeypatch)
-    data = yaml.safe_load((ROOT / "configs" / "cosmology.yaml").read_text())
-    data["scenario"]["k_grid_rad_per_time"] = [0.5, 1.0]
-    data["ensemble"].update(n_realizations=4, horizon_time=5.0, probes_time=[5.0])
-    config = tmp_path / "run.yaml"
-    config.write_text(yaml.safe_dump(data))
-    assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path),
-                     "--quiet"]) == 0
-    with open(tmp_path / "series.csv", newline="") as fh:
-        rows = [r for r in csv.DictReader(fh) if r["quantity"] == "beta2_total"]
-    assert len(runs) == 2
-    for label, (_, _, _, stats) in enumerate(runs, start=1):
-        simulated = [float(r["mean"]) for r in rows if r["mode"] == str(label)]
-        assert simulated == stats.mean[("beta2_total", 0)].tolist()
+@pytest.mark.parametrize("script", sorted(SIMULATE_RUNS))
+def test_script_gives_what_simulate_writes(script, tmp_path, monkeypatch):
+    # the script at its smoke arguments runs its shipped config with those
+    # flags written over it: the means of each system it runs (each k of
+    # the sweep, each N of the study) are, bit for bit, the beta2_total
+    # rows of series.csv from `sdce simulate` on that config
+    runs = run_script(script, dict(SMOKE_RUNS)[script], monkeypatch)
+    name, overrides = SIMULATE_RUNS[script]
+    simulated = []
+    for i, sections in enumerate(overrides):
+        data = yaml.safe_load((ROOT / "configs" / name).read_text())
+        for section, values in sections.items():
+            data[section].update(values)
+        config, out = tmp_path / f"run{i}.yaml", tmp_path / f"out{i}"
+        config.write_text(yaml.safe_dump(data))
+        assert cli_main(["simulate", "--config", str(config), "--out", str(out),
+                         "--quiet"]) == 0
+        means = {}
+        with open(out / "series.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                if r["quantity"] == "beta2_total":
+                    means.setdefault(r["mode"], []).append(float(r["mean"]))
+        simulated.extend(means.values())
+    assert [stats.mean[("beta2_total", 0)].tolist() for *_, stats in runs] == simulated

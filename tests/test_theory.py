@@ -295,8 +295,10 @@ def test_solve_occupations_matches_independent_integration(noise, horizon, n):
         assert 0.5 < sol.beta2_total[-1] < 2.0
 
 
-COUPLED_MODES = load_config(
-    Path(__file__).resolve().parent.parent / "configs" / "coupled_modes.yaml").cavity
+# the cavity of the one system configs/coupled_modes.yaml runs
+[(_, COUPLED_SYSTEM)] = load_config(
+    Path(__file__).resolve().parent.parent / "configs" / "coupled_modes.yaml").pairs
+COUPLED_MODES = COUPLED_SYSTEM.cavity
 
 
 @pytest.mark.parametrize("cavity", [QUASI_1D, COUPLED_MODES], ids=["quasi_1d", "coupled_modes"])
